@@ -25,10 +25,8 @@ import itertools
 from ftagg import SimNetwork, make_backend, run_round
 from ftagg.baseline import eavesdropper_delta, run_baseline_round
 from ftagg.model import (
-    DC,
     FailureGraph,
     MaskingSpec,
-    PartyId,
     Scenario,
     SendingList,
     scenario_from_json,
@@ -42,8 +40,7 @@ def load(name):
 
 
 def three_meter_mesh() -> Scenario:
-    parties = [DC] + [PartyId.sm(i) for i in (1, 2, 3)]
-    edges = list(itertools.combinations(parties, 2))
+    edges = list(itertools.combinations(range(4), 2))
     return validate_scenario(
         Scenario(
             n_sm=3,

@@ -20,7 +20,6 @@ from ftagg.model import (
     KIND_INITIAL_DATA,
     FailureGraph,
     MaskingSpec,
-    PartyId,
     Scenario,
     SendingList,
     validate_scenario,
@@ -30,8 +29,7 @@ DELTA_T = 5
 
 
 def full_edges(n):
-    parties = [DC] + [PartyId.sm(i) for i in range(1, n + 1)]
-    return list(itertools.combinations(parties, 2))
+    return list(itertools.combinations(range(n + 1), 2))
 
 
 def build(n, edges, working, n_min, seed):

@@ -10,7 +10,7 @@ Run:  python3 demos/ring_walkthrough.py
 """
 
 from ftagg import SimNetwork, classify_steps, make_backend, proof_case_histogram, run_round
-from ftagg.model import scenario_from_json
+from ftagg.model import party_name, scenario_from_json
 
 
 def main() -> None:
@@ -26,8 +26,8 @@ def main() -> None:
     print("tick  message")
     for record in outcome.trace:
         status = "ok  " if record.delivered else "LOST"
-        print(f"{record.tick:>4}  {status} {record.sender.name:>3} -> "
-              f"{record.receiver.name:<3} {record.message.kind}")
+        print(f"{record.tick:>4}  {status} {party_name(record.sender):>3} -> "
+              f"{party_name(record.receiver):<3} {record.message.kind}")
     print()
 
     print(f"candidates after the opening reports: {outcome.remaining_at_init}")
@@ -40,7 +40,7 @@ def main() -> None:
     # every share movement falls into one of the termination-proof cases
     print(f"step classes: {classify_steps(outcome)}")
     print(f"histogram:    {proof_case_histogram(outcome)}")
-    print(f"steps {outcome.steps}, elapsed {net.clock} ticks "
+    print(f"steps {len(outcome.trace)}, elapsed {net.clock} ticks "
           f"(timeouts cost {net.delta_t} ticks each)")
 
 

@@ -15,7 +15,6 @@ from .model import (
     ModulusTooSmall,
     NMinOutOfRange,
     PaillierSpec,
-    PartyId,
     RoundOutcome,
     Scenario,
     ScenarioError,
@@ -24,6 +23,7 @@ from .model import (
     UnknownParty,
     WorkingEdgeNotInGraph,
     link_on,
+    party_name,
     scenario_digest,
     scenario_from_json,
     scenario_to_json,

@@ -22,7 +22,6 @@ from .model import (
     KIND_MASKED_REPORT,
     KIND_SHARE_HANDOFF,
     MaskingSpec,
-    PartyId,
     Scenario,
     ScenarioError,
     TraceRecord,
@@ -146,7 +145,6 @@ class BaselineResult:
     aggregate: Optional[int]
     active: tuple[int, ...]
     trace: tuple[TraceRecord, ...]
-    steps: int
     reason: str = ""
     share_check: Optional[bool] = None
     report_checks: Mapping[int, bool] = field(default_factory=dict)
@@ -186,7 +184,6 @@ def run_baseline_round(
             aggregate=aggregate,
             active=tuple(active),
             trace=tuple(net.trace),
-            steps=len(net.trace),
             reason=reason,
             share_check=share_check,
             report_checks=dict(report_checks or {}),
@@ -198,9 +195,9 @@ def run_baseline_round(
     # The concentrator hunts for a first responsive meter down the list.
     pos = None
     for idx, i in enumerate(order):
-        status = net.send(DC, PartyId.sm(i), ShareHandoff(t, s_0))
+        status = net.send(DC, i, ShareHandoff(t, s_0))
         if status is DeliveryStatus.DELIVERED:
-            ack = net.send(PartyId.sm(i), DC, Ack())
+            ack = net.send(i, DC, Ack())
             assert ack is DeliveryStatus.DELIVERED, "ack lost on a live link"
             pos = idx
             break
@@ -224,7 +221,7 @@ def run_baseline_round(
         )
         # No retry and no ack for the report: if the concentrator link is
         # down the report is silently gone.
-        if net.send(PartyId.sm(i), DC, report) is DeliveryStatus.DELIVERED:
+        if net.send(i, DC, report) is DeliveryStatus.DELIVERED:
             reports[i] = report
         if capped():
             return result(BaselineStatus.STUCK, reason=f"step cap hit at SM{i}")
@@ -236,10 +233,10 @@ def run_baseline_round(
         # that the list is exhausted and nobody holds an instruction for me.
         found = None
         for nxt in range(pos + 1, n + 1):
-            target = DC if nxt == n else PartyId.sm(order[nxt])
-            status = net.send(PartyId.sm(i), target, handoff)
+            target = DC if nxt == n else order[nxt]
+            status = net.send(i, target, handoff)
             if status is DeliveryStatus.DELIVERED:
-                ack = net.send(target, PartyId.sm(i), Ack())
+                ack = net.send(target, i, Ack())
                 assert ack is DeliveryStatus.DELIVERED, "ack lost on a live link"
                 found = nxt
                 break
@@ -292,12 +289,11 @@ def run_baseline_round(
 def eavesdropper_view(trace: Sequence[TraceRecord], i: int, k: int) -> int:
     """What a passive listener parked next to meter i learns in one round:
     masked report minus the share delta, which collapses to m + static."""
-    me = PartyId.sm(i)
     s_in = next(
         (
             r.message.share
             for r in trace
-            if r.message.kind == KIND_SHARE_HANDOFF and r.receiver == me and r.delivered
+            if r.message.kind == KIND_SHARE_HANDOFF and r.receiver == i and r.delivered
         ),
         None,
     )
@@ -305,7 +301,7 @@ def eavesdropper_view(trace: Sequence[TraceRecord], i: int, k: int) -> int:
         (
             r.message.share
             for r in trace
-            if r.message.kind == KIND_SHARE_HANDOFF and r.sender == me
+            if r.message.kind == KIND_SHARE_HANDOFF and r.sender == i
         ),
         None,
     )
@@ -313,7 +309,7 @@ def eavesdropper_view(trace: Sequence[TraceRecord], i: int, k: int) -> int:
         (
             r.message.masked
             for r in trace
-            if r.message.kind == KIND_MASKED_REPORT and r.sender == me
+            if r.message.kind == KIND_MASKED_REPORT and r.sender == i
         ),
         None,
     )

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from .baseline import run_baseline_round
@@ -80,7 +81,7 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     elif args.backend == "paillier":
         scenario = scenario.with_backend(PaillierSpec())
     if args.seed is not None:
-        scenario = scenario.with_seed(args.seed)
+        scenario = replace(scenario, seed=args.seed)
     # overrides can break constraints the file satisfied, so recheck
     return validate_scenario(scenario)
 
@@ -116,7 +117,7 @@ def _cmd_run(args: argparse.Namespace) -> dict:
         "quorum_met": outcome.aggregate is not None,
         "active": list(outcome.active),
         "remaining_at_init": list(outcome.remaining_at_init),
-        "steps": outcome.steps,
+        "steps": len(outcome.trace),
         "elapsed_ticks": net.clock,
         "messages": _message_counts(outcome.trace),
         "proof_cases": proof_case_histogram(outcome),
@@ -133,14 +134,14 @@ def _cmd_baseline(args: argparse.Namespace) -> dict:
         "protocol": {
             "aggregate": outcome.aggregate,
             "active": list(outcome.active),
-            "steps": outcome.steps,
+            "steps": len(outcome.trace),
             "proof_cases": proof_case_histogram(outcome),
         },
         "baseline": {
             "status": result.status.value,
             "aggregate": result.aggregate,
             "active": list(result.active),
-            "steps": result.steps,
+            "steps": len(result.trace),
             "reason": result.reason,
             "share_check": result.share_check,
             "report_checks": {str(i): ok for i, ok in sorted(result.report_checks.items())},

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Sequence
 
 from .masking import MaskingBackend, prf
@@ -26,14 +26,14 @@ from .model import (
     KIND_ACTIVATION,
     KIND_END_OF_ROUND,
     KIND_INITIAL_DATA,
-    FailureGraph,
     MaskingSpec,
     PaillierSpec,
-    PartyId,
     RoundOutcome,
     Scenario,
     ScenarioError,
     SendingList,
+    graph_from_names,
+    party_name,
     validate_scenario,
 )
 from .netsim import SimNetwork
@@ -156,21 +156,25 @@ def _check_submission(setup: GameSetup) -> Optional[str]:
     return None
 
 
-def _build_scenario(setup: GameSetup, bit: int) -> Scenario:
+def _measurements(setup: GameSetup, bit: int) -> dict[int, int]:
     i_star, j_star = setup.challenged
     measurements = dict(setup.mlist)
     measurements[i_star] = setup.m0 if bit == 0 else setup.m1
     measurements[j_star] = setup.m1 if bit == 0 else setup.m0
-    edges = [(PartyId.parse(a), PartyId.parse(b)) for a, b in setup.edges]
-    working = [(PartyId.parse(a), PartyId.parse(b)) for a, b in setup.working_edges]
+    return measurements
+
+
+def _build_scenario(setup: GameSetup) -> Scenario:
+    """The submitted round with bit 0; flipping the bit only swaps two
+    measurements, which keeps every scenario invariant."""
     return validate_scenario(
         Scenario(
             n_sm=setup.n_sm,
-            graph=FailureGraph.build(setup.n_sm, edges, working),
+            graph=graph_from_names(setup.n_sm, setup.edges, setup.working_edges),
             sending_list=SendingList(setup.sending_list),
             n_min=setup.n_min,
             round=setup.round,
-            measurements=measurements,
+            measurements=_measurements(setup, 0),
             backend=setup.backend,
             seed=setup.seed,
         )
@@ -198,17 +202,15 @@ def _plain(value):
     return value
 
 
-def _build_view(
-    setup: GameSetup, scenario: Scenario, backend, outcome: RoundOutcome, nonce: int
-) -> AdversaryView:
-    corrupted = {PartyId.sm(i) for i in setup.corrupted_sms}
+def _build_view(setup: GameSetup, backend, outcome: RoundOutcome, nonce: int) -> AdversaryView:
+    corrupted = set(setup.corrupted_sms)
     if setup.corrupted_dc:
         corrupted.add(DC)
     messages = tuple(
         {
             "tick": r.tick,
-            "from": r.sender.name,
-            "to": r.receiver.name,
+            "from": party_name(r.sender),
+            "to": party_name(r.receiver),
             "kind": r.message.kind,
             "body": _message_payload(r.message),
         }
@@ -298,7 +300,7 @@ def run_trial(setup: GameSetup, nonce: int = 0) -> _Trial:
     if reason is not None:
         return _Trial(abort_reason=reason)
     try:
-        probe = _build_scenario(setup, 0)
+        probe = _build_scenario(setup)
     except ScenarioError as exc:
         return _Trial(abort_reason=f"invalid submission: {exc}")
 
@@ -311,10 +313,10 @@ def run_trial(setup: GameSetup, nonce: int = 0) -> _Trial:
         return _Trial(abort_reason="challenged meters cannot contribute under the failure model")
 
     bit = _bit_for_trial(setup, nonce)
-    scenario = _build_scenario(setup, bit)
+    scenario = replace(probe, measurements=_measurements(setup, bit))
     backend = make_backend(scenario)
     outcome = run_round(scenario, backend, SimNetwork.for_scenario(scenario))
-    view = _build_view(setup, scenario, backend, outcome, nonce)
+    view = _build_view(setup, backend, outcome, nonce)
     return _Trial(abort_reason=None, secret_bit=bit, view=view, outcome=outcome)
 
 

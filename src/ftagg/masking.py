@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .model import MeasurementOutOfRange, Scenario
+from .model import MeasurementOutOfRange, Scenario, ScenarioError
 
 KEY_BYTES = 16
 
@@ -22,7 +22,8 @@ class KeySetMismatch(ValueError):
 
 
 def _check_modulus(k: int) -> None:
-    assert k > 1 and (k & (k - 1)) == 0, "modulus must be a power of two"
+    if k < 2 or k & (k - 1):
+        raise ScenarioError(f"masking modulus must be a power of two >= 2, got {k}")
 
 
 def _h(data: bytes, key: bytes, person: bytes, size: int = KEY_BYTES) -> bytes:
@@ -49,7 +50,8 @@ class MaskingParams:
     def __post_init__(self):
         _check_modulus(self.k)
         for i, key in self.keys.items():
-            assert len(key) == KEY_BYTES, f"key for meter {i} must be 16 bytes"
+            if len(key) != KEY_BYTES:
+                raise ScenarioError(f"key for meter {i} must be {KEY_BYTES} bytes")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class ScenarioError(ValueError):
@@ -45,97 +45,81 @@ class MeasurementOutOfRange(ScenarioError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class PartyId:
-    """Either the concentrator (kind 'DC', index 0) or a meter ('SM', index >= 1)."""
-
-    kind: str
-    index: int
-
-    _DC_KIND = "DC"
-    _SM_KIND = "SM"
-
-    @staticmethod
-    def dc() -> "PartyId":
-        return PartyId(PartyId._DC_KIND, 0)
-
-    @staticmethod
-    def sm(index: int) -> "PartyId":
-        if index < 1:
-            raise UnknownParty(f"meter index must be >= 1, got {index}")
-        return PartyId(PartyId._SM_KIND, index)
-
-    @staticmethod
-    def parse(name: str) -> "PartyId":
-        if name == "DC":
-            return PartyId.dc()
-        if name.startswith("SM"):
-            suffix = name[2:]
-            if suffix.isdigit() and not suffix.startswith("0"):
-                return PartyId.sm(int(suffix))
-        raise UnknownParty(f"unrecognized party name {name!r}")
-
-    @property
-    def name(self) -> str:
-        return "DC" if self.is_dc else f"SM{self.index}"
-
-    @property
-    def is_dc(self) -> bool:
-        return self.kind == PartyId._DC_KIND
-
-    @property
-    def is_sm(self) -> bool:
-        return self.kind == PartyId._SM_KIND
-
-    def __str__(self) -> str:
-        return self.name
+# A party is an int: 0 is the concentrator, i >= 1 is meter SMi. Names exist
+# only where scenarios, traces and game views meet the outside world.
+DC = 0
 
 
-DC = PartyId.dc()
+def party_name(p: int) -> str:
+    return f"SM{p}" if p else "DC"
 
-Edge = tuple[PartyId, PartyId]
 
-
-def edge_key(a: PartyId, b: PartyId) -> Edge:
-    """Normalize an undirected edge; both orientations map to the same key."""
-    if a == b:
-        raise ScenarioError(f"self-loop at {a}")
-    return (a, b) if a < b else (b, a)
+def party_indices(n_sm: int) -> dict[str, int]:
+    """Name-to-party table of a scenario with n_sm meters."""
+    names = {f"SM{i}": i for i in range(1, n_sm + 1)}
+    names["DC"] = DC
+    return names
 
 
 @dataclass(frozen=True)
 class FailureGraph:
-    """Undirected link graph: `edges` is the full topology, `working` the links
-    that are on for the current round."""
+    """Undirected link graph over parties 0..n_sm, one adjacency int per
+    party: bit u of `edges[v]` is set iff the v-u link exists in the topology,
+    and of `working[v]` iff it is on for the current round."""
 
-    vertices: frozenset[PartyId]
-    edges: frozenset[Edge]
-    working: frozenset[Edge]
+    edges: tuple[int, ...]
+    working: tuple[int, ...]
 
     @staticmethod
     def build(
         n_sm: int,
-        edges: Sequence[tuple[PartyId, PartyId]],
-        working: Sequence[tuple[PartyId, PartyId]],
+        edges: Iterable[tuple[int, int]],
+        working: Iterable[tuple[int, int]],
     ) -> "FailureGraph":
-        vertices = frozenset([DC] + [PartyId.sm(i) for i in range(1, n_sm + 1)])
-        return FailureGraph(
-            vertices=vertices,
-            edges=frozenset(edge_key(a, b) for a, b in edges),
-            working=frozenset(edge_key(a, b) for a, b in working),
-        )
-
-    def has_vertex(self, p: PartyId) -> bool:
-        return p in self.vertices
+        return FailureGraph(_adjacency(n_sm, edges), _adjacency(n_sm, working))
 
 
-def link_on(g: FailureGraph, a: PartyId, b: PartyId) -> bool:
+def _adjacency(n_sm: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    bit = [1 << v for v in range(n_sm + 1)]
+    adj = [0] * (n_sm + 1)
+    for a, b in pairs:
+        if not (0 <= a <= n_sm and 0 <= b <= n_sm):
+            raise UnknownParty(f"link ({a},{b}) references a party outside 0..{n_sm}")
+        if a == b:
+            raise ScenarioError(f"self-loop at {party_name(a)}")
+        adj[a] |= bit[b]
+        adj[b] |= bit[a]
+    return tuple(adj)
+
+
+def graph_from_names(n_sm: int, edges: Sequence, working: Sequence) -> FailureGraph:
+    """The graph of two arrays of [name, name] pairs, as scenario files and
+    game submissions give them."""
+    names = party_indices(n_sm)
+
+    def pairs(raw, what):
+        if not isinstance(raw, (list, tuple)) or not all(
+            isinstance(item, (list, tuple)) for item in raw
+        ):
+            raise ScenarioError(f"{what} must be an array of [name, name] pairs")
+        try:
+            return [(names[a], names[b]) for a, b in raw]
+        except KeyError as exc:
+            raise UnknownParty(
+                f"{what} names {exc.args[0]!r}, not one of DC, SM1..SM{n_sm}"
+            ) from None
+        except (TypeError, ValueError):
+            raise ScenarioError(f"{what} entries must be arrays of two party names") from None
+
+    return FailureGraph.build(n_sm, pairs(edges, "edges"), pairs(working, "working_edges"))
+
+
+def link_on(g: FailureGraph, a: int, b: int) -> bool:
     """True iff the undirected link between a and b is on this round."""
-    if a not in g.vertices:
-        raise UnknownParty(f"{a} not in graph")
-    if b not in g.vertices:
-        raise UnknownParty(f"{b} not in graph")
-    return edge_key(a, b) in g.working
+    n = len(g.working)
+    if not (0 <= a < n and 0 <= b < n):
+        raise UnknownParty(f"link ({a},{b}) references a party outside 0..{n - 1}")
+    return g.working[a] >> b & 1 == 1
 
 
 @dataclass(frozen=True)
@@ -205,8 +189,8 @@ class EndOfRound:
 @dataclass(frozen=True)
 class TraceRecord:
     tick: int
-    sender: PartyId
-    receiver: PartyId
+    sender: int
+    receiver: int
     message: object
     delivered: bool
 
@@ -214,8 +198,8 @@ class TraceRecord:
 def trace_record_to_dict(r: TraceRecord) -> dict:
     return {
         "tick": r.tick,
-        "from": r.sender.name,
-        "to": r.receiver.name,
+        "from": party_name(r.sender),
+        "to": party_name(r.receiver),
         "kind": r.message.kind,
         "delivered": r.delivered,
     }
@@ -247,6 +231,11 @@ class PaillierSpec:
     type = "paillier"
 
 
+def check_key_bits(bits: int) -> None:
+    if bits < 64 or bits % 2:
+        raise ScenarioError(f"key_bits must be an even number >= 64, got {bits}")
+
+
 BackendSpec = MaskingSpec | PaillierSpec
 
 
@@ -274,13 +263,10 @@ class Scenario:
     def with_backend(self, backend: BackendSpec) -> "Scenario":
         return replace(self, backend=backend)
 
-    def with_seed(self, seed: int) -> "Scenario":
-        return replace(self, seed=seed)
-
 
 @dataclass(frozen=True)
 class RoundOutcome:
-    """Result of one round.
+    """Result of one terminated round.
 
     aggregate is present iff the round terminated with at least n_min active
     meters; active lists every meter that ever held the running share.
@@ -290,8 +276,6 @@ class RoundOutcome:
     active: tuple[int, ...]
     remaining_at_init: tuple[int, ...]
     trace: tuple[TraceRecord, ...]
-    steps: int
-    terminated: bool
 
 
 def validate_scenario(s: Scenario) -> Scenario:
@@ -314,18 +298,18 @@ def validate_scenario(s: Scenario) -> Scenario:
         missing = sorted(set(sms) - seen)
         raise IncompleteSendingList(f"sending list omits meters {missing}")
 
-    expected_vertices = frozenset([DC] + [PartyId.sm(i) for i in sms])
-    for v in s.graph.vertices:
-        if v not in expected_vertices:
-            raise UnknownParty(f"graph vertex {v} not part of the scenario")
-    if s.graph.vertices != expected_vertices:
+    g = s.graph
+    if len(g.edges) != s.n_sm + 1 or len(g.working) != s.n_sm + 1:
         raise UnknownParty("graph must contain DC and every meter")
-    for a, b in s.graph.edges:
-        if a not in expected_vertices or b not in expected_vertices:
-            raise UnknownParty(f"edge ({a},{b}) references unknown party")
-    for e in s.graph.working:
-        if e not in s.graph.edges:
-            raise WorkingEdgeNotInGraph(f"working edge ({e[0]},{e[1]}) not in topology")
+    parties = (1 << (s.n_sm + 1)) - 1
+    for v, (links, on) in enumerate(zip(g.edges, g.working)):
+        if links & ~parties:
+            raise UnknownParty(f"a link of {party_name(v)} references an unknown party")
+        if on & ~links:
+            u = (on & ~links).bit_length() - 1
+            raise WorkingEdgeNotInGraph(
+                f"working edge ({party_name(v)},{party_name(u)}) not in topology"
+            )
 
     if not 1 <= s.n_min <= s.n_sm:
         raise NMinOutOfRange(f"n_min={s.n_min} outside 1..{s.n_sm}")
@@ -339,11 +323,19 @@ def validate_scenario(s: Scenario) -> Scenario:
         if s.measurements[i] < 0:
             raise MeasurementOutOfRange(f"measurement of meter {i} is negative")
 
+    total = sum(s.measurements.values())
     if isinstance(s.backend, MaskingSpec):
-        total = sum(s.measurements.values())
         if total >= s.backend.k:
             raise ModulusTooSmall(
                 f"sum of measurements {total} must stay below the modulus {s.backend.k}"
+            )
+    else:
+        # keygen forces the top two bits of both primes, so n > 2^(key_bits-1)
+        # and every sum below that bound decrypts to itself.
+        check_key_bits(s.backend.key_bits)
+        if total >= 1 << (s.backend.key_bits - 1):
+            raise ModulusTooSmall(
+                f"sum of measurements {total} must stay below 2^{s.backend.key_bits - 1}"
             )
 
     for i in s.sm_online:
@@ -381,11 +373,21 @@ def _backend_from_dict(d: dict) -> BackendSpec:
     raise ScenarioError(f"unknown backend type {d['type']!r}")
 
 
+def _edge_names(adj: Sequence[int]) -> list[list[str]]:
+    """Every link once as [lower-index name, higher-index name], in the order
+    of a sort on those name pairs."""
+    names = [party_name(v) for v in range(len(adj))]
+    by_name = sorted(range(len(adj)), key=names.__getitem__)
+    return [
+        [names[a], names[b]] for a in by_name for b in by_name if b > a and adj[a] >> b & 1
+    ]
+
+
 def scenario_to_dict(s: Scenario) -> dict:
     d = {
         "n_sm": s.n_sm,
-        "edges": sorted([a.name, b.name] for a, b in s.graph.edges),
-        "working_edges": sorted([a.name, b.name] for a, b in s.graph.working),
+        "edges": _edge_names(s.graph.edges),
+        "working_edges": _edge_names(s.graph.working),
         "sending_list": list(s.sending_list.order),
         "n_min": s.n_min,
         "round": s.round,
@@ -400,6 +402,12 @@ def scenario_to_dict(s: Scenario) -> dict:
     return d
 
 
+def _object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be a JSON object")
+    return value
+
+
 def _parse_index(raw: object, what: str) -> int:
     try:
         return int(raw)
@@ -408,49 +416,46 @@ def _parse_index(raw: object, what: str) -> int:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
+    if not isinstance(d, dict):
+        raise ScenarioError("a scenario must be a JSON object")
     try:
         n_sm = int(d["n_sm"])
         raw_edges = d["edges"]
         raw_working = d["working_edges"]
-        raw_list = d["sending_list"]
+        sending_list = SendingList(tuple(int(i) for i in d["sending_list"]))
         n_min = int(d["n_min"])
         round_index = int(d["round"])
-        raw_measurements = d["measurements"]
+        raw_measurements = _object(d["measurements"], "measurements")
         raw_backend = d["backend"]
         seed = int(d["seed"])
     except KeyError as exc:
         raise ScenarioError(f"scenario file missing key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ScenarioError(f"malformed scenario field: {exc}") from None
+    # A valid n_sm equals the sending list's length; checked here already so
+    # that a huge n_sm cannot size the party tables below.
+    if n_sm > len(sending_list):
+        raise IncompleteSendingList(
+            f"sending list names {len(sending_list)} meters but n_sm is {n_sm}"
+        )
 
-    def parse_pairs(raw, what):
-        pairs = []
-        for item in raw:
-            if len(item) != 2:
-                raise ScenarioError(f"{what} entries must be 2-element arrays")
-            pairs.append((PartyId.parse(item[0]), PartyId.parse(item[1])))
-        return pairs
-
-    graph = FailureGraph.build(
-        n_sm,
-        parse_pairs(raw_edges, "edges"),
-        parse_pairs(raw_working, "working_edges"),
-    )
     measurements = {
         _parse_index(i, "measurements"): int(m) for i, m in raw_measurements.items()
     }
-    sm_online = {
-        _parse_index(i, "sm_online"): bool(v)
-        for i, v in d.get("sm_online", {}).items()
-    }
+    raw_online = _object(d.get("sm_online", {}), "sm_online")
+    if not all(isinstance(v, bool) for v in raw_online.values()):
+        raise ScenarioError("sm_online values must be true or false")
+    sm_online = {_parse_index(i, "sm_online"): v for i, v in raw_online.items()}
     prf_keys = None
     if "prf_keys" in d:
         prf_keys = {
             _parse_index(i, "prf_keys"): bytes.fromhex(h)
-            for i, h in d["prf_keys"].items()
+            for i, h in _object(d["prf_keys"], "prf_keys").items()
         }
     return Scenario(
         n_sm=n_sm,
-        graph=graph,
-        sending_list=SendingList(tuple(int(i) for i in raw_list)),
+        graph=graph_from_names(n_sm, raw_edges, raw_working),
+        sending_list=sending_list,
         n_min=n_min,
         round=round_index,
         measurements=measurements,

@@ -14,10 +14,10 @@ from typing import Mapping, Optional
 from .model import (
     DC,
     FailureGraph,
-    PartyId,
     ScenarioError,
     TraceRecord,
     link_on,
+    party_name,
 )
 
 
@@ -37,7 +37,7 @@ class SimNetwork:
         self,
         graph: FailureGraph,
         delta_t: int = 5,
-        online: Optional[Mapping[PartyId, bool]] = None,
+        online: Optional[Mapping[int, bool]] = None,
     ):
         if delta_t < 1:
             raise ScenarioError("delta_t must be at least 1 tick")
@@ -48,33 +48,30 @@ class SimNetwork:
             raise ScenarioError("the concentrator cannot be offline")
         self.clock = 0
         self.trace: list[TraceRecord] = []
-        self.inboxes: dict[PartyId, list[object]] = {v: [] for v in graph.vertices}
 
     @staticmethod
     def for_scenario(scenario, delta_t: int = 5) -> "SimNetwork":
-        online = {PartyId.sm(i): scenario.online(i) for i in range(1, scenario.n_sm + 1)}
-        return SimNetwork(scenario.graph, delta_t=delta_t, online=online)
+        return SimNetwork(scenario.graph, delta_t=delta_t, online=scenario.sm_online)
 
-    def is_online(self, p: PartyId) -> bool:
+    def is_online(self, p: int) -> bool:
         return self._online.get(p, True)
 
-    def _link_works(self, a: PartyId, b: PartyId) -> bool:
+    def _link_works(self, a: int, b: int) -> bool:
         return link_on(self.graph, a, b) and self.is_online(a) and self.is_online(b)
 
-    def send(self, sender: PartyId, receiver: PartyId, msg) -> DeliveryStatus:
+    def send(self, sender: int, receiver: int, msg) -> DeliveryStatus:
         """Attempt a delivery; every attempt lands in the trace exactly once."""
         if sender == receiver:
-            raise ScenarioError(f"{sender} cannot send to itself")
+            raise ScenarioError(f"{party_name(sender)} cannot send to itself")
         if self._link_works(sender, receiver):
             self.clock += 1
             self.trace.append(TraceRecord(self.clock, sender, receiver, msg, True))
-            self.inboxes.setdefault(receiver, []).append(msg)
             return DeliveryStatus.DELIVERED
         self.clock += self.delta_t
         self.trace.append(TraceRecord(self.clock, sender, receiver, msg, False))
         return DeliveryStatus.TIMED_OUT
 
-    def send_bundled_ack(self, sender: PartyId, receiver: PartyId, msg) -> None:
+    def send_bundled_ack(self, sender: int, receiver: int, msg) -> None:
         """Trace an acknowledgment for a handoff that just delivered.
 
         The link is known to be on (the triggering message got through and
@@ -82,7 +79,6 @@ class SimNetwork:
         """
         assert self._link_works(sender, receiver), "ack over a dead link"
         self.trace.append(TraceRecord(self.clock, sender, receiver, msg, True))
-        self.inboxes.setdefault(receiver, []).append(msg)
 
     def elapsed(self) -> int:
         return self.clock

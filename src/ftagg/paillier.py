@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .model import Scenario
+from .model import Scenario, check_key_bits
 
 
 class PlaintextOutOfRange(ValueError):
@@ -103,7 +103,7 @@ class Ciphertext:
 @functools.lru_cache(maxsize=256)
 def keygen(bits: int, seed: int) -> PaillierKeys:
     """Deterministic key generation; prime search loops until success."""
-    assert bits >= 64 and bits % 2 == 0, "key size must be an even number >= 64"
+    check_key_bits(bits)
     rng = random.Random(seed)
     half = bits // 2
     while True:

@@ -20,7 +20,6 @@ from .model import (
     KIND_ACTIVATION,
     KIND_END_OF_ROUND,
     MaskingSpec,
-    PartyId,
     RoundOutcome,
     Scenario,
     TraceRecord,
@@ -71,7 +70,7 @@ def run_round(
         if not scenario.online(i):
             continue
         payload = backend.initial_payload(i, t)
-        status = net.send(PartyId.sm(i), DC, InitialData(t, i, payload))
+        status = net.send(i, DC, InitialData(t, i, payload))
         if status is DeliveryStatus.DELIVERED:
             collected[i] = payload
 
@@ -81,16 +80,13 @@ def run_round(
 
     def finish(aggregate: Optional[int]) -> RoundOutcome:
         trace = tuple(net.trace)
-        steps = len(trace)
         cap = STEP_CAP_SLOPE * scenario.n_sm + STEP_CAP_OFFSET
-        assert steps <= cap, f"{steps} steps exceed the hard cap {cap}"
+        assert len(trace) <= cap, f"{len(trace)} steps exceed the hard cap {cap}"
         return RoundOutcome(
             aggregate=aggregate,
             active=tuple(l_act),
             remaining_at_init=remaining_at_init,
             trace=trace,
-            steps=steps,
-            terminated=True,
         )
 
     if len(l_rem) < n_min:
@@ -104,9 +100,9 @@ def run_round(
     # The first pick's concentrator link already worked this round, so this
     # handoff cannot time out.
     first = l_rem[0]
-    status = net.send(DC, PartyId.sm(first), Activation(s_running, tuple(l_rem), ()))
+    status = net.send(DC, first, Activation(s_running, tuple(l_rem), ()))
     assert status is DeliveryStatus.DELIVERED, "opening handoff lost on a live link"
-    net.send_bundled_ack(PartyId.sm(first), DC, AckS())
+    net.send_bundled_ack(first, DC, AckS())
 
     holder = first
     eor: Optional[EndOfRound] = None
@@ -119,13 +115,9 @@ def run_round(
         next_holder = None
         while not is_last:
             j = l_rem[0]
-            status = net.send(
-                PartyId.sm(holder),
-                PartyId.sm(j),
-                Activation(s_running, tuple(l_rem), tuple(l_act)),
-            )
+            status = net.send(holder, j, Activation(s_running, tuple(l_rem), tuple(l_act)))
             if status is DeliveryStatus.DELIVERED:
-                net.send_bundled_ack(PartyId.sm(j), PartyId.sm(holder), AckS())
+                net.send_bundled_ack(j, holder, AckS())
                 next_holder = j
                 break
             l_rem.remove(j)
@@ -138,7 +130,7 @@ def run_round(
                 eor = EndOfRound(t, None, ())
             else:
                 eor = EndOfRound(t, s_running, tuple(l_act))
-            status = net.send(PartyId.sm(holder), DC, eor)
+            status = net.send(holder, DC, eor)
             assert status is DeliveryStatus.DELIVERED, "final message lost on a live link"
         else:
             holder = next_holder
@@ -163,8 +155,6 @@ def classify_steps(outcome: RoundOutcome) -> list[str]:
     not forced by a failed handoff. The concentrator's opening handoff is not
     a chain step and carries no label.
     """
-    if not outcome.terminated:
-        raise MalformedTrace("cannot classify a round that never terminated")
     events = [
         r
         for r in outcome.trace
@@ -173,7 +163,7 @@ def classify_steps(outcome: RoundOutcome) -> list[str]:
     labels = []
     for idx, r in enumerate(events):
         if r.message.kind == KIND_ACTIVATION:
-            if r.sender.is_dc:
+            if r.sender == DC:
                 if not r.delivered:
                     raise MalformedTrace("opening handoff must deliver")
                 continue
@@ -187,7 +177,7 @@ def classify_steps(outcome: RoundOutcome) -> list[str]:
                 raise MalformedTrace("failed handoff followed by a foreign step")
             labels.append(C3_2 if nxt.message.kind == KIND_ACTIVATION else C3_1)
         else:
-            if r.sender.is_dc:
+            if r.sender == DC:
                 raise MalformedTrace("final message sent by the concentrator")
             prev = events[idx - 1] if idx > 0 else None
             forced = (

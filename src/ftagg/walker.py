@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .model import DC, PartyId, Scenario, link_on
+from .model import DC, Scenario, link_on
 
 
 def responders(scenario: Scenario) -> list[int]:
     """Meters whose opening message reaches the concentrator, in ring order."""
     out = []
     for i in scenario.sending_list:
-        if scenario.online(i) and link_on(scenario.graph, PartyId.sm(i), DC):
+        if scenario.online(i) and link_on(scenario.graph, i, DC):
             out.append(i)
     return out
 
@@ -31,7 +31,7 @@ def reachable_active(scenario: Scenario) -> list[int]:
     walk = [resp[0]]
     cur = resp[0]
     for j in resp[1:]:
-        if scenario.online(j) and link_on(scenario.graph, PartyId.sm(cur), PartyId.sm(j)):
+        if scenario.online(j) and link_on(scenario.graph, cur, j):
             walk.append(j)
             cur = j
     return walk

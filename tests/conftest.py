@@ -10,20 +10,14 @@ from ftagg.model import (
     FailureGraph,
     MaskingSpec,
     PaillierSpec,
-    PartyId,
     Scenario,
     SendingList,
     validate_scenario,
 )
 
 
-def sm(i: int) -> PartyId:
-    return PartyId.sm(i)
-
-
-def full_edges(n_sm: int) -> list[tuple[PartyId, PartyId]]:
-    parties = [DC] + [sm(i) for i in range(1, n_sm + 1)]
-    return list(itertools.combinations(parties, 2))
+def full_edges(n_sm: int) -> list[tuple[int, int]]:
+    return list(itertools.combinations(range(n_sm + 1), 2))
 
 
 def make_scenario(
@@ -64,13 +58,13 @@ def golden_ring4() -> Scenario:
     """4-meter network where meters 2 and 4 cannot reach the concentrator and
     the 1-2 link is down; hand-walked contributors are [1, 3], sum 30."""
     edges = [
-        (DC, sm(1)), (DC, sm(2)), (DC, sm(3)), (DC, sm(4)),
-        (sm(1), sm(2)), (sm(1), sm(3)), (sm(2), sm(3)), (sm(2), sm(4)),
-        (sm(3), sm(4)),
+        (DC, 1), (DC, 2), (DC, 3), (DC, 4),
+        (1, 2), (1, 3), (2, 3), (2, 4),
+        (3, 4),
     ]
     working = [
-        (DC, sm(1)), (DC, sm(3)),
-        (sm(1), sm(3)), (sm(2), sm(3)), (sm(2), sm(4)), (sm(3), sm(4)),
+        (DC, 1), (DC, 3),
+        (1, 3), (2, 3), (2, 4), (3, 4),
     ]
     return make_scenario(
         4,
@@ -86,7 +80,7 @@ def golden_ring5() -> Scenario:
     3-4 link down; hand-walked contributors are [1, 3, 5], sum 35."""
     return make_scenario(
         5,
-        off=[(DC, sm(2)), (sm(3), sm(4))],
+        off=[(DC, 2), (3, 4)],
         measurements={1: 10, 2: 7, 3: 20, 4: 9, 5: 5},
         seed=7,
     )

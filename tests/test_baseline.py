@@ -2,7 +2,7 @@ import random
 
 import pytest
 import sympy
-from conftest import golden_ring4, make_scenario, random_scenario, sm, zero_failure_scenario
+from conftest import golden_ring4, make_scenario, random_scenario, zero_failure_scenario
 from ftagg.baseline import (
     HASH_BASE,
     HASH_BASE_ORDER,
@@ -88,7 +88,7 @@ def test_golden_ring4_gets_stuck_at_the_last_meter():
 
 
 def test_missing_concentrator_link_mid_ring_is_detected_not_fixed():
-    s = make_scenario(3, off=[(DC, sm(2))], measurements={1: 1, 2: 2, 3: 3})
+    s = make_scenario(3, off=[(DC, 2)], measurements={1: 1, 2: 2, 3: 3})
     result = run_baseline_round(s)
     assert result.status is BaselineStatus.DETECTED_INCONSISTENCY
     assert result.active == (1, 2, 3)
@@ -98,7 +98,7 @@ def test_missing_concentrator_link_mid_ring_is_detected_not_fixed():
 
 
 def test_unreachable_first_meters_are_skipped_by_the_opening_search():
-    s = make_scenario(3, off=[(DC, sm(1))], measurements={1: 1, 2: 2, 3: 3})
+    s = make_scenario(3, off=[(DC, 1)], measurements={1: 1, 2: 2, 3: 3})
     result = run_baseline_round(s)
     assert result.status is BaselineStatus.COMPLETED
     assert result.active == (2, 3)
@@ -106,7 +106,7 @@ def test_unreachable_first_meters_are_skipped_by_the_opening_search():
 
 
 def test_nobody_reachable_is_stuck():
-    s = make_scenario(2, off=[(DC, sm(1)), (DC, sm(2))])
+    s = make_scenario(2, off=[(DC, 1), (DC, 2)])
     result = run_baseline_round(s)
     assert result.status is BaselineStatus.STUCK
     assert result.active == ()
@@ -190,7 +190,7 @@ def test_eavesdropper_delta_leaks_measurement_changes_exactly():
 
 
 def test_eavesdropper_view_requires_an_activated_meter():
-    s = make_scenario(3, off=[(DC, sm(1)), (sm(1), sm(2)), (sm(1), sm(3))])
+    s = make_scenario(3, off=[(DC, 1), (1, 2), (1, 3)])
     result = run_baseline_round(s)
     assert 1 not in result.active
     with pytest.raises(ScenarioError):

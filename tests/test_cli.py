@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from ftagg.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SRC = SCENARIOS.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -185,3 +189,95 @@ def test_invalid_scenario_exits_two(capsys, tmp_path):
 def test_missing_file_exits_three(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", str(tmp_path / "absent.json"))
     assert code == EXIT_IO
+
+
+def write_scenario(tmp_path, **changes):
+    scenario = json.loads((SCENARIOS / "ring4.json").read_text())
+    scenario.update(changes)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return path
+
+
+def test_paillier_sum_past_half_the_key_exits_two(capsys, tmp_path):
+    # n is only known to exceed 2^(key_bits-1); a larger sum can wrap modulo
+    # n and decrypt to a wrong aggregate.
+    scenario = json.loads((SCENARIOS / "dc_gap3.json").read_text())
+    scenario.update(
+        working_edges=scenario["edges"],
+        backend={"type": "paillier", "key_bits": 64},
+        measurements={str(i): 1 << 63 for i in range(1, 4)},
+    )
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == EXIT_INVALID, out
+    assert "error" in err
+
+
+def test_paillier_sum_just_below_half_the_key_runs(capsys, tmp_path):
+    path = write_scenario(
+        tmp_path,
+        backend={"type": "paillier", "key_bits": 64},
+        measurements={"1": (1 << 63) - 1, "2": 0, "3": 0, "4": 0},
+    )
+    report = run_report(capsys, "run", str(path))
+    assert report["aggregate"] == (1 << 63) - 1
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"edges": 5},
+        {"edges": [["DC", "SM1", "SM2"]]},
+        {"edges": [["DC", 1]]},
+        {"edges": ["DCSM1"]},
+        {"edges": [{"DC": 0, "SM1": 1}]},
+        {"working_edges": "DC-SM1"},
+        {"working_edges": [["DC", ["SM1"]]]},
+        {"working_edges": [["DC", "SM9"]]},
+        {"measurements": [1, 2, 3, 4]},
+        {"sm_online": {"2": "false"}},
+        {"sm_online": {"2": 0}},
+        {"sm_online": [2]},
+        {"sending_list": 4},
+    ],
+)
+def test_malformed_scenario_fields_exit_two(capsys, tmp_path, changes):
+    code, out, err = run_cli(capsys, "run", str(write_scenario(tmp_path, **changes)))
+    assert code == EXIT_INVALID, out
+    assert "error" in err
+
+
+def test_top_level_array_exits_two(capsys, tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([json.loads((SCENARIOS / "ring4.json").read_text())]))
+    code, _, err = run_cli(capsys, "run", str(path))
+    assert code == EXIT_INVALID
+    assert "error" in err
+
+
+def run_optimized(path):
+    """`ftagg run` under `python -O`, where assert statements are stripped."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "ftagg.cli", "run", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [{"type": "paillier", "key_bits": 65}, {"type": "masking", "k_bits": 0}],
+)
+def test_bad_key_sizes_exit_two_under_optimize(tmp_path, backend):
+    path = write_scenario(
+        tmp_path, backend=backend, measurements={str(i): 0 for i in range(1, 5)}
+    )
+    result = run_optimized(path)
+    assert result.returncode == EXIT_INVALID, result.stdout + result.stderr
+    assert "error" in result.stderr

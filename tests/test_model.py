@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import full_edges, golden_ring4, golden_ring5, make_scenario, random_scenario, sm
+from conftest import full_edges, golden_ring4, golden_ring5, make_scenario, random_scenario
 from ftagg.model import (
     DC,
     DuplicateSmInList,
@@ -12,14 +12,15 @@ from ftagg.model import (
     MissingMeasurement,
     ModulusTooSmall,
     NMinOutOfRange,
-    PartyId,
     Scenario,
     ScenarioError,
     SendingList,
     UnknownParty,
     WorkingEdgeNotInGraph,
-    edge_key,
+    graph_from_names,
     link_on,
+    party_indices,
+    party_name,
     scenario_digest,
     scenario_from_json,
     scenario_to_json,
@@ -28,41 +29,44 @@ from ftagg.model import (
 
 
 def test_party_names_roundtrip():
-    assert PartyId.parse("DC") == DC
-    assert PartyId.parse("SM7") == PartyId.sm(7)
-    assert PartyId.sm(12).name == "SM12"
-    assert DC.name == "DC"
+    names = party_indices(12)
+    assert names["DC"] == DC
+    assert names["SM7"] == 7
+    assert party_name(12) == "SM12"
+    assert party_name(DC) == "DC"
+    assert all(party_name(p) == name for name, p in names.items())
 
 
-@pytest.mark.parametrize("bad", ["dc", "sm1", "SM0", "SM01", "SM", "DC1", "meter3", ""])
+@pytest.mark.parametrize("bad", ["dc", "sm1", "SM0", "SM01", "SM", "DC1", "meter3", "", "SM4"])
 def test_bad_party_names_rejected(bad):
     with pytest.raises(UnknownParty):
-        PartyId.parse(bad)
+        graph_from_names(3, [[bad, "SM1"]], [])
 
 
 def test_edge_key_is_orientation_free():
-    assert edge_key(DC, sm(3)) == edge_key(sm(3), DC)
-    assert edge_key(sm(1), sm(2)) == edge_key(sm(2), sm(1))
+    forward = FailureGraph.build(3, [(DC, 3), (1, 2)], [(DC, 3)])
+    backward = FailureGraph.build(3, [(3, DC), (2, 1)], [(3, DC)])
+    assert forward == backward
 
 
 def test_self_loop_rejected():
     with pytest.raises(ScenarioError):
-        edge_key(sm(1), sm(1))
+        FailureGraph.build(2, [(1, 1)], [])
 
 
 def test_link_on_golden_ring4():
     g = golden_ring4().graph
-    assert link_on(g, sm(1), DC) is True
-    assert link_on(g, sm(2), DC) is False
-    # Symmetry over every edge of the topology.
-    for a, b in g.edges:
+    assert link_on(g, 1, DC) is True
+    assert link_on(g, 2, DC) is False
+    # Symmetry over every pair of parties.
+    for a, b in full_edges(4):
         assert link_on(g, a, b) == link_on(g, b, a)
 
 
 def test_link_on_unknown_party():
     g = golden_ring4().graph
     with pytest.raises(UnknownParty):
-        link_on(g, sm(9), DC)
+        link_on(g, 9, DC)
 
 
 def test_duplicate_meter_in_list():
@@ -81,8 +85,8 @@ def test_unknown_meter_in_list():
 
 
 def test_working_edge_outside_topology():
-    edges = [(DC, sm(1)), (DC, sm(2))]
-    working = [(DC, sm(1)), (sm(1), sm(2))]
+    edges = [(DC, 1), (DC, 2)]
+    working = [(DC, 1), (1, 2)]
     with pytest.raises(WorkingEdgeNotInGraph):
         make_scenario(2, edges=edges, working=working)
 

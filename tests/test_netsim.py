@@ -1,43 +1,43 @@
 import json
 
 import pytest
-from conftest import golden_ring4, make_scenario, sm
+from conftest import golden_ring4, make_scenario
 from ftagg.model import DC, AckS, InitialData, ScenarioError, UnknownParty, trace_to_jsonl
 from ftagg.netsim import DeliveryStatus, SimNetwork
 
 
 def msg(i=1):
-    return InitialData(round=0, sm=sm(i), payload=7)
+    return InitialData(round=0, sm=i, payload=7)
 
 
 def test_delivery_over_working_link():
     net = SimNetwork.for_scenario(golden_ring4())
-    status = net.send(sm(1), DC, msg())
+    status = net.send(1, DC, msg())
     assert status is DeliveryStatus.DELIVERED
     assert net.elapsed() == 1
-    assert [m for m in net.inboxes[DC]] == [msg()]
+    assert [(r.receiver, r.message, r.delivered) for r in net.trace] == [(DC, msg(), True)]
 
 
 def test_timeout_over_dead_link():
     net = SimNetwork.for_scenario(golden_ring4(), delta_t=5)
-    status = net.send(sm(2), DC, msg(2))
+    status = net.send(2, DC, msg(2))
     assert status is DeliveryStatus.TIMED_OUT
     assert net.elapsed() == 5
-    assert net.inboxes[DC] == []
+    assert [r.delivered for r in net.trace if r.receiver == DC] == [False]
 
 
 def test_tick_accounting_mixes_costs():
     net = SimNetwork.for_scenario(golden_ring4(), delta_t=5)
-    net.send(sm(1), DC, msg(1))     # +1
-    net.send(sm(2), DC, msg(2))     # +5
-    net.send(DC, sm(1), msg(1))     # +1
+    net.send(1, DC, msg(1))     # +1
+    net.send(2, DC, msg(2))     # +5
+    net.send(DC, 1, msg(1))     # +1
     assert net.elapsed() == 7
 
 
 def test_every_attempt_is_traced_once():
     net = SimNetwork.for_scenario(golden_ring4())
-    net.send(sm(1), DC, msg(1))
-    net.send(sm(2), DC, msg(2))
+    net.send(1, DC, msg(1))
+    net.send(2, DC, msg(2))
     assert len(net.trace) == 2
     delivered = [r.delivered for r in net.trace]
     assert delivered == [True, False]
@@ -47,38 +47,38 @@ def test_every_attempt_is_traced_once():
 
 def test_bundled_ack_costs_nothing():
     net = SimNetwork.for_scenario(golden_ring4())
-    net.send(DC, sm(1), msg(1))
+    net.send(DC, 1, msg(1))
     before = net.elapsed()
-    net.send_bundled_ack(sm(1), DC, AckS())
+    net.send_bundled_ack(1, DC, AckS())
     assert net.elapsed() == before
     assert net.trace[-1].delivered is True
     assert net.trace[-1].message == AckS()
-    assert net.inboxes[DC] == [AckS()]
+    assert [r.message for r in net.trace if r.receiver == DC and r.delivered] == [AckS()]
 
 
 def test_bundled_ack_requires_live_link():
     net = SimNetwork.for_scenario(golden_ring4())
     with pytest.raises(AssertionError):
-        net.send_bundled_ack(sm(2), DC, AckS())
+        net.send_bundled_ack(2, DC, AckS())
 
 
 def test_offline_receiver_times_out():
     s = make_scenario(3, off=(), online={3: False})
     net = SimNetwork.for_scenario(s)
-    assert net.send(DC, sm(3), msg(3)) is DeliveryStatus.TIMED_OUT
-    assert net.send(sm(3), DC, msg(3)) is DeliveryStatus.TIMED_OUT
+    assert net.send(DC, 3, msg(3)) is DeliveryStatus.TIMED_OUT
+    assert net.send(3, DC, msg(3)) is DeliveryStatus.TIMED_OUT
 
 
 def test_self_send_rejected():
     net = SimNetwork.for_scenario(golden_ring4())
     with pytest.raises(ScenarioError):
-        net.send(sm(1), sm(1), msg())
+        net.send(1, 1, msg())
 
 
 def test_unknown_party_rejected():
     net = SimNetwork.for_scenario(golden_ring4())
     with pytest.raises(UnknownParty):
-        net.send(sm(9), DC, msg(9))
+        net.send(9, DC, msg(9))
 
 
 def test_dc_must_stay_online():
@@ -86,7 +86,7 @@ def test_dc_must_stay_online():
     net = SimNetwork.for_scenario(s)
     assert net.is_online(DC)
     with pytest.raises(ScenarioError):
-        SimNetwork(s.graph, delta_t=5, online={DC: False, sm(1): True, sm(2): True})
+        SimNetwork(s.graph, delta_t=5, online={DC: False, 1: True, 2: True})
 
 
 def test_delta_t_must_be_positive():
@@ -97,9 +97,9 @@ def test_delta_t_must_be_positive():
 
 def test_identical_sequences_trace_identically():
     def drive(net):
-        net.send(sm(1), DC, msg(1))
-        net.send(sm(2), DC, msg(2))
-        net.send(DC, sm(1), msg(1))
+        net.send(1, DC, msg(1))
+        net.send(2, DC, msg(2))
+        net.send(DC, 1, msg(1))
         return net.trace
 
     a = drive(SimNetwork.for_scenario(golden_ring4()))
@@ -109,8 +109,8 @@ def test_identical_sequences_trace_identically():
 
 def test_trace_jsonl_shape():
     net = SimNetwork.for_scenario(golden_ring4())
-    net.send(sm(1), DC, msg(1))
-    net.send(sm(2), DC, msg(2))
+    net.send(1, DC, msg(1))
+    net.send(2, DC, msg(2))
     lines = trace_to_jsonl(net.trace).splitlines()
     assert len(lines) == 2
     first = json.loads(lines[0])

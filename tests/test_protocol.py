@@ -7,7 +7,6 @@ from conftest import (
     golden_ring5,
     make_scenario,
     random_scenario,
-    sm,
     zero_failure_scenario,
 )
 from ftagg.model import (
@@ -23,6 +22,7 @@ from ftagg.model import (
     PaillierSpec,
     RoundOutcome,
     TraceRecord,
+    party_name,
 )
 from ftagg.netsim import SimNetwork
 from ftagg.protocol import (
@@ -56,13 +56,12 @@ def test_golden_ring4_round():
     assert outcome.aggregate == 30
     assert outcome.remaining_at_init == (1, 3)
     assert outcome.active == (1, 3)
-    assert outcome.terminated
     eor = [r for r in outcome.trace if r.message.kind == KIND_END_OF_ROUND]
     assert len(eor) == 1
-    assert eor[0].sender == sm(3) and eor[0].receiver == DC and eor[0].delivered
+    assert eor[0].sender == 3 and eor[0].receiver == DC and eor[0].delivered
     assert eor[0].message.active == (1, 3)
     assert classify_steps(outcome) == [C2, C1]
-    assert outcome.steps == len(outcome.trace) == 9
+    assert len(outcome.trace) == 9
     assert net.elapsed() == 15
 
 
@@ -74,14 +73,14 @@ def test_golden_ring5_round():
     assert classify_steps(outcome) == [C2, C3_2, C2, C1]
     assert len(delivered_non_ack(outcome)) == 8
     failed = [r for r in outcome.trace if not r.delivered]
-    assert [(r.sender, r.receiver) for r in failed] == [(sm(2), DC), (sm(3), sm(4))]
+    assert [(r.sender, r.receiver) for r in failed] == [(2, DC), (3, 4)]
     assert net.elapsed() == 18
 
 
 def test_golden_ring5_message_enumeration():
     outcome, _ = run(golden_ring5())
     kinds = [
-        (r.message.kind, r.sender.name, r.receiver.name)
+        (r.message.kind, party_name(r.sender), party_name(r.receiver))
         for r in delivered_non_ack(outcome)
     ]
     assert kinds == [
@@ -104,12 +103,12 @@ def test_full_mesh_everyone_contributes():
     assert classify_steps(outcome) == [C2] * 5 + [C1]
     # 3N + 1 trace records in a clean round: N initial, N activations
     # (N - 1 of them acked), one final message.
-    assert outcome.steps == 3 * 6 + 1
+    assert len(outcome.trace) == 3 * 6 + 1
     assert net.elapsed() == 2 * 6 + 1
 
 
 def test_below_quorum_withholds_everything():
-    s = make_scenario(4, off=[(DC, sm(2)), (DC, sm(3)), (DC, sm(4))], n_min=2)
+    s = make_scenario(4, off=[(DC, 2), (DC, 3), (DC, 4)], n_min=2)
     outcome, _ = run(s)
     assert outcome.aggregate is None
     assert outcome.active == ()
@@ -121,7 +120,7 @@ def test_below_quorum_withholds_everything():
 def test_quorum_collapse_mid_round_gives_c3_1():
     # SM1 can reach the concentrator but neither other meter; with the quorum
     # at 3 its failed handoff to SM2 sinks the round immediately.
-    s = make_scenario(3, off=[(sm(1), sm(2)), (sm(1), sm(3))], n_min=3)
+    s = make_scenario(3, off=[(1, 2), (1, 3)], n_min=3)
     outcome, _ = run(s)
     assert outcome.aggregate is None
     assert outcome.active == (1,)
@@ -133,7 +132,7 @@ def test_quorum_collapse_mid_round_gives_c3_1():
 def test_quorum_loss_on_last_candidate_withholds_eor_payload():
     # Both meters reach the concentrator but not each other: the walk starts,
     # the only handoff fails, and the final message ships empty.
-    s = make_scenario(2, off=[(sm(1), sm(2))], n_min=2)
+    s = make_scenario(2, off=[(1, 2)], n_min=2)
     outcome, _ = run(s)
     assert outcome.aggregate is None
     assert outcome.active == (1,)
@@ -162,14 +161,14 @@ def test_offline_meters_never_speak():
     outcome, _ = run(s)
     senders = {r.sender for r in outcome.trace}
     receivers = {r.receiver for r in outcome.trace}
-    assert sm(2) not in senders and sm(2) not in receivers
+    assert 2 not in senders and 2 not in receivers
     assert outcome.active == (1, 3, 4)
     assert outcome.aggregate == 10 + 30 + 40
 
 
 @pytest.mark.parametrize("backend", [MaskingSpec(), PaillierSpec(key_bits=128)])
 def test_runs_are_deterministic(backend):
-    s = make_scenario(5, off=[(DC, sm(2)), (sm(3), sm(4))], backend=backend)
+    s = make_scenario(5, off=[(DC, 2), (3, 4)], backend=backend)
     a, _ = run(s)
     b, _ = run(s)
     assert a == b
@@ -205,8 +204,7 @@ def test_invariants_on_random_scenarios():
     for _ in range(400):
         s = random_scenario(rng, backend=MaskingSpec())
         outcome, net = run(s)
-        assert outcome.terminated
-        assert outcome.steps <= 10 * s.n_sm + 10
+        assert len(outcome.trace) <= 10 * s.n_sm + 10
 
         # Each meter is activated at most once, and only reachable ones.
         activated = [
@@ -222,7 +220,7 @@ def test_invariants_on_random_scenarios():
         eors = [r for r in outcome.trace if r.message.kind == KIND_END_OF_ROUND]
         if outcome.remaining_at_init and len(outcome.remaining_at_init) >= s.n_min:
             assert len(eors) == 1
-            assert not eors[0].sender.is_dc
+            assert eors[0].sender != DC
             assert eors[0] is outcome.trace[-1]
         else:
             assert eors == []
@@ -254,11 +252,11 @@ def test_zero_failure_cost_claims():
         s = zero_failure_scenario(rng)
         outcome, net = run(s)
         n = s.n_sm
-        assert outcome.steps == 3 * n + 1
+        assert len(outcome.trace) == 3 * n + 1
         assert net.elapsed() == 2 * n + 1
         per_sm = Counter()
         for r in outcome.trace:
-            if not r.sender.is_dc and r.message.kind != KIND_INITIAL_DATA:
+            if r.sender != DC and r.message.kind != KIND_INITIAL_DATA:
                 per_sm[r.sender] += 1
         assert all(c == 2 for c in per_sm.values())
         assert len(per_sm) == n
@@ -282,30 +280,19 @@ def base_outcome(trace):
         active=(),
         remaining_at_init=(),
         trace=tuple(trace),
-        steps=len(trace),
-        terminated=True,
     )
-
-
-def test_classify_rejects_unterminated_round():
-    outcome = RoundOutcome(
-        aggregate=None, active=(), remaining_at_init=(), trace=(), steps=0,
-        terminated=False,
-    )
-    with pytest.raises(MalformedTrace):
-        classify_steps(outcome)
 
 
 def test_classify_rejects_lost_opening_handoff():
-    trace = [fake_record(5, DC, sm(1), Activation(0, (1,), ()), False)]
+    trace = [fake_record(5, DC, 1, Activation(0, (1,), ()), False)]
     with pytest.raises(MalformedTrace):
         classify_steps(base_outcome(trace))
 
 
 def test_classify_rejects_dangling_failed_handoff():
     trace = [
-        fake_record(1, DC, sm(1), Activation(0, (1, 2), ()), True),
-        fake_record(6, sm(1), sm(2), Activation(0, (2,), (1,)), False),
+        fake_record(1, DC, 1, Activation(0, (1, 2), ()), True),
+        fake_record(6, 1, 2, Activation(0, (2,), (1,)), False),
     ]
     with pytest.raises(MalformedTrace):
         classify_steps(base_outcome(trace))
@@ -313,15 +300,15 @@ def test_classify_rejects_dangling_failed_handoff():
 
 def test_classify_rejects_foreign_follow_up():
     trace = [
-        fake_record(1, DC, sm(1), Activation(0, (1, 2, 3), ()), True),
-        fake_record(6, sm(1), sm(2), Activation(0, (2, 3), (1,)), False),
-        fake_record(7, sm(3), DC, EndOfRound(0, None, ()), True),
+        fake_record(1, DC, 1, Activation(0, (1, 2, 3), ()), True),
+        fake_record(6, 1, 2, Activation(0, (2, 3), (1,)), False),
+        fake_record(7, 3, DC, EndOfRound(0, None, ()), True),
     ]
     with pytest.raises(MalformedTrace):
         classify_steps(base_outcome(trace))
 
 
 def test_classify_rejects_concentrator_final_message():
-    trace = [fake_record(1, DC, sm(1), EndOfRound(0, None, ()), True)]
+    trace = [fake_record(1, DC, 1, EndOfRound(0, None, ()), True)]
     with pytest.raises(MalformedTrace):
         classify_steps(base_outcome(trace))

@@ -3,7 +3,7 @@ the protocol engine. This module freezes the walker's behavior."""
 
 import random
 
-from conftest import golden_ring4, golden_ring5, make_scenario, sm
+from conftest import golden_ring4, golden_ring5, make_scenario
 from ftagg.model import DC
 from ftagg.walker import predict_aggregate, reachable_active, responders
 
@@ -36,7 +36,7 @@ def test_full_mesh_walk_is_everyone():
 
 def test_too_few_responders_predicts_nothing():
     # Only meter 1 reaches the concentrator but the quorum is 2.
-    s = make_scenario(3, working=[(DC, sm(1))], n_min=2)
+    s = make_scenario(3, working=[(DC, 1)], n_min=2)
     assert reachable_active(s) == []
     assert predict_aggregate(s) is None
 
@@ -45,7 +45,7 @@ def test_quorum_counts_walk_not_responders():
     # All three respond but 1 can reach neither 2 nor 3: walk too short.
     s = make_scenario(
         3,
-        off=[(sm(1), sm(2)), (sm(1), sm(3))],
+        off=[(1, 2), (1, 3)],
         n_min=2,
     )
     assert responders(s) == [1, 2, 3]
@@ -66,7 +66,7 @@ def test_offline_meter_never_contributes():
 
 def test_skipped_meter_is_not_a_relay():
     # 1-2 down and 2 is the only path to nothing: walk skips 2, keeps 3.
-    s = make_scenario(3, off=[(sm(1), sm(2))], n_min=1)
+    s = make_scenario(3, off=[(1, 2)], n_min=1)
     assert reachable_active(s) == [1, 3]
 
 
