@@ -9,6 +9,8 @@ same aggregate, and here they do, on the 5-meter golden scenario.
 Run:  python3 demos/backend_comparison.py
 """
 
+from dataclasses import replace
+
 from ftagg import PaillierSpec, SimNetwork, make_backend, run_round
 from ftagg.model import KIND_ACTIVATION, scenario_from_json
 
@@ -29,7 +31,7 @@ def main() -> None:
     results = {}
     for label, s in [
         ("masking", scenario),
-        ("paillier", scenario.with_backend(PaillierSpec(key_bits=256))),
+        ("paillier", replace(scenario, backend=PaillierSpec(key_bits=256))),
     ]:
         outcome = run_round(s, make_backend(s), SimNetwork.for_scenario(s))
         results[label] = outcome

@@ -24,8 +24,7 @@ from ftagg.model import (
     SendingList,
     validate_scenario,
 )
-
-DELTA_T = 5
+from ftagg.netsim import DELTA_T
 
 
 def full_edges(n):
@@ -64,7 +63,7 @@ def main() -> None:
     print(f"{'N':>4} {'per-meter sends':>16} {'elapsed':>8} {'3N+1 records':>13}")
     for n in (2, 4, 8, 16, 32):
         scenario = zero_failure_mesh(n)
-        net = SimNetwork.for_scenario(scenario, delta_t=DELTA_T)
+        net = SimNetwork.for_scenario(scenario)
         outcome = run_round(scenario, make_backend(scenario), net)
         sends = Counter(
             r.sender for r in outcome.trace
@@ -79,7 +78,7 @@ def main() -> None:
     worst = 0.0
     for _ in range(2000):
         scenario = random_broken_scenario(rng)
-        net = SimNetwork.for_scenario(scenario, delta_t=DELTA_T)
+        net = SimNetwork.for_scenario(scenario)
         run_round(scenario, make_backend(scenario), net)
         bound = 4 * scenario.n_sm * DELTA_T
         worst = max(worst, net.clock / bound)

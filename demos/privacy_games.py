@@ -20,10 +20,9 @@ from ftagg.game import (
     GameSetup,
     attack_masking_dc_plus_neighbor,
     empirical_unlinkability,
-    full_mesh_edges,
     run_trial,
 )
-from ftagg.model import MaskingSpec
+from ftagg.model import MaskingSpec, Scenario, SendingList, full_mesh
 
 TRIALS = 400
 
@@ -41,22 +40,22 @@ def main() -> None:
 
     # one breach trial in slow motion: corrupted concentrator plus the meter
     # right after the challenged one, measurement recovered exactly
-    edges = full_mesh_edges(4)
     setup = GameSetup(
-        n_sm=4,
-        edges=edges,
-        working_edges=edges,
-        sending_list=(1, 2, 3, 4),
+        scenario=Scenario(
+            n_sm=4,
+            graph=full_mesh(4),
+            sending_list=SendingList((1, 2, 3, 4)),
+            n_min=2,
+            round=0,
+            measurements={2: 10, 4: 20},
+            backend=MaskingSpec(),
+            seed=31,
+        ),
         challenged=(1, 3),
         m0=481,
         m1=77,
-        mlist={2: 10, 4: 20},
         corrupted_dc=True,
         corrupted_sms=frozenset({2, 4}),
-        backend=MaskingSpec(),
-        n_min=2,
-        round=0,
-        seed=31,
     )
     trial = run_trial(setup)
     assigned = setup.m0 if trial.secret_bit == 0 else setup.m1

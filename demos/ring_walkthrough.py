@@ -11,6 +11,7 @@ Run:  python3 demos/ring_walkthrough.py
 
 from ftagg import SimNetwork, classify_steps, make_backend, proof_case_histogram, run_round
 from ftagg.model import party_name, scenario_from_json
+from ftagg.netsim import DELTA_T
 
 
 def main() -> None:
@@ -41,7 +42,7 @@ def main() -> None:
     print(f"step classes: {classify_steps(outcome)}")
     print(f"histogram:    {proof_case_histogram(outcome)}")
     print(f"steps {len(outcome.trace)}, elapsed {net.clock} ticks "
-          f"(timeouts cost {net.delta_t} ticks each)")
+          f"(timeouts cost {DELTA_T} ticks each)")
 
 
 if __name__ == "__main__":

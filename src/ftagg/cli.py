@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Optional, Sequence
 
 from .baseline import run_baseline_round
@@ -77,9 +77,9 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     with open(args.path, encoding="utf-8") as fh:
         scenario = scenario_from_json(fh.read())
     if args.backend == "masking":
-        scenario = scenario.with_backend(MaskingSpec())
+        scenario = replace(scenario, backend=MaskingSpec())
     elif args.backend == "paillier":
-        scenario = scenario.with_backend(PaillierSpec())
+        scenario = replace(scenario, backend=PaillierSpec())
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     # overrides can break constraints the file satisfied, so recheck
@@ -179,8 +179,7 @@ def _cmd_game(args: argparse.Namespace) -> dict:
     trials = _require(config, "trials", int)
     seed = _require(config, "seed", int)
     n_sm = _require(config, "n_sm", int, default=5)
-    stats = empirical_unlinkability(family, trials, seed, strategy=strategy, n_sm=n_sm)
-    return stats.to_dict()
+    return asdict(empirical_unlinkability(family, trials, seed, strategy=strategy, n_sm=n_sm))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -32,8 +32,10 @@ from .model import (
     Scenario,
     ScenarioError,
     SendingList,
-    graph_from_names,
+    full_mesh,
+    link_on,
     party_name,
+    trace_record_to_dict,
     validate_scenario,
 )
 from .netsim import SimNetwork
@@ -51,22 +53,15 @@ class SetupViolation(ValueError):
 
 @dataclass(frozen=True)
 class GameSetup:
-    """Everything the adversary submits, plus the fixed world it plays in."""
+    """Everything the adversary submits: a round whose measurements cover only
+    the non-challenged meters, the challenge, and the corrupted parties."""
 
-    n_sm: int
-    edges: tuple[tuple[str, str], ...]
-    working_edges: tuple[tuple[str, str], ...]
-    sending_list: tuple[int, ...]
+    scenario: Scenario
     challenged: tuple[int, int]
     m0: int
     m1: int
-    mlist: Mapping[int, int]
     corrupted_dc: bool
     corrupted_sms: frozenset[int]
-    backend: object
-    n_min: int
-    round: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -123,62 +118,47 @@ class _Trial:
 
 
 def _bit_for_trial(setup: GameSetup, nonce: int) -> int:
-    data = b"".join(x.to_bytes(8, "big") for x in (setup.seed, setup.round, nonce))
+    s = setup.scenario
+    data = b"".join(x.to_bytes(8, "big") for x in (s.seed, s.round, nonce))
     digest = hashlib.blake2b(data, person=b"gamebit", digest_size=8).digest()
     return digest[0] & 1
 
 
-def _measurement_domain(setup: GameSetup) -> int:
-    if isinstance(setup.backend, MaskingSpec):
-        return setup.backend.k
-    return keygen(setup.backend.key_bits, setup.seed).n
+def _measurement_domain(s: Scenario) -> int:
+    if isinstance(s.backend, MaskingSpec):
+        return s.backend.k
+    return keygen(s.backend.key_bits, s.seed).n
 
 
 def _check_submission(setup: GameSetup) -> Optional[str]:
     """The challenger's vetting pass; a string is an abort reason."""
+    s = setup.scenario
     i_star, j_star = setup.challenged
-    if sorted(setup.sending_list) != list(range(1, setup.n_sm + 1)):
+    if sorted(s.sending_list) != list(range(1, s.n_sm + 1)):
         return "sending list must contain every meter exactly once"
     if i_star == j_star:
         return "challenged meters must be distinct"
-    if not (1 <= i_star <= setup.n_sm and 1 <= j_star <= setup.n_sm):
+    if not (1 <= i_star <= s.n_sm and 1 <= j_star <= s.n_sm):
         return "challenged meters must exist"
     if i_star in setup.corrupted_sms or j_star in setup.corrupted_sms:
         return "challenged meters must be honest"
-    domain = _measurement_domain(setup)
+    domain = _measurement_domain(s)
     if not (0 <= setup.m0 < domain and 0 <= setup.m1 < domain):
         return "challenge measurements outside the measurement domain"
-    expected = set(range(1, setup.n_sm + 1)) - {i_star, j_star}
-    if set(setup.mlist) != expected:
+    expected = set(range(1, s.n_sm + 1)) - {i_star, j_star}
+    if set(s.measurements) != expected:
         return "measurement list must cover exactly the non-challenged meters"
-    if any(not (0 <= m < domain) for m in setup.mlist.values()):
+    if any(not (0 <= m < domain) for m in s.measurements.values()):
         return "measurement list outside the measurement domain"
     return None
 
 
 def _measurements(setup: GameSetup, bit: int) -> dict[int, int]:
     i_star, j_star = setup.challenged
-    measurements = dict(setup.mlist)
+    measurements = dict(setup.scenario.measurements)
     measurements[i_star] = setup.m0 if bit == 0 else setup.m1
     measurements[j_star] = setup.m1 if bit == 0 else setup.m0
     return measurements
-
-
-def _build_scenario(setup: GameSetup) -> Scenario:
-    """The submitted round with bit 0; flipping the bit only swaps two
-    measurements, which keeps every scenario invariant."""
-    return validate_scenario(
-        Scenario(
-            n_sm=setup.n_sm,
-            graph=graph_from_names(setup.n_sm, setup.edges, setup.working_edges),
-            sending_list=SendingList(setup.sending_list),
-            n_min=setup.n_min,
-            round=setup.round,
-            measurements=_measurements(setup, 0),
-            backend=setup.backend,
-            seed=setup.seed,
-        )
-    )
 
 
 def _message_payload(msg) -> dict:
@@ -206,17 +186,13 @@ def _build_view(setup: GameSetup, backend, outcome: RoundOutcome, nonce: int) ->
     corrupted = set(setup.corrupted_sms)
     if setup.corrupted_dc:
         corrupted.add(DC)
-    messages = tuple(
-        {
-            "tick": r.tick,
-            "from": party_name(r.sender),
-            "to": party_name(r.receiver),
-            "kind": r.message.kind,
-            "body": _message_payload(r.message),
-        }
-        for r in outcome.trace
-        if r.delivered and r.receiver in corrupted
-    )
+    messages = []
+    for r in outcome.trace:
+        if r.delivered and r.receiver in corrupted:
+            m = trace_record_to_dict(r)
+            del m["delivered"]
+            m["body"] = _message_payload(r.message)
+            messages.append(m)
 
     secrets: dict[str, object] = {}
     modulus = None
@@ -248,19 +224,19 @@ def _build_view(setup: GameSetup, backend, outcome: RoundOutcome, nonce: int) ->
             }
 
     return AdversaryView(
-        n_sm=setup.n_sm,
-        round=setup.round,
+        n_sm=setup.scenario.n_sm,
+        round=setup.scenario.round,
         backend_name=backend.name,
         nonce=nonce,
         challenged=setup.challenged,
         m0=setup.m0,
         m1=setup.m1,
-        mlist=dict(setup.mlist),
+        mlist=dict(setup.scenario.measurements),
         corrupted_dc=setup.corrupted_dc,
         corrupted_sms=tuple(sorted(setup.corrupted_sms)),
         modulus=modulus,
         public_n=public_n,
-        messages=messages,
+        messages=tuple(messages),
         secrets=secrets,
         aggregate=outcome.aggregate if setup.corrupted_dc else None,
     )
@@ -296,11 +272,13 @@ def run_trial(setup: GameSetup, nonce: int = 0) -> _Trial:
     """One challenger pass: vet the submission, flip the bit, run the round,
     and expose the corrupted parties' view. Bad submissions abort before any
     protocol message is sent."""
-    reason = _check_submission(setup)
-    if reason is not None:
-        return _Trial(abort_reason=reason)
     try:
-        probe = _build_scenario(setup)
+        reason = _check_submission(setup)
+        if reason is not None:
+            return _Trial(abort_reason=reason)
+        # Flipping the bit later only swaps two measurements, which keeps
+        # every scenario invariant this validation checks.
+        probe = validate_scenario(replace(setup.scenario, measurements=_measurements(setup, 0)))
     except ScenarioError as exc:
         return _Trial(abort_reason=f"invalid submission: {exc}")
 
@@ -439,25 +417,25 @@ STRATEGIES: dict[str, Callable[[AdversaryView], int]] = {
 
 def _check_attack_preconditions(setup: GameSetup) -> None:
     i_star, j_star = setup.challenged
+    order = setup.scenario.sending_list.order
     if not setup.corrupted_dc:
         raise SetupViolation("attack needs the concentrator corrupted")
     if not setup.corrupted_sms:
         raise SetupViolation("attack needs a corrupted meter right after the challenged one")
-    if setup.sending_list[0] != i_star:
+    if order[0] != i_star:
         raise SetupViolation("attack needs the challenged meter first in the sending list")
-    neighbor = setup.sending_list[1] if len(setup.sending_list) > 1 else None
+    neighbor = order[1] if len(order) > 1 else None
     if neighbor not in setup.corrupted_sms:
         raise SetupViolation("attack needs a corrupted meter right after the challenged one")
-    working = {frozenset(e) for e in setup.working_edges}
-    for pair in ((f"SM{i_star}", f"SM{neighbor}"), (f"SM{i_star}", "DC"), (f"SM{neighbor}", "DC")):
-        if frozenset(pair) not in working:
-            raise SetupViolation(f"attack needs a working {pair[0]}-{pair[1]} link")
+    for a, b in ((i_star, neighbor), (i_star, DC), (neighbor, DC)):
+        if not link_on(setup.scenario.graph, a, b):
+            raise SetupViolation(f"attack needs a working {party_name(a)}-{party_name(b)} link")
 
 
 def attack_masking_dc_plus_neighbor(setup: GameSetup, nonce: int = 0) -> int:
     """Corrupted concentrator plus the meter scheduled right after the
     challenged one: recovers the challenged meter's exact measurement."""
-    if not isinstance(setup.backend, MaskingSpec):
+    if not isinstance(setup.scenario.backend, MaskingSpec):
         raise SetupViolation("this attack targets the masking backend")
     _check_attack_preconditions(setup)
     trial = run_trial(setup, nonce)
@@ -469,7 +447,7 @@ def attack_masking_dc_plus_neighbor(setup: GameSetup, nonce: int = 0) -> int:
 def attack_he_dc_plus_neighbor(setup: GameSetup, nonce: int = 0) -> int:
     """Same collusion against the encrypting backend: the neighbor's received
     ciphertext decrypts, under the concentrator's key, to the measurement."""
-    if not isinstance(setup.backend, PaillierSpec):
+    if not isinstance(setup.scenario.backend, PaillierSpec):
         raise SetupViolation("this attack targets the encrypting backend")
     _check_attack_preconditions(setup)
     trial = run_trial(setup, nonce)
@@ -479,15 +457,6 @@ def attack_he_dc_plus_neighbor(setup: GameSetup, nonce: int = 0) -> int:
 
 
 # --- canonical setup families and the empirical driver ---
-
-
-def full_mesh_edges(n_sm: int) -> tuple[tuple[str, str], ...]:
-    names = ["DC"] + [f"SM{i}" for i in range(1, n_sm + 1)]
-    return tuple(
-        (names[a], names[b])
-        for a in range(len(names))
-        for b in range(a + 1, len(names))
-    )
 
 
 def _family_setup(
@@ -511,26 +480,27 @@ def _family_setup(
     else:
         order = meters[:]
         rng.shuffle(order)
-    edges = full_mesh_edges(n_sm)
     m0 = rng.randrange(1000)
     m1 = rng.randrange(1000)
     if attack_order and m0 == m1:
         m1 = (m1 + 1) % 1000
-    return GameSetup(
+    scenario = Scenario(
         n_sm=n_sm,
-        edges=edges,
-        working_edges=edges,
-        sending_list=tuple(order),
+        graph=full_mesh(n_sm),
+        sending_list=SendingList(tuple(order)),
+        n_min=2,
+        round=trial_index,
+        measurements={i: rng.randrange(1000) for i in rest},
+        backend=backend,
+        seed=20_000 + n_sm,
+    )
+    return GameSetup(
+        scenario=scenario,
         challenged=(i_star, j_star),
         m0=m0,
         m1=m1,
-        mlist={i: rng.randrange(1000) for i in rest},
         corrupted_dc=corrupted_dc,
         corrupted_sms=frozenset(rest) if corrupt_others else frozenset(),
-        backend=backend,
-        n_min=2,
-        round=trial_index,
-        seed=20_000 + n_sm,
     )
 
 
@@ -578,18 +548,6 @@ class GameStats:
     ci_low: float
     ci_high: float
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "strategy": self.strategy,
-            "trials": self.trials,
-            "wins": self.wins,
-            "aborts": self.aborts,
-            "rate": self.rate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-        }
-
 
 def empirical_unlinkability(
     family: str,
@@ -603,6 +561,10 @@ def empirical_unlinkability(
     if trials < 1:
         raise ScenarioError("at least one trial is required")
     builder, default_strategy = FAMILIES[family]
+    # Two challenged meters, plus the corrupted neighbour a breach stages.
+    minimum = 3 if family.endswith("-breach") else 2
+    if n_sm < minimum:
+        raise ScenarioError(f"family {family} needs n_sm >= {minimum}, got {n_sm}")
     strategy_name = strategy or default_strategy
     adversary = STRATEGIES[strategy_name]
     rng = random.Random(seed)

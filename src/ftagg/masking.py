@@ -54,11 +54,6 @@ class MaskingParams:
                 raise ScenarioError(f"key for meter {i} must be {KEY_BYTES} bytes")
 
 
-@dataclass(frozen=True)
-class MaskShare:
-    value: int
-
-
 def derive_prf_key(seed: int, i: int) -> bytes:
     return _h(_index_bytes(i), _seed_bytes(seed), b"prfkey")
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -92,9 +92,16 @@ def _adjacency(n_sm: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(adj)
 
 
+def full_mesh(n_sm: int) -> FailureGraph:
+    """DC and n_sm meters with every link present and on."""
+    everyone = (1 << (n_sm + 1)) - 1
+    adj = tuple(everyone ^ (1 << v) for v in range(n_sm + 1))
+    return FailureGraph(adj, adj)
+
+
 def graph_from_names(n_sm: int, edges: Sequence, working: Sequence) -> FailureGraph:
-    """The graph of two arrays of [name, name] pairs, as scenario files and
-    game submissions give them."""
+    """The graph of two arrays of [name, name] pairs, as scenario files give
+    them."""
     names = party_indices(n_sm)
 
     def pairs(raw, what):
@@ -260,9 +267,6 @@ class Scenario:
     def online(self, i: int) -> bool:
         return self.sm_online.get(i, True)
 
-    def with_backend(self, backend: BackendSpec) -> "Scenario":
-        return replace(self, backend=backend)
-
 
 @dataclass(frozen=True)
 class RoundOutcome:
@@ -367,9 +371,9 @@ def _backend_from_dict(d: dict) -> BackendSpec:
     if not isinstance(d, dict) or "type" not in d:
         raise ScenarioError("backend must be an object with a 'type' field")
     if d["type"] == "masking":
-        return MaskingSpec(k_bits=int(d.get("k_bits", 64)))
+        return MaskingSpec(k_bits=_int(d.get("k_bits", 64), "k_bits"))
     if d["type"] == "paillier":
-        return PaillierSpec(key_bits=int(d.get("key_bits", 256)))
+        return PaillierSpec(key_bits=_int(d.get("key_bits", 256), "key_bits"))
     raise ScenarioError(f"unknown backend type {d['type']!r}")
 
 
@@ -408,6 +412,13 @@ def _object(value: object, what: str) -> dict:
     return value
 
 
+def _int(value: object, what: str) -> int:
+    """A JSON integer; int() would truncate floats and accept bools and strings."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ScenarioError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
 def _parse_index(raw: object, what: str) -> int:
     try:
         return int(raw)
@@ -419,15 +430,15 @@ def scenario_from_dict(d: dict) -> Scenario:
     if not isinstance(d, dict):
         raise ScenarioError("a scenario must be a JSON object")
     try:
-        n_sm = int(d["n_sm"])
+        n_sm = _int(d["n_sm"], "n_sm")
         raw_edges = d["edges"]
         raw_working = d["working_edges"]
-        sending_list = SendingList(tuple(int(i) for i in d["sending_list"]))
-        n_min = int(d["n_min"])
-        round_index = int(d["round"])
+        sending_list = SendingList(tuple(_int(i, "sending_list entry") for i in d["sending_list"]))
+        n_min = _int(d["n_min"], "n_min")
+        round_index = _int(d["round"], "round")
         raw_measurements = _object(d["measurements"], "measurements")
         raw_backend = d["backend"]
-        seed = int(d["seed"])
+        seed = _int(d["seed"], "seed")
     except KeyError as exc:
         raise ScenarioError(f"scenario file missing key {exc.args[0]!r}") from None
     except TypeError as exc:
@@ -440,7 +451,8 @@ def scenario_from_dict(d: dict) -> Scenario:
         )
 
     measurements = {
-        _parse_index(i, "measurements"): int(m) for i, m in raw_measurements.items()
+        _parse_index(i, "measurements"): _int(m, f"measurement {i}")
+        for i, m in raw_measurements.items()
     }
     raw_online = _object(d.get("sm_online", {}), "sm_online")
     if not all(isinstance(v, bool) for v in raw_online.values()):

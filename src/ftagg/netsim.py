@@ -1,6 +1,6 @@
 """Deterministic message transport with static per-round link failures.
 
-A send either delivers (1 tick) or times out (delta_t ticks, the cost of
+A send either delivers (1 tick) or times out (DELTA_T ticks, the cost of
 waiting for an acknowledgment that never comes). Acknowledgment records for
 delivered handoffs are traced separately at zero tick cost because the
 delivering exchange already paid for the round trip.
@@ -20,6 +20,8 @@ from .model import (
     party_name,
 )
 
+DELTA_T = 5
+
 
 class DeliveryStatus(enum.Enum):
     DELIVERED = "delivered"
@@ -33,16 +35,8 @@ class SimNetwork:
     meter is modeled as every link touching it being treated as off.
     """
 
-    def __init__(
-        self,
-        graph: FailureGraph,
-        delta_t: int = 5,
-        online: Optional[Mapping[int, bool]] = None,
-    ):
-        if delta_t < 1:
-            raise ScenarioError("delta_t must be at least 1 tick")
+    def __init__(self, graph: FailureGraph, online: Optional[Mapping[int, bool]] = None):
         self.graph = graph
-        self.delta_t = delta_t
         self._online = dict(online or {})
         if not self._online.get(DC, True):
             raise ScenarioError("the concentrator cannot be offline")
@@ -50,8 +44,8 @@ class SimNetwork:
         self.trace: list[TraceRecord] = []
 
     @staticmethod
-    def for_scenario(scenario, delta_t: int = 5) -> "SimNetwork":
-        return SimNetwork(scenario.graph, delta_t=delta_t, online=scenario.sm_online)
+    def for_scenario(scenario) -> "SimNetwork":
+        return SimNetwork(scenario.graph, online=scenario.sm_online)
 
     def is_online(self, p: int) -> bool:
         return self._online.get(p, True)
@@ -67,7 +61,7 @@ class SimNetwork:
             self.clock += 1
             self.trace.append(TraceRecord(self.clock, sender, receiver, msg, True))
             return DeliveryStatus.DELIVERED
-        self.clock += self.delta_t
+        self.clock += DELTA_T
         self.trace.append(TraceRecord(self.clock, sender, receiver, msg, False))
         return DeliveryStatus.TIMED_OUT
 
@@ -79,6 +73,3 @@ class SimNetwork:
         """
         assert self._link_works(sender, receiver), "ack over a dead link"
         self.trace.append(TraceRecord(self.clock, sender, receiver, msg, True))
-
-    def elapsed(self) -> int:
-        return self.clock

@@ -9,9 +9,11 @@ the criteria that sweep it.
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from conftest import (
+    full_edges,
     golden_ring4,
     golden_ring5,
     make_scenario,
@@ -26,7 +28,6 @@ from ftagg.game import (
     attack_he_dc_plus_neighbor,
     attack_masking_dc_plus_neighbor,
     empirical_unlinkability,
-    full_mesh_edges,
     play_game,
     run_trial,
 )
@@ -42,21 +43,24 @@ from ftagg.model import (
     DC,
     KIND_END_OF_ROUND,
     KIND_INITIAL_DATA,
+    FailureGraph,
     MaskingSpec,
     PaillierSpec,
+    Scenario,
+    SendingList,
+    full_mesh,
     party_name,
 )
-from ftagg.netsim import SimNetwork
+from ftagg.netsim import DELTA_T, SimNetwork
 from ftagg.paillier import add_encrypted, decrypt_aggregate, encrypt, keygen, randomness_stream
 from ftagg.protocol import classify_steps, make_backend, run_round
 from ftagg.walker import predict_aggregate, reachable_active
 
 CORPUS_SIZE = 10_000
-DELTA_T = 5
 
 
 def run_with_clock(scenario):
-    net = SimNetwork.for_scenario(scenario, delta_t=DELTA_T)
+    net = SimNetwork.for_scenario(scenario)
     outcome = run_round(scenario, make_backend(scenario), net)
     return outcome, net.clock
 
@@ -169,7 +173,7 @@ def test_criterion_5_backend_equivalence():
     rng = random.Random(0xE0)
     for _ in range(1000):
         masked = random_scenario(rng, backend="masking")
-        encrypted = masked.with_backend(PaillierSpec(key_bits=128))
+        encrypted = replace(masked, backend=PaillierSpec(key_bits=128))
         out_m, _ = run_with_clock(masked)
         out_p, _ = run_with_clock(encrypted)
         assert out_m.active == out_p.active
@@ -242,72 +246,69 @@ def test_criterion_7_backend_algebra():
     )
 
 
-def _attack_setup(backend, seed, round_index, m0, m1):
-    edges = full_mesh_edges(5)
-    return GameSetup(
-        n_sm=5,
-        edges=edges,
-        working_edges=edges,
-        sending_list=(1, 2, 3, 4, 5),
-        challenged=(1, 3),
-        m0=m0,
-        m1=m1,
-        mlist={2: 77, 4: 88, 5: 99},
-        corrupted_dc=True,
-        corrupted_sms=frozenset({2, 4, 5}),
-        backend=backend,
+def _game_scenario(n_sm, measurements, backend, round_index, seed):
+    return Scenario(
+        n_sm=n_sm,
+        graph=full_mesh(n_sm),
+        sending_list=SendingList(tuple(range(1, n_sm + 1))),
         n_min=2,
         round=round_index,
+        measurements=measurements,
+        backend=backend,
         seed=seed,
     )
 
 
-def _fuzzed_invalid_setup(rng, j):
-    edges = full_mesh_edges(4)
-    kwargs = dict(
-        n_sm=4,
-        edges=edges,
-        working_edges=edges,
-        sending_list=(1, 2, 3, 4),
+def _attack_setup(backend, seed, round_index, m0, m1):
+    return GameSetup(
+        scenario=_game_scenario(5, {2: 77, 4: 88, 5: 99}, backend, round_index, seed),
         challenged=(1, 3),
-        m0=rng.randrange(1000),
-        m1=rng.randrange(1000),
-        mlist={2: rng.randrange(1000), 4: rng.randrange(1000)},
+        m0=m0,
+        m1=m1,
+        corrupted_dc=True,
+        corrupted_sms=frozenset({2, 4, 5}),
+    )
+
+
+def _fuzzed_invalid_setup(rng, j):
+    m0 = rng.randrange(1000)
+    m1 = rng.randrange(1000)
+    measurements = {2: rng.randrange(1000), 4: rng.randrange(1000)}
+    scenario = _game_scenario(4, measurements, MaskingSpec(), j, 70_000 + j)
+    setup = GameSetup(
+        scenario=scenario,
+        challenged=(1, 3),
+        m0=m0,
+        m1=m1,
         corrupted_dc=True,
         corrupted_sms=frozenset({2, 4}),
-        backend=MaskingSpec(),
-        n_min=2,
-        round=j,
-        seed=70_000 + j,
     )
     kind = j % 11
     if kind == 0:
-        kwargs["sending_list"] = (1, 2, 3)
+        scenario = replace(scenario, sending_list=SendingList((1, 2, 3)))
     elif kind == 1:
-        kwargs["sending_list"] = (1, 2, 2, 4)
+        scenario = replace(scenario, sending_list=SendingList((1, 2, 2, 4)))
     elif kind == 2:
-        kwargs["sending_list"] = (1, 2, 3, 9)
+        scenario = replace(scenario, sending_list=SendingList((1, 2, 3, 9)))
     elif kind == 3:
-        kwargs["challenged"] = (3, 3)
+        setup = replace(setup, challenged=(3, 3))
     elif kind == 4:
-        kwargs["challenged"] = (1, 9)
+        setup = replace(setup, challenged=(1, 9))
     elif kind == 5:
-        kwargs["challenged"] = (1, 2)
+        setup = replace(setup, challenged=(1, 2))
     elif kind == 6:
-        kwargs["m0"] = (1 << 64) + rng.randrange(100)
+        setup = replace(setup, m0=(1 << 64) + rng.randrange(100))
     elif kind == 7:
-        kwargs["mlist"] = {2: 1, 3: 1, 4: 1}
+        scenario = replace(scenario, measurements={2: 1, 3: 1, 4: 1})
     elif kind == 8:
-        kwargs["edges"] = tuple(
-            e for e in edges if frozenset(e) != frozenset(("SM2", "SM4"))
-        )
+        edges = [e for e in full_edges(4) if e != (2, 4)]
+        scenario = replace(scenario, graph=FailureGraph.build(4, edges, full_edges(4)))
     elif kind == 9:
-        kwargs["working_edges"] = tuple(
-            e for e in edges if "SM1" not in e
-        )
+        working = [e for e in full_edges(4) if 1 not in e]
+        scenario = replace(scenario, graph=FailureGraph.build(4, full_edges(4), working))
     else:
-        kwargs["n_min"] = 9
-    return GameSetup(**kwargs)
+        scenario = replace(scenario, n_min=9)
+    return replace(setup, scenario=scenario)
 
 
 def test_criterion_8_privacy_games():

@@ -159,6 +159,8 @@ def test_game_breach_config_wins_every_trial(capsys):
         {"family": "masking-breach", "trials": "many", "seed": 1},
         {"trials": 5, "seed": 1},
         ["not", "an", "object"],
+        {"family": "masking-breach", "trials": 5, "seed": 1, "n_sm": 2},
+        {"family": "masking-colluding-meters", "trials": 5, "seed": 1, "n_sm": 1},
     ],
 )
 def test_bad_game_configs_exit_two(capsys, tmp_path, config):
@@ -241,6 +243,12 @@ def test_paillier_sum_just_below_half_the_key_runs(capsys, tmp_path):
         {"sm_online": {"2": 0}},
         {"sm_online": [2]},
         {"sending_list": 4},
+        {"measurements": {"1": 10.9, "2": 7.9, "3": 20.9, "4": 9.9}},
+        {"sending_list": "1234"},
+        {
+            "backend": {"type": "masking", "k_bits": True},
+            "measurements": {str(i): 0 for i in range(1, 5)},
+        },
     ],
 )
 def test_malformed_scenario_fields_exit_two(capsys, tmp_path, changes):

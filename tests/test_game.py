@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from conftest import full_edges
 from ftagg.game import (
     FAMILIES,
     STRATEGIES,
@@ -11,7 +12,6 @@ from ftagg.game import (
     attack_he_dc_plus_neighbor,
     attack_masking_dc_plus_neighbor,
     empirical_unlinkability,
-    full_mesh_edges,
     ind_cpa_experiment,
     play_game,
     prg_experiment,
@@ -20,34 +20,49 @@ from ftagg.game import (
     wilson_interval,
 )
 from ftagg.masking import derive_prf_key, round_share
-from ftagg.model import MaskingSpec, PaillierSpec
+from ftagg.model import (
+    FailureGraph,
+    MaskingSpec,
+    PaillierSpec,
+    Scenario,
+    SendingList,
+    full_mesh,
+)
 
 
 def setup_4sm(**overrides) -> GameSetup:
-    edges = full_mesh_edges(4)
-    base = dict(
+    """A breach-ready 4-meter game; each override replaces a scenario field
+    or, for the challenge and corruption fields, a GameSetup field."""
+    scenario = dict(
         n_sm=4,
-        edges=edges,
-        working_edges=edges,
+        graph=full_mesh(4),
         sending_list=(1, 2, 3, 4),
+        n_min=2,
+        round=0,
+        measurements={2: 7, 4: 11},
+        backend=MaskingSpec(),
+        seed=99,
+    )
+    challenge = dict(
         challenged=(1, 3),
         m0=5,
         m1=9,
-        mlist={2: 7, 4: 11},
         corrupted_dc=True,
         corrupted_sms=frozenset({2, 4}),
-        backend=MaskingSpec(),
-        n_min=2,
-        round=0,
-        seed=99,
     )
-    base.update(overrides)
-    return GameSetup(**base)
+    for key, value in overrides.items():
+        (challenge if key in challenge else scenario)[key] = value
+    scenario["sending_list"] = SendingList(tuple(scenario["sending_list"]))
+    return GameSetup(scenario=Scenario(**scenario), **challenge)
 
 
-def drop_edges(edges, gone):
-    gone = {frozenset(e) for e in gone}
-    return tuple(e for e in edges if frozenset(e) not in gone)
+def mesh_4sm(edges_off=(), working_off=()) -> FailureGraph:
+    """The 4-meter full mesh with some (low, high) links taken out of the
+    topology or out of the working set."""
+    def keep(off):
+        return [e for e in full_edges(4) if e not in off]
+
+    return FailureGraph.build(4, keep(edges_off), keep(working_off))
 
 
 coin = STRATEGIES["coin-flip"]
@@ -70,10 +85,11 @@ def test_valid_setup_reaches_a_verdict():
         (dict(corrupted_sms=frozenset({3, 4})), "honest"),
         (dict(m0=1 << 64), "domain"),
         (dict(m1=-3), "domain"),
-        (dict(mlist={2: 7}), "cover"),
-        (dict(mlist={2: 7, 3: 1, 4: 11}), "cover"),
-        (dict(mlist={2: 7, 4: 1 << 64}), "domain"),
+        (dict(measurements={2: 7}), "cover"),
+        (dict(measurements={2: 7, 3: 1, 4: 11}), "cover"),
+        (dict(measurements={2: 7, 4: 1 << 64}), "domain"),
         (dict(n_min=9), "invalid"),
+        (dict(backend=PaillierSpec(key_bits=65)), "key_bits"),
     ],
 )
 def test_malformed_submissions_abort(overrides, hint):
@@ -83,28 +99,21 @@ def test_malformed_submissions_abort(overrides, hint):
 
 
 def test_working_edges_outside_graph_abort():
-    edges = drop_edges(full_mesh_edges(4), [("SM2", "SM4")])
-    result = play_game(setup_4sm(edges=edges), coin)
+    result = play_game(setup_4sm(graph=mesh_4sm(edges_off=[(2, 4)])), coin)
     assert result.status == GameStatus.ABORT
     assert "invalid submission" in result.abort_reason
 
 
 def test_disconnected_challenged_meter_aborts():
-    working = drop_edges(
-        full_mesh_edges(4),
-        [("DC", "SM1"), ("SM1", "SM2"), ("SM1", "SM3"), ("SM1", "SM4")],
-    )
-    result = play_game(setup_4sm(working_edges=working), coin)
+    working = mesh_4sm(working_off=[(0, 1), (1, 2), (1, 3), (1, 4)])
+    result = play_game(setup_4sm(graph=working), coin)
     assert result.status == GameStatus.ABORT
     assert "contribute" in result.abort_reason
 
 
 def test_unreachable_quorum_aborts():
-    working = drop_edges(
-        full_mesh_edges(4),
-        [("DC", "SM4"), ("SM1", "SM4"), ("SM2", "SM4"), ("SM3", "SM4")],
-    )
-    result = play_game(setup_4sm(working_edges=working, n_min=4), coin)
+    working = mesh_4sm(working_off=[(0, 4), (1, 4), (2, 4), (3, 4)])
+    result = play_game(setup_4sm(graph=working, n_min=4), coin)
     assert result.status == GameStatus.ABORT
     assert "contribute" in result.abort_reason
 
@@ -112,10 +121,8 @@ def test_unreachable_quorum_aborts():
 def test_challenged_meter_skipped_by_walk_aborts():
     # SM3 reports fine but no activated meter can reach it, so the walk
     # passes it over; the challenger must notice and abort.
-    working = drop_edges(
-        full_mesh_edges(4), [("SM1", "SM3"), ("SM2", "SM3"), ("SM3", "SM4")]
-    )
-    result = play_game(setup_4sm(working_edges=working), coin)
+    working = mesh_4sm(working_off=[(1, 3), (2, 3), (3, 4)])
+    result = play_game(setup_4sm(graph=working), coin)
     assert result.status == GameStatus.ABORT
     assert "contribute" in result.abort_reason
 
@@ -172,9 +179,8 @@ def test_attack_requires_challenged_meter_first():
 
 
 def test_attack_requires_working_neighbor_link():
-    working = drop_edges(full_mesh_edges(4), [("SM1", "SM2")])
     with pytest.raises(SetupViolation):
-        attack_masking_dc_plus_neighbor(setup_4sm(working_edges=working))
+        attack_masking_dc_plus_neighbor(setup_4sm(graph=mesh_4sm(working_off=[(1, 2)])))
 
 
 def test_attack_rejects_wrong_backend():
@@ -203,13 +209,12 @@ def test_view_never_contains_challenged_round_shares():
     raw = view_to_json(trial.view)
     parsed = json.loads(raw)
     ints = set(_all_ints(parsed))
-    k = setup.backend.k
+    s = setup.scenario
+    k = s.backend.k
     for i in setup.challenged:
-        assert round_share(setup.seed, i, setup.round, k) not in ints
+        assert round_share(s.seed, i, s.round, k) not in ints
     for i in setup.corrupted_sms:
-        assert trial.view.secrets["sm_round_shares"][i] == round_share(
-            setup.seed, i, setup.round, k
-        )
+        assert trial.view.secrets["sm_round_shares"][i] == round_share(s.seed, i, s.round, k)
 
 
 def test_honest_concentrator_view_has_no_keys_and_no_aggregate():
@@ -221,7 +226,7 @@ def test_honest_concentrator_view_has_no_keys_and_no_aggregate():
     assert "he_secret_key" not in trial.view.secrets
     raw = view_to_json(trial.view)
     for i in setup.challenged:
-        assert derive_prf_key(setup.seed, i).hex() not in raw
+        assert derive_prf_key(setup.scenario.seed, i).hex() not in raw
 
 
 def test_honest_concentrator_he_view_hides_secret_key():

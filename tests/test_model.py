@@ -17,6 +17,7 @@ from ftagg.model import (
     SendingList,
     UnknownParty,
     WorkingEdgeNotInGraph,
+    full_mesh,
     graph_from_names,
     link_on,
     party_indices,
@@ -47,6 +48,12 @@ def test_edge_key_is_orientation_free():
     forward = FailureGraph.build(3, [(DC, 3), (1, 2)], [(DC, 3)])
     backward = FailureGraph.build(3, [(3, DC), (2, 1)], [(3, DC)])
     assert forward == backward
+
+
+@pytest.mark.parametrize("n_sm", [1, 4, 9])
+def test_full_mesh_links_every_pair(n_sm):
+    edges = full_edges(n_sm)
+    assert full_mesh(n_sm) == FailureGraph.build(n_sm, edges, edges)
 
 
 def test_self_loop_rejected():

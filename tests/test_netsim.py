@@ -14,24 +14,24 @@ def test_delivery_over_working_link():
     net = SimNetwork.for_scenario(golden_ring4())
     status = net.send(1, DC, msg())
     assert status is DeliveryStatus.DELIVERED
-    assert net.elapsed() == 1
+    assert net.clock == 1
     assert [(r.receiver, r.message, r.delivered) for r in net.trace] == [(DC, msg(), True)]
 
 
 def test_timeout_over_dead_link():
-    net = SimNetwork.for_scenario(golden_ring4(), delta_t=5)
+    net = SimNetwork.for_scenario(golden_ring4())
     status = net.send(2, DC, msg(2))
     assert status is DeliveryStatus.TIMED_OUT
-    assert net.elapsed() == 5
+    assert net.clock == 5
     assert [r.delivered for r in net.trace if r.receiver == DC] == [False]
 
 
 def test_tick_accounting_mixes_costs():
-    net = SimNetwork.for_scenario(golden_ring4(), delta_t=5)
+    net = SimNetwork.for_scenario(golden_ring4())
     net.send(1, DC, msg(1))     # +1
     net.send(2, DC, msg(2))     # +5
     net.send(DC, 1, msg(1))     # +1
-    assert net.elapsed() == 7
+    assert net.clock == 7
 
 
 def test_every_attempt_is_traced_once():
@@ -48,9 +48,9 @@ def test_every_attempt_is_traced_once():
 def test_bundled_ack_costs_nothing():
     net = SimNetwork.for_scenario(golden_ring4())
     net.send(DC, 1, msg(1))
-    before = net.elapsed()
+    before = net.clock
     net.send_bundled_ack(1, DC, AckS())
-    assert net.elapsed() == before
+    assert net.clock == before
     assert net.trace[-1].delivered is True
     assert net.trace[-1].message == AckS()
     assert [r.message for r in net.trace if r.receiver == DC and r.delivered] == [AckS()]
@@ -86,13 +86,7 @@ def test_dc_must_stay_online():
     net = SimNetwork.for_scenario(s)
     assert net.is_online(DC)
     with pytest.raises(ScenarioError):
-        SimNetwork(s.graph, delta_t=5, online={DC: False, 1: True, 2: True})
-
-
-def test_delta_t_must_be_positive():
-    s = make_scenario(2)
-    with pytest.raises(ScenarioError):
-        SimNetwork.for_scenario(s, delta_t=0)
+        SimNetwork(s.graph, online={DC: False, 1: True, 2: True})
 
 
 def test_identical_sequences_trace_identically():

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from conftest import (
@@ -39,8 +40,8 @@ from ftagg.protocol import (
 from ftagg.walker import predict_aggregate, reachable_active
 
 
-def run(scenario, delta_t=5):
-    net = SimNetwork.for_scenario(scenario, delta_t=delta_t)
+def run(scenario):
+    net = SimNetwork.for_scenario(scenario)
     outcome = run_round(scenario, make_backend(scenario), net)
     return outcome, net
 
@@ -62,7 +63,7 @@ def test_golden_ring4_round():
     assert eor[0].message.active == (1, 3)
     assert classify_steps(outcome) == [C2, C1]
     assert len(outcome.trace) == 9
-    assert net.elapsed() == 15
+    assert net.clock == 15
 
 
 def test_golden_ring5_round():
@@ -74,7 +75,7 @@ def test_golden_ring5_round():
     assert len(delivered_non_ack(outcome)) == 8
     failed = [r for r in outcome.trace if not r.delivered]
     assert [(r.sender, r.receiver) for r in failed] == [(2, DC), (3, 4)]
-    assert net.elapsed() == 18
+    assert net.clock == 18
 
 
 def test_golden_ring5_message_enumeration():
@@ -104,7 +105,7 @@ def test_full_mesh_everyone_contributes():
     # 3N + 1 trace records in a clean round: N initial, N activations
     # (N - 1 of them acked), one final message.
     assert len(outcome.trace) == 3 * 6 + 1
-    assert net.elapsed() == 2 * 6 + 1
+    assert net.clock == 2 * 6 + 1
 
 
 def test_below_quorum_withholds_everything():
@@ -189,7 +190,7 @@ def test_backends_agree_on_random_scenarios():
     for _ in range(60):
         base = random_scenario(rng, n_max=8, backend=MaskingSpec())
         masked, _ = run(base)
-        paillier, _ = run(base.with_backend(PaillierSpec(key_bits=128)))
+        paillier, _ = run(replace(base, backend=PaillierSpec(key_bits=128)))
         assert masked.active == paillier.active
         assert masked.aggregate == paillier.aggregate
         a_shape = [(r.sender, r.receiver, r.message.kind, r.delivered, r.tick)
@@ -243,7 +244,7 @@ def test_invariants_on_random_scenarios():
         if outcome.aggregate is not None:
             assert len(outcome.active) >= s.n_min
 
-        assert net.elapsed() <= 4 * s.n_sm * 5
+        assert net.clock <= 4 * s.n_sm * 5
 
 
 def test_zero_failure_cost_claims():
@@ -253,7 +254,7 @@ def test_zero_failure_cost_claims():
         outcome, net = run(s)
         n = s.n_sm
         assert len(outcome.trace) == 3 * n + 1
-        assert net.elapsed() == 2 * n + 1
+        assert net.clock == 2 * n + 1
         per_sm = Counter()
         for r in outcome.trace:
             if r.sender != DC and r.message.kind != KIND_INITIAL_DATA:
