@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -187,3 +188,133 @@ def test_backend_deterministic_for_fixed_scenario():
     b = PaillierBackend(s)
     assert a.init_share()[1] == b.init_share()[1]
     assert a.keys == b.keys
+
+
+# --- Pins that let the key-generation and decryption fast paths prove they
+# change no key and no plaintext. ---
+
+
+def _keygen_digest(bits, seeds=range(40)):
+    h = hashlib.sha256()
+    for seed in seeds:
+        k = keygen(bits, seed)
+        h.update(f"{k.bits} {seed} {k.n} {k.g} {k.lam} {k.mu}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "bits, digest",
+    [
+        (64, "b7409da9b038b5c30b39f5fab673b52275d5eaf3b444a7b1fb58cb1ca66ac15f"),
+        (128, "10d87017c032eb3d3d2e8b9c41cb5d09fb02a61e8e1f014090d120b0e9bf4a44"),
+        (156, "51a8d7410e1d0168aa5336bd108c46f2de70b90b930382b04b2d5497fec41c48"),
+        (160, "767476a49b4e5c18e20490c43d7beae0a1088bb49b70eb213baa8522cfe0ea82"),
+        (256, "460da2305c8abaca4ea1fa15621190699e83687f8184568050040c2a131a45dc"),
+    ],
+)
+def test_keygen_bytes_pinned(bits, digest):
+    assert _keygen_digest(bits) == digest
+
+
+_REFERENCE_SMALL_PRIMES = list(sympy.primerange(1000))
+
+
+def _reference_is_probable_prime(n, rng, rounds=40):
+    """The plain 40-round Miller-Rabin loop the fast path must match, draw
+    for draw."""
+    if n < 2:
+        return False
+    for p in _REFERENCE_SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for _ in range(rounds):
+        a = rng.randrange(2, n - 1)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = (x * x) % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# The least strong pseudoprimes to the first k prime bases (OEIS A014233);
+# PSI_12 is Sorenson & Webster's bound, a strong pseudoprime to 2, 3, ..., 37.
+PSI = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 3825123056546413051, 318665857834031151167461]
+PSI_12 = PSI[-1]
+
+
+def _chernick_carmichaels(count):
+    """(6k+1)(12k+1)(18k+1) with all three factors prime is a Carmichael number."""
+    found, k = [], 1
+    while len(found) < count:
+        f = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(sympy.isprime(x) for x in f):
+            found.append(f[0] * f[1] * f[2])
+        k += 1
+    return found
+
+
+def _primality_cases():
+    rng = random.Random(2017)
+    odd = [rng.randrange(1 << 63, 1 << 79) | 1 for _ in range(400)]
+    primes = [sympy.nextprime(rng.randrange(1 << 63, 1 << 79)) for _ in range(60)]
+    near_bound = [PSI_12 - 2, PSI_12 + 2, sympy.prevprime(PSI_12), sympy.nextprime(PSI_12),
+                  PSI_12 * 3 + 2, sympy.nextprime(1 << 80)]
+    small = list(range(0, 1100)) + [1 << 61, (1 << 61) - 1]
+    return odd + primes + near_bound + small + PSI + _chernick_carmichaels(30)
+
+
+def test_miller_rabin_matches_reference_loop_draw_for_draw():
+    for case, n in enumerate(_primality_cases()):
+        fast, ref = random.Random(case), random.Random(case)
+        assert is_probable_prime(n, fast) == _reference_is_probable_prime(n, ref), n
+        assert fast.getstate() == ref.getstate(), n
+
+
+def test_miller_rabin_rejects_strong_pseudoprimes():
+    rng = random.Random(1)
+    for n in PSI + _chernick_carmichaels(30):
+        assert not is_probable_prime(n, rng), n
+
+
+def _lambda_mu_decrypt(keys, c):
+    n, n_sq = keys.n, keys.n_sq
+    return ((pow(c.value, keys.lam, n_sq) - 1) // n) * keys.mu % n
+
+
+@pytest.mark.parametrize("bits, samples", [(64, 200), (128, 100), (256, 50), (2048, 1)])
+def test_decrypt_matches_lambda_mu_formula(bits, samples):
+    keys = keygen(bits, 2)
+    rng = random.Random(bits)
+    stream = randomness_stream(keys, bits, 0)
+    edge = [0, 1, keys.n - 1, keys.n // 2]
+    for m in edge + [rng.randrange(keys.n) for _ in range(samples)]:
+        c = encrypt(keys, m, next(stream))
+        assert decrypt_aggregate(keys, c) == _lambda_mu_decrypt(keys, c) == m
+    acc = encrypt(keys, 0, next(stream))
+    for m in edge:
+        acc = add_encrypted(acc, encrypt(keys, m, next(stream)))
+    assert decrypt_aggregate(keys, acc) == _lambda_mu_decrypt(keys, acc) == sum(edge) % keys.n
+
+
+def test_miller_rabin_composite_passing_first_round_matches_reference():
+    # A composite whose first random base is a strong liar goes on to the
+    # fixed bases, fails one, and must then finish the plain loop.
+    liar_first = 0
+    for n in PSI[:-1] + _chernick_carmichaels(10):
+        for seed in range(300):
+            liar_first += _reference_is_probable_prime(n, random.Random(seed), rounds=1)
+            fast, ref = random.Random(seed), random.Random(seed)
+            assert is_probable_prime(n, fast) == _reference_is_probable_prime(n, ref), (n, seed)
+            assert fast.getstate() == ref.getstate(), (n, seed)
+    assert liar_first > 0
