@@ -39,7 +39,7 @@ from .model import (
     validate_scenario,
 )
 from .netsim import SimNetwork
-from .paillier import Ciphertext, PaillierKeys, decrypt_aggregate, keygen
+from .paillier import Ciphertext, decrypt_aggregate, keygen, keys_from_totient
 from .protocol import make_backend, run_round
 from .walker import predict_aggregate, reachable_active
 
@@ -363,8 +363,8 @@ def recover_he_measurement(view: AdversaryView) -> int:
     if handoff is None:
         raise SetupViolation("no corrupted meter received the challenged handoff")
     sk = view.secrets["he_secret_key"]
-    keys = PaillierKeys(n=sk["n"], g=sk["n"] + 1, lam=sk["lam"], mu=sk["mu"], bits=sk["bits"])
-    return decrypt_aggregate(keys, Ciphertext(handoff["body"]["share"], sk["n"] ** 2))
+    keys = keys_from_totient(sk["n"], sk["lam"], sk["bits"])
+    return decrypt_aggregate(keys, Ciphertext(handoff["body"]["share"], keys.n_sq))
 
 
 def _guess_from_recovered(view: AdversaryView, recovered: int) -> int:

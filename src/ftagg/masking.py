@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .model import MeasurementOutOfRange, Scenario, ScenarioError
+from .model import MAX_K_BITS, MeasurementOutOfRange, Scenario, ScenarioError
 
 KEY_BYTES = 16
 
@@ -22,8 +22,10 @@ class KeySetMismatch(ValueError):
 
 
 def _check_modulus(k: int) -> None:
-    if k < 2 or k & (k - 1):
-        raise ScenarioError(f"masking modulus must be a power of two >= 2, got {k}")
+    if k < 2 or k & (k - 1) or k > 1 << MAX_K_BITS:
+        raise ScenarioError(
+            f"masking modulus must be a power of two in 2..2^{MAX_K_BITS}, got {k}"
+        )
 
 
 def _h(data: bytes, key: bytes, person: bytes, size: int = KEY_BYTES) -> bytes:

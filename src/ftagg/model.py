@@ -238,9 +238,17 @@ class PaillierSpec:
     type = "paillier"
 
 
+# Masks are 16-byte keyed digests (masking.KEY_BYTES): the bits of a
+# measurement above them would go out in the clear.
+MAX_K_BITS = 128
+MAX_KEY_BITS = 4096
+
+
 def check_key_bits(bits: int) -> None:
-    if bits < 64 or bits % 2:
-        raise ScenarioError(f"key_bits must be an even number >= 64, got {bits}")
+    if not 64 <= bits <= MAX_KEY_BITS or bits % 2:
+        raise ScenarioError(
+            f"key_bits must be an even number in 64..{MAX_KEY_BITS}, got {bits}"
+        )
 
 
 BackendSpec = MaskingSpec | PaillierSpec
@@ -329,6 +337,8 @@ def validate_scenario(s: Scenario) -> Scenario:
 
     total = sum(s.measurements.values())
     if isinstance(s.backend, MaskingSpec):
+        if not 1 <= s.backend.k_bits <= MAX_K_BITS:
+            raise ScenarioError(f"k_bits must be in 1..{MAX_K_BITS}, got {s.backend.k_bits}")
         if total >= s.backend.k:
             raise ModulusTooSmall(
                 f"sum of measurements {total} must stay below the modulus {s.backend.k}"
@@ -348,8 +358,8 @@ def validate_scenario(s: Scenario) -> Scenario:
 
     if not 0 <= s.seed < 1 << 64:
         raise ScenarioError("seed must fit in 64 bits")
-    if s.round < 0:
-        raise ScenarioError("round index must be non-negative")
+    if not 0 <= s.round < 1 << 64:
+        raise ScenarioError("round index must be a non-negative integer of 64 bits")
 
     if s.prf_keys is not None:
         for i, key in s.prf_keys.items():
@@ -419,6 +429,15 @@ def _int(value: object, what: str) -> int:
     return value
 
 
+def _hex_bytes(value: object, what: str) -> bytes:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{what} must be a hex string, got {type(value).__name__}")
+    try:
+        return bytes.fromhex(value)
+    except ValueError:
+        raise ScenarioError(f"{what} is not a hex string") from None
+
+
 def _parse_index(raw: object, what: str) -> int:
     try:
         return int(raw)
@@ -461,7 +480,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     prf_keys = None
     if "prf_keys" in d:
         prf_keys = {
-            _parse_index(i, "prf_keys"): bytes.fromhex(h)
+            _parse_index(i, "prf_keys"): _hex_bytes(h, f"prf_keys value {i}")
             for i, h in _object(d["prf_keys"], "prf_keys").items()
         }
     return Scenario(

@@ -1,7 +1,17 @@
 """Additive homomorphic backend: textbook Paillier with the g = n + 1 variant.
 
 Keygen is fully deterministic for a fixed seed so traces and tests reproduce
-bit-identically. Decryption uses lambda = phi(n) and mu = phi(n)^-1 mod n.
+bit-identically. Its Miller-Rabin test draws 40 random bases per candidate, but
+below PSI_12 = 318665857834031151167461 (about 2^78, so key_bits <= 156) a
+candidate that passes the first one is settled by strong tests to the 12 prime
+bases 2..37, which are deterministic there (Sorenson & Webster, "Strong
+pseudoprimes to twelve prime bases", Math. Comp. 2017); the other 39 bases are
+drawn but not tried, so every key is the one the full loop gives.
+
+The private key is lambda = phi(n), mu = phi(n)^-1 mod n and the primes p, q.
+Decryption computes L(c^lambda mod n^2) * mu mod n the CRT way: mod p^2 and
+q^2 with exponents p - 1 and q - 1, joined mod n (Paillier, EUROCRYPT 1999,
+section 7).
 """
 
 from __future__ import annotations
@@ -37,34 +47,50 @@ def _small_primes(limit: int = 1000) -> list[int]:
     return [i for i, v in enumerate(sieve) if v]
 
 
-_SMALL_PRIMES = _small_primes()
+_SMALL_PRIMES = frozenset(_small_primes())
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 MR_ROUNDS = 40
 
+# Sorenson & Webster: every composite below PSI_12 fails a strong test to one
+# of the first 12 prime bases (PSI_12 itself passes all 12).
+PSI_12 = 318665857834031151167461
+_PSI_12_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _strong_probe(a: int, d: int, r: int, n: int) -> bool:
+    """One Miller-Rabin round: True iff n is a strong probable prime to base a,
+    with n - 1 = d * 2^r and d odd."""
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = (x * x) % n
+        if x == n - 1:
+            return True
+    return False
+
 
 def is_probable_prime(n: int, rng: random.Random, rounds: int = MR_ROUNDS) -> bool:
-    """Miller-Rabin with `rounds` random bases drawn from rng."""
-    if n < 2:
+    """Miller-Rabin with `rounds` random bases drawn from rng.
+
+    Once n < PSI_12 passes its first round, the 12 fixed bases decide it. A
+    proven prime would pass every later round, so those bases are only drawn,
+    which leaves the result and rng's state as the full loop leaves them.
+    """
+    if n <= 1000:
+        return n in _SMALL_PRIMES
+    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> r
+    for done in range(1, rounds + 1):
+        if not _strong_probe(rng.randrange(2, n - 1), d, r, n):
             return False
+        if done == 1 and n < PSI_12 and all(_strong_probe(a, d, r, n) for a in _PSI_12_BASES):
+            for _ in range(rounds - 1):
+                rng.randrange(2, n - 1)
+            return True
     return True
 
 
@@ -83,11 +109,20 @@ def _random_prime(bits: int, rng: random.Random) -> int:
 
 @dataclass(frozen=True)
 class PaillierKeys:
+    """Public n and g = n + 1; private lam, mu, the primes p > q and the CRT
+    constants hp = ((p-1)q)^-1 mod p, hq = ((q-1)p)^-1 mod q and
+    q_inv = q^-1 mod p. Build one with keys_from_primes."""
+
     n: int
     g: int
     lam: int
     mu: int
     bits: int
+    p: int
+    q: int
+    hp: int
+    hq: int
+    q_inv: int
 
     @property
     def n_sq(self) -> int:
@@ -98,6 +133,28 @@ class PaillierKeys:
 class Ciphertext:
     value: int
     n_sq: int
+
+
+def keys_from_primes(p: int, q: int, bits: int) -> PaillierKeys:
+    p, q = max(p, q), min(p, q)
+    n = p * q
+    phi = (p - 1) * (q - 1)
+    return PaillierKeys(
+        n=n, g=n + 1, lam=phi, mu=pow(phi, -1, n), bits=bits, p=p, q=q,
+        hp=pow((p - 1) * q, -1, p), hq=pow((q - 1) * p, -1, q), q_inv=pow(q, -1, p),
+    )
+
+
+def keys_from_totient(n: int, phi: int, bits: int) -> PaillierKeys:
+    """The key of n = pq rebuilt from phi = (p-1)(q-1): p + q = n - phi + 1,
+    so p and q are the roots of x^2 - (n - phi + 1)x + n."""
+    s = n - phi + 1
+    disc = s * s - 4 * n
+    root = math.isqrt(max(disc, 0))
+    p, q = (s + root) // 2, (s - root) // 2
+    if root * root != disc or q < 2:
+        raise ValueError("phi is not the totient of a product of two primes")
+    return keys_from_primes(p, q, bits)
 
 
 @functools.lru_cache(maxsize=256)
@@ -115,7 +172,7 @@ def keygen(bits: int, seed: int) -> PaillierKeys:
         phi = (p - 1) * (q - 1)
         if n.bit_length() != bits or math.gcd(n, phi) != 1:
             continue
-        return PaillierKeys(n=n, g=n + 1, lam=phi, mu=pow(phi, -1, n), bits=bits)
+        return keys_from_primes(p, q, bits)
 
 
 def encrypt(keys: PaillierKeys, m: int, r: int) -> Ciphertext:
@@ -136,15 +193,19 @@ def add_encrypted(s_running: Ciphertext, c: Ciphertext) -> Ciphertext:
 
 
 def decrypt_aggregate(keys: PaillierKeys, s_final: Ciphertext) -> int:
-    """A = L(c^lambda mod n^2) * mu mod n, with L(x) = (x - 1) / n."""
-    n, n_sq = keys.n, keys.n_sq
+    """A = L(c^lambda mod n^2) * mu mod n, with L(x) = (x - 1) / n, computed as
+    A mod p = L_p(c^(p-1) mod p^2) * hp mod p (likewise mod q) and joined by
+    the CRT."""
+    n_sq = keys.n_sq
     if s_final.n_sq != n_sq:
         raise MalformedCiphertext("ciphertext under a different modulus")
     v = s_final.value
     if not 0 <= v < n_sq or math.gcd(v, n_sq) != 1:
         raise MalformedCiphertext("ciphertext value is not a unit of Z_{n^2}")
-    x = pow(v, keys.lam, n_sq)
-    return ((x - 1) // n) * keys.mu % n
+    p, q = keys.p, keys.q
+    a_p = (pow(v, p - 1, p * p) - 1) // p * keys.hp % p
+    a_q = (pow(v, q - 1, q * q) - 1) // q * keys.hq % q
+    return a_q + q * ((a_p - a_q) * keys.q_inv % p)
 
 
 def randomness_stream(keys: PaillierKeys, seed: int, t: int) -> Iterator[int]:

@@ -249,6 +249,13 @@ def test_paillier_sum_just_below_half_the_key_runs(capsys, tmp_path):
             "backend": {"type": "masking", "k_bits": True},
             "measurements": {str(i): 0 for i in range(1, 5)},
         },
+        {"prf_keys": {"1": 5}},
+        {"prf_keys": {"1": "not hex"}},
+        {"round": 1 << 64},
+        {"backend": {"type": "masking", "k_bits": 129}},
+        {"backend": {"type": "masking", "k_bits": 10**9}},
+        {"backend": {"type": "paillier", "key_bits": 4098}},
+        {"backend": {"type": "paillier", "key_bits": 10**9}},
     ],
 )
 def test_malformed_scenario_fields_exit_two(capsys, tmp_path, changes):
@@ -289,3 +296,11 @@ def test_bad_key_sizes_exit_two_under_optimize(tmp_path, backend):
     result = run_optimized(path)
     assert result.returncode == EXIT_INVALID, result.stdout + result.stderr
     assert "error" in result.stderr
+
+
+def test_largest_masking_modulus_and_round_run(capsys, tmp_path):
+    path = write_scenario(
+        tmp_path, backend={"type": "masking", "k_bits": 128}, round=(1 << 64) - 1
+    )
+    report = run_report(capsys, "run", str(path))
+    assert report["aggregate"] == 30

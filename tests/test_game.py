@@ -90,6 +90,8 @@ def test_valid_setup_reaches_a_verdict():
         (dict(measurements={2: 7, 4: 1 << 64}), "domain"),
         (dict(n_min=9), "invalid"),
         (dict(backend=PaillierSpec(key_bits=65)), "key_bits"),
+        (dict(backend=PaillierSpec(key_bits=4098)), "key_bits"),
+        (dict(backend=MaskingSpec(k_bits=129)), "k_bits"),
     ],
 )
 def test_malformed_submissions_abort(overrides, hint):

@@ -16,7 +16,7 @@ from ftagg.masking import (
     unmask_aggregate,
     update_share,
 )
-from ftagg.model import MaskingSpec, MeasurementOutOfRange
+from ftagg.model import MaskingSpec, MeasurementOutOfRange, ScenarioError
 
 # chi2.ppf(0.999, 2**16 - 1): fail only if the PRF is grossly non-uniform.
 CHI2_CRIT_K16 = 66659.47714863172
@@ -55,6 +55,18 @@ def test_prf_deterministic_and_round_separated():
     seen = {prf(key, t, k) for t in range(1000)}
     assert len(seen) == 1000, "distinct rounds must give distinct outputs"
     assert prf(key, 17, k) == prf(key, 17, k)
+
+
+def test_modulus_above_the_prf_width_rejected():
+    # Masks are 128-bit digests: a wider modulus would leave the top bits of
+    # every masked value unmasked.
+    key = derive_prf_key(99, 1)
+    assert max(prf(key, t, 1 << 128) for t in range(4000)).bit_length() == 128
+    for k in (1 << 129, 1 << 256):
+        with pytest.raises(ScenarioError):
+            prf(key, 0, k)
+        with pytest.raises(ScenarioError):
+            round_share(99, 1, 0, k)
 
 
 def test_prf_keys_separate_meters():

@@ -17,6 +17,7 @@ from ftagg.model import (
     SendingList,
     UnknownParty,
     WorkingEdgeNotInGraph,
+    check_key_bits,
     full_mesh,
     graph_from_names,
     link_on,
@@ -136,6 +137,25 @@ def test_online_flag_for_unknown_meter():
 def test_seed_must_fit_64_bits():
     with pytest.raises(ScenarioError):
         make_scenario(2, seed=1 << 64)
+
+
+def test_round_must_fit_64_bits():
+    make_scenario(2, round_index=(1 << 64) - 1)
+    for bad in (-1, 1 << 64):
+        with pytest.raises(ScenarioError, match="round"):
+            make_scenario(2, round_index=bad)
+
+
+def test_key_size_bounds():
+    make_scenario(2, backend=MaskingSpec(k_bits=128))
+    for bad in (0, 129, 256):
+        with pytest.raises(ScenarioError, match="k_bits"):
+            make_scenario(2, backend=MaskingSpec(k_bits=bad))
+    check_key_bits(64)
+    check_key_bits(4096)
+    for bad in (62, 65, 4098, 8192):
+        with pytest.raises(ScenarioError, match="key_bits"):
+            check_key_bits(bad)
 
 
 def test_validation_is_idempotent():

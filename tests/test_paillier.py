@@ -11,21 +11,23 @@ from ftagg.paillier import (
     Ciphertext,
     MalformedCiphertext,
     PaillierBackend,
-    PaillierKeys,
     PlaintextOutOfRange,
     add_encrypted,
     decrypt_aggregate,
     encrypt,
     is_probable_prime,
     keygen,
+    keys_from_primes,
+    keys_from_totient,
     randomness_stream,
 )
 
 
 def tiny_keys():
     # p = 5, q = 7 worked out by hand: n = 35, phi = 24.
-    n, phi = 35, 24
-    return PaillierKeys(n=n, g=n + 1, lam=phi, mu=pow(phi, -1, n), bits=6)
+    keys = keys_from_primes(5, 7, bits=6)
+    assert (keys.n, keys.g, keys.lam, keys.mu) == (35, 36, 24, pow(24, -1, 35))
+    return keys
 
 
 def test_tiny_key_encrypt_matches_direct_formula():
@@ -163,6 +165,8 @@ def test_miller_rabin_agrees_with_sympy():
         assert is_probable_prime(n, rng) == sympy.isprime(n), n
     for carmichael in (561, 1105, 1729, 41041, 825265):
         assert not is_probable_prime(carmichael, rng)
+    for pseudoprime in PSI + _chernick_carmichaels(30):
+        assert not is_probable_prime(pseudoprime, rng), pseudoprime
 
 
 def test_backend_fold_and_finalize():
@@ -281,12 +285,6 @@ def test_miller_rabin_matches_reference_loop_draw_for_draw():
         assert fast.getstate() == ref.getstate(), n
 
 
-def test_miller_rabin_rejects_strong_pseudoprimes():
-    rng = random.Random(1)
-    for n in PSI + _chernick_carmichaels(30):
-        assert not is_probable_prime(n, rng), n
-
-
 def _lambda_mu_decrypt(keys, c):
     n, n_sq = keys.n, keys.n_sq
     return ((pow(c.value, keys.lam, n_sq) - 1) // n) * keys.mu % n
@@ -318,3 +316,18 @@ def test_miller_rabin_composite_passing_first_round_matches_reference():
             assert is_probable_prime(n, fast) == _reference_is_probable_prime(n, ref), (n, seed)
             assert fast.getstate() == ref.getstate(), (n, seed)
     assert liar_first > 0
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_keys_rebuilt_from_totient_equal_keygen(bits):
+    keys = keygen(bits, 5)
+    assert keys.p * keys.q == keys.n and keys.p > keys.q
+    assert keys_from_totient(keys.n, keys.lam, bits) == keys
+    assert keys_from_primes(keys.q, keys.p, bits) == keys
+
+
+def test_keys_from_totient_rejects_a_wrong_totient():
+    keys = keygen(128, 5)
+    for phi in (keys.lam + 2, keys.lam - 2, keys.n, 0):
+        with pytest.raises(ValueError):
+            keys_from_totient(keys.n, phi, 128)
