@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 
 from ftagg.model import (
@@ -12,12 +14,20 @@ from ftagg.model import (
     PaillierSpec,
     Scenario,
     SendingList,
+    scenario_to_dict,
     validate_scenario,
 )
 
 
 def full_edges(n_sm: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n_sm + 1), 2))
+
+
+def reference_digest(s: Scenario) -> str:
+    """What `scenario_digest` must return: sha256 of the compact, key-sorted
+    `json.dumps` of `scenario_to_dict`."""
+    canonical = json.dumps(scenario_to_dict(s), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def make_scenario(

@@ -1,13 +1,15 @@
 """The engine against the reference walker on 300-meter full meshes.
 
 The corpus sweeps stop at 12 meters; these rounds run the same oracle at a
-size where the activation chain is hundreds of hops long.
+size where the activation chain is hundreds of hops long, and check the
+scenario digest against its plain `json.dumps` reference at that size.
 """
 
 import random
 
 import pytest
-from conftest import full_edges, make_scenario
+from conftest import full_edges, make_scenario, reference_digest
+from ftagg.model import scenario_digest
 from ftagg.netsim import SimNetwork
 from ftagg.protocol import make_backend, run_round
 from ftagg.walker import predict_aggregate, reachable_active
@@ -32,6 +34,7 @@ def test_engine_matches_walker_at_300_meters(seed, p_fail):
         seed=seed,
         round_index=seed,
     )
+    assert scenario_digest(s) == reference_digest(s)
     outcome = run_round(s, make_backend(s), SimNetwork.for_scenario(s))
     assert outcome.aggregate == predict_aggregate(s)
     assert outcome.aggregate is not None
