@@ -194,6 +194,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON in {args.path}: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except RecursionError:
+        # json's decoder recurses once per nesting level of arrays and objects.
+        print(f"error: invalid JSON in {args.path}: nested too deeply", file=sys.stderr)
+        return EXIT_INVALID
     except (ScenarioError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -3,10 +3,14 @@ round configuration, outcomes, and the scenario file format."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import compress
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class ScenarioError(ValueError):
@@ -102,23 +106,39 @@ def full_mesh(n_sm: int) -> FailureGraph:
 def graph_from_names(n_sm: int, edges: Sequence, working: Sequence) -> FailureGraph:
     """The graph of two arrays of [name, name] pairs, as scenario files give
     them."""
-    names = party_indices(n_sm)
+    table = {name: (v, 1 << v) for name, v in party_indices(n_sm).items()}
+    arrays = (("edges", edges), ("working_edges", working))
+    adjs = [_named_adjacency(n_sm, table, raw, what) for what, raw in arrays]
+    # A malformed entry in either array is reported before any self-loop,
+    # and a self-loop by its first occurrence in the file.
+    for (_, raw), adj in zip(arrays, adjs):
+        if any(row >> v & 1 for v, row in enumerate(adj)):
+            loop = next(a for a, b in raw if a == b)
+            raise ScenarioError(f"self-loop at {loop}")
+    return FailureGraph(*adjs)
 
-    def pairs(raw, what):
-        if not isinstance(raw, (list, tuple)) or not all(
-            isinstance(item, (list, tuple)) for item in raw
-        ):
-            raise ScenarioError(f"{what} must be an array of [name, name] pairs")
-        try:
-            return [(names[a], names[b]) for a, b in raw]
-        except KeyError as exc:
-            raise UnknownParty(
-                f"{what} names {exc.args[0]!r}, not one of DC, SM1..SM{n_sm}"
-            ) from None
-        except (TypeError, ValueError):
-            raise ScenarioError(f"{what} entries must be arrays of two party names") from None
 
-    return FailureGraph.build(n_sm, pairs(edges, "edges"), pairs(working, "working_edges"))
+def _named_adjacency(n_sm: int, table: dict, raw: object, what: str) -> tuple[int, ...]:
+    """`_adjacency` over name pairs in one pass, without building int pairs;
+    a self-loop sets its party's own bit."""
+    if not isinstance(raw, (list, tuple)) or not all(
+        issubclass(kind, (list, tuple)) for kind in set(map(type, raw))
+    ):
+        raise ScenarioError(f"{what} must be an array of [name, name] pairs")
+    adj = [0] * (n_sm + 1)
+    try:
+        for a, b in raw:
+            va, bit_a = table[a]
+            vb, bit_b = table[b]
+            adj[va] |= bit_b
+            adj[vb] |= bit_a
+    except KeyError as exc:
+        raise UnknownParty(
+            f"{what} names {exc.args[0]!r}, not one of DC, SM1..SM{n_sm}"
+        ) from None
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{what} entries must be arrays of two party names") from None
+    return tuple(adj)
 
 
 def link_on(g: FailureGraph, a: int, b: int) -> bool:
@@ -387,21 +407,49 @@ def _backend_from_dict(d: dict) -> BackendSpec:
     raise ScenarioError(f"unknown backend type {d['type']!r}")
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _links_in_name_order(adj: Sequence[int], names: Sequence[str]) -> Iterator:
+    """Each party a that links to parties b > a, with those b: both in name
+    order, which is the order of a sort on [names[a], names[b]] pairs.
+    Scenario files and the digest list links in this order."""
+    width = len(adj)
+    if width < 2:
+        return  # no pair; and itemgetter of a single index returns no tuple
+    by_name = sorted(range(width), key=names.__getitem__)
+    # Byte width-1-b of a row's bit string is bit b.
+    in_name_order = itemgetter(*(width - 1 - b for b in by_name))
+    parties = (1 << width) - 1
+    bit_string = f"0{width}b"
+    for a in by_name:
+        above_a = adj[a] >> (a + 1) << (a + 1) & parties
+        if above_a:
+            row = format(above_a, bit_string).encode().translate(_BIT_BYTES)
+            yield a, compress(by_name, in_name_order(row))
+
+
 def _edge_names(adj: Sequence[int]) -> list[list[str]]:
-    """Every link once as [lower-index name, higher-index name], in the order
-    of a sort on those name pairs."""
+    """Every link once as [lower-index name, higher-index name]."""
     names = [party_name(v) for v in range(len(adj))]
-    by_name = sorted(range(len(adj)), key=names.__getitem__)
-    return [
-        [names[a], names[b]] for a in by_name for b in by_name if b > a and adj[a] >> b & 1
-    ]
+    return [[names[a], names[b]] for a, bs in _links_in_name_order(adj, names) for b in bs]
 
 
-def scenario_to_dict(s: Scenario) -> dict:
+def _edge_text(adj: Sequence[int]) -> str:
+    """The compact JSON text of `_edge_names(adj)`, joined from the names
+    without a list per link."""
+    names = [party_name(v) for v in range(len(adj))]
+    rows = []
+    for a, bs in _links_in_name_order(adj, names):
+        head = '["' + names[a] + '","'
+        rows.append(head + ('"],' + head).join(map(names.__getitem__, bs)) + '"]')
+    return "[" + ",".join(rows) + "]"
+
+
+def _fields(s: Scenario) -> dict:
+    """Every field of the scenario file but the two edge arrays."""
     d = {
         "n_sm": s.n_sm,
-        "edges": _edge_names(s.graph.edges),
-        "working_edges": _edge_names(s.graph.working),
         "sending_list": list(s.sending_list.order),
         "n_min": s.n_min,
         "round": s.round,
@@ -414,6 +462,14 @@ def scenario_to_dict(s: Scenario) -> dict:
     if s.prf_keys is not None:
         d["prf_keys"] = {str(i): key.hex() for i, key in sorted(s.prf_keys.items())}
     return d
+
+
+def scenario_to_dict(s: Scenario) -> dict:
+    return {
+        "edges": _edge_names(s.graph.edges),
+        "working_edges": _edge_names(s.graph.working),
+        **_fields(s),
+    }
 
 
 def _object(value: object, what: str) -> dict:
@@ -439,10 +495,15 @@ def _hex_bytes(value: object, what: str) -> bytes:
 
 
 def _parse_index(raw: object, what: str) -> int:
+    """A meter index written as an object key in canonical decimal, so that
+    no two keys ("1", "01", " 1") name the same meter."""
     try:
-        return int(raw)
+        i = int(raw)
     except (TypeError, ValueError):
-        raise ScenarioError(f"{what} key {raw!r} is not a meter index") from None
+        i = None
+    if i is None or str(i) != raw:
+        raise ScenarioError(f"{what} key {raw!r} is not a meter index")
+    return i
 
 
 def scenario_from_dict(d: dict) -> Scenario:
@@ -502,11 +563,40 @@ def scenario_to_json(s: Scenario, pretty: bool = False) -> str:
     return json.dumps(scenario_to_dict(s), indent=indent, sort_keys=True)
 
 
+@contextmanager
+def _gc_paused():
+    """Keep the cyclic garbage collector off inside the block, then restore
+    the caller's setting. For building large acyclic data (parsed JSON):
+    reference counting frees it, and a collection pass would only walk it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def scenario_from_json(text: str) -> Scenario:
-    return scenario_from_dict(json.loads(text))
+    # A 400-meter mesh parses into ~150k small lists, enough to start
+    # several full collections that find nothing to free.
+    with _gc_paused():
+        return scenario_from_dict(json.loads(text))
+
+
+# Stands in for both edge arrays in the digest's json.dumps. Every other
+# string there is a number key, a backend type or hex, so this one's JSON
+# text splits the output in three, edges first in key order.
+_EDGE_ARRAYS_HERE = "\0"
 
 
 def scenario_digest(s: Scenario) -> str:
-    """Stable content hash used to key reports to their scenario."""
-    canonical = json.dumps(scenario_to_dict(s), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    """Stable content hash used to key reports to their scenario: sha256 of
+    `json.dumps(scenario_to_dict(s), sort_keys=True, separators=(",", ":"))`,
+    with the edge arrays written as text instead of built as lists."""
+    d = _fields(s)
+    d["edges"] = d["working_edges"] = _EDGE_ARRAYS_HERE
+    text = json.dumps(d, sort_keys=True, separators=(",", ":"))
+    head, middle, tail = text.split(json.dumps(_EDGE_ARRAYS_HERE))
+    edges, working = _edge_text(s.graph.edges), _edge_text(s.graph.working)
+    return hashlib.sha256((head + edges + middle + working + tail).encode()).hexdigest()

@@ -256,12 +256,33 @@ def test_paillier_sum_just_below_half_the_key_runs(capsys, tmp_path):
         {"backend": {"type": "masking", "k_bits": 10**9}},
         {"backend": {"type": "paillier", "key_bits": 4098}},
         {"backend": {"type": "paillier", "key_bits": 10**9}},
+        {"measurements": {"1": 10, "2": 7, "3": 20, "4": 9, "01": 999}},
+        {"measurements": {" 1": 10, "2": 7, "3": 20, "4": 9}},
+        {"measurements": {"1": 10, "+2": 7, "3": 20, "4": 9}},
+        {"measurements": {"1": 10, "2": 7, "3": 20, "0_4": 9}},
+        {"measurements": {"1": 10, "2": 7, "٣": 20, "4": 9}},
+        {"sm_online": {"1": True, "01": False}},
+        {"prf_keys": {"01": "00" * 16}},
     ],
 )
 def test_malformed_scenario_fields_exit_two(capsys, tmp_path, changes):
     code, out, err = run_cli(capsys, "run", str(write_scenario(tmp_path, **changes)))
     assert code == EXIT_INVALID, out
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", ["run", "baseline", "game"])
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100000 + "]" * 100000, '{"n_sm": ' + "{\"a\": " * 100000 + "1" + "}" * 100001],
+    ids=["arrays", "objects"],
+)
+def test_deeply_nested_json_exits_two(capsys, tmp_path, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, command, str(path))
+    assert code == EXIT_INVALID
+    assert "invalid JSON" in err
 
 
 def test_top_level_array_exits_two(capsys, tmp_path):
