@@ -30,17 +30,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 
-def random_pairs(rng: random.Random, n_sm: int, density: float) -> list[tuple[int, int]]:
-    return [e for e in itertools.combinations(range(n_sm + 1), 2) if rng.random() < density]
-
-
 @st.composite
 def scenarios(draw):
     n = draw(st.integers(min_value=1, max_value=150))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
-    edges = random_pairs(rng, n, draw(st.floats(min_value=0.0, max_value=1.0)))
-    density = draw(st.floats(min_value=0.0, max_value=1.0))
-    working = [e for e in edges if rng.random() < density]
+    density, working_density = draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    edges = [e for e in itertools.combinations(range(n + 1), 2) if rng.random() < density]
+    working = [e for e in edges if rng.random() < working_density]
     order = list(range(1, n + 1))
     rng.shuffle(order)
     if draw(st.booleans()):

@@ -89,7 +89,7 @@ def scratch(tmp_path_factory):
 @settings(
     max_examples=300,
     deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    suppress_health_check=[HealthCheck.too_slow],
 )
 @given(case=mutated())
 def test_mutated_scenarios_run_right_or_exit_two(scratch, case):
