@@ -18,7 +18,7 @@ from ftagg.baseline import (
     run_baseline_round,
     static_share,
 )
-from ftagg.model import DC, MaskingSpec, PaillierSpec, ScenarioError
+from ftagg.model import DC, MaskingSpec, ModulusTooSmall, PaillierSpec, ScenarioError
 from ftagg.netsim import SimNetwork
 from ftagg.protocol import make_backend, run_round
 
@@ -157,6 +157,33 @@ def test_paillier_scenarios_fall_back_to_a_wide_modulus():
     result = run_baseline_round(s, params=params)
     assert result.status is BaselineStatus.COMPLETED
     assert result.aggregate == sum(s.measurements.values())
+
+
+def test_paillier_sum_at_the_wide_modulus_is_refused():
+    # Paillier-256 admits sums below 2^255; the baseline masks modulo 2^64
+    # and would report the sum modulo 2^64 as a completed aggregate.
+    big = make_scenario(
+        6,
+        measurements={i: (1 << 70) + i for i in range(1, 7)},
+        backend=PaillierSpec(key_bits=256),
+    )
+    at_k = make_scenario(
+        2, measurements={1: 1 << 63, 2: 1 << 63}, backend=PaillierSpec(key_bits=128)
+    )
+    for s in (big, at_k):
+        with pytest.raises(ModulusTooSmall):
+            derive_baseline_params(s)
+        with pytest.raises(ModulusTooSmall):
+            run_baseline_round(s)
+
+
+def test_paillier_sum_just_below_the_wide_modulus_completes():
+    s = make_scenario(
+        2, measurements={1: 1 << 63, 2: (1 << 63) - 1}, backend=PaillierSpec(key_bits=128)
+    )
+    result = run_baseline_round(s)
+    assert result.status is BaselineStatus.COMPLETED
+    assert result.aggregate == (1 << 64) - 1
 
 
 def test_share_derivations_are_domain_separated():

@@ -285,6 +285,77 @@ def test_deeply_nested_json_exits_two(capsys, tmp_path, command, text):
     assert "invalid JSON" in err
 
 
+def write_with_repeated_key(tmp_path, field, raw_object):
+    """ring4 with `field` written as the JSON text `raw_object`, which
+    repeats a key; json.dumps cannot write such an object."""
+    scenario = json.loads((SCENARIOS / "ring4.json").read_text())
+    scenario[field] = "@"
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(scenario).replace('"@"', raw_object))
+    return path
+
+
+@pytest.mark.parametrize("command", ["run", "baseline"])
+@pytest.mark.parametrize(
+    "field,raw_object",
+    [
+        ("measurements", '{"1": 10, "1": 999, "2": 7, "3": 20, "4": 9}'),
+        ("measurements", '{"1": 10, "2": 7, "3": 20, "4": 9, "4": 9}'),
+        ("sm_online", '{"2": true, "2": false}'),
+        ("prf_keys", '{"1": "%s", "1": "%s"}' % ("00" * 16, "11" * 16)),
+        ("backend", '{"type": "masking", "k_bits": 64, "k_bits": 32}'),
+        ("backend", '{"type": "paillier", "type": "masking"}'),
+    ],
+    ids=["first-meter", "last-meter", "sm_online", "prf_keys", "k_bits", "type"],
+)
+def test_repeated_keys_in_a_scenario_exit_two(capsys, tmp_path, command, field, raw_object):
+    path = write_with_repeated_key(tmp_path, field, raw_object)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == EXIT_INVALID, out
+    assert "repeated" in err
+
+
+def test_repeated_top_level_key_exits_two(capsys, tmp_path):
+    text = (SCENARIOS / "ring4.json").read_text().replace('"n_min": 2', '"n_min": 2, "n_min": 4')
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == EXIT_INVALID, out
+    assert "repeated" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"family": "masking-breach", "trials": 5, "trials": 1, "seed": 1}',
+        '{"family": "he-breach", "family": "masking-breach", "trials": 1, "seed": 1}',
+    ],
+    ids=["trials", "family"],
+)
+def test_repeated_keys_in_a_game_config_exit_two(capsys, tmp_path, text):
+    path = tmp_path / "game.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "game", str(path))
+    assert code == EXIT_INVALID, out
+    assert "repeated" in err
+
+
+def test_baseline_refuses_a_sum_past_its_modulus(capsys, tmp_path):
+    # Valid for the protocol (Paillier-256 admits sums below 2^255), but the
+    # baseline masks modulo 2^64 and used to report the wrapped sum 21.
+    scenario = json.loads((SCENARIOS / "fullmesh6.json").read_text())
+    scenario.update(
+        backend={"type": "paillier", "key_bits": 256},
+        measurements={str(i): (1 << 70) + i for i in range(1, 7)},
+    )
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert run_report(capsys, "run", str(path))["aggregate"] == 6 * (1 << 70) + 21
+    code, out, err = run_cli(capsys, "baseline", str(path))
+    assert code == EXIT_INVALID, out
+    assert "error" in err
+
+
 def test_top_level_array_exits_two(capsys, tmp_path):
     path = tmp_path / "array.json"
     path.write_text(json.dumps([json.loads((SCENARIOS / "ring4.json").read_text())]))
