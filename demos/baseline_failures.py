@@ -28,7 +28,6 @@ from ftagg.model import (
     FailureGraph,
     MaskingSpec,
     Scenario,
-    SendingList,
     scenario_from_json,
     validate_scenario,
 )
@@ -45,7 +44,7 @@ def three_meter_mesh() -> Scenario:
         Scenario(
             n_sm=3,
             graph=FailureGraph.build(3, edges, edges),
-            sending_list=SendingList((1, 2, 3)),
+            sending_list=(1, 2, 3),
             n_min=2,
             round=0,
             measurements={1: 0, 2: 0, 3: 0},

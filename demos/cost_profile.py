@@ -21,7 +21,6 @@ from ftagg.model import (
     FailureGraph,
     MaskingSpec,
     Scenario,
-    SendingList,
     validate_scenario,
 )
 from ftagg.netsim import DELTA_T
@@ -36,7 +35,7 @@ def build(n, edges, working, n_min, seed):
         Scenario(
             n_sm=n,
             graph=FailureGraph.build(n, edges, working),
-            sending_list=SendingList(tuple(range(1, n + 1))),
+            sending_list=tuple(range(1, n + 1)),
             n_min=n_min,
             round=0,
             measurements={i: i for i in range(1, n + 1)},

@@ -18,11 +18,11 @@ Run:  python3 demos/privacy_games.py          (about 15 seconds)
 from ftagg.game import (
     FAMILIES,
     GameSetup,
-    attack_masking_dc_plus_neighbor,
+    attack_dc_plus_neighbor,
     empirical_unlinkability,
     run_trial,
 )
-from ftagg.model import MaskingSpec, Scenario, SendingList, full_mesh
+from ftagg.model import MaskingSpec, Scenario, full_mesh
 
 TRIALS = 400
 
@@ -44,7 +44,7 @@ def main() -> None:
         scenario=Scenario(
             n_sm=4,
             graph=full_mesh(4),
-            sending_list=SendingList((1, 2, 3, 4)),
+            sending_list=(1, 2, 3, 4),
             n_min=2,
             round=0,
             measurements={2: 10, 4: 20},
@@ -59,7 +59,7 @@ def main() -> None:
     )
     trial = run_trial(setup)
     assigned = setup.m0 if trial.secret_bit == 0 else setup.m1
-    recovered = attack_masking_dc_plus_neighbor(setup)
+    recovered = attack_dc_plus_neighbor(setup)
     print(f"breach trial: secret bit {trial.secret_bit}, challenged meter was "
           f"assigned {assigned}")
     print(f"adversary subtracts its handoff view and unmasks: {recovered}")

@@ -18,7 +18,6 @@ from .model import (
     RoundOutcome,
     Scenario,
     ScenarioError,
-    SendingList,
     TraceRecord,
     UnknownParty,
     WorkingEdgeNotInGraph,
@@ -46,12 +45,9 @@ from .game import (
     GameStatus,
     PlayResult,
     SetupViolation,
-    attack_he_dc_plus_neighbor,
-    attack_masking_dc_plus_neighbor,
+    attack_dc_plus_neighbor,
     empirical_unlinkability,
-    ind_cpa_experiment,
     play_game,
-    prg_experiment,
     run_trial,
     wilson_interval,
 )

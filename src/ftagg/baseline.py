@@ -22,6 +22,7 @@ from .model import (
     KIND_MASKED_REPORT,
     KIND_SHARE_HANDOFF,
     MaskingSpec,
+    ModulusTooSmall,
     Scenario,
     ScenarioError,
     TraceRecord,
@@ -99,7 +100,13 @@ class BaselineParams:
 
 
 def derive_baseline_params(scenario: Scenario) -> BaselineParams:
+    # An encrypting scenario's sum is bounded only by its key size.
     k = scenario.backend.k if isinstance(scenario.backend, MaskingSpec) else 1 << 64
+    total = sum(scenario.measurements.values())
+    if total >= k:
+        raise ModulusTooSmall(
+            f"sum of measurements {total} must stay below the baseline modulus {k}"
+        )
     shares = {
         i: static_share(scenario.seed, i, k) for i in range(1, scenario.n_sm + 1)
     }
@@ -150,12 +157,7 @@ class BaselineResult:
     report_checks: Mapping[int, bool] = field(default_factory=dict)
 
 
-def run_baseline_round(
-    scenario: Scenario,
-    params: Optional[BaselineParams] = None,
-    net: Optional[SimNetwork] = None,
-    step_cap: Optional[int] = None,
-) -> BaselineResult:
+def run_baseline_round(scenario: Scenario, step_cap: Optional[int] = None) -> BaselineResult:
     """Walk the sending list once and let whatever happens happen.
 
     There is no quorum and no up-front reachability filter: the share sum
@@ -163,13 +165,13 @@ def run_baseline_round(
     round simply never finishes (reported here as STUCK once the walk runs
     out of list or the step cap fires).
     """
-    params = params if params is not None else derive_baseline_params(scenario)
-    net = net if net is not None else SimNetwork.for_scenario(scenario)
+    params = derive_baseline_params(scenario)
+    net = SimNetwork.for_scenario(scenario)
     cap = step_cap if step_cap is not None else STEP_CAP_FACTOR * scenario.n_sm
     k = params.k
     group = params.hash_group
     t = scenario.round
-    order: Sequence[int] = list(scenario.sending_list)
+    order = scenario.sending_list
     n = len(order)
 
     round_shares = {i: baseline_round_share(scenario.seed, i, t, k) for i in order}

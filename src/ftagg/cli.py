@@ -21,6 +21,7 @@ from .model import (
     PaillierSpec,
     Scenario,
     ScenarioError,
+    load_json,
     scenario_digest,
     scenario_from_json,
     trace_to_jsonl,
@@ -165,7 +166,7 @@ def _require(config: dict, key: str, kind: type, default=None):
 
 def _cmd_game(args: argparse.Namespace) -> dict:
     with open(args.path, encoding="utf-8") as fh:
-        config = json.load(fh)
+        config = load_json(fh.read())
     if not isinstance(config, dict):
         raise ScenarioError("game config must be a JSON object")
     family = _require(config, "family", str)

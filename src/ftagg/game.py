@@ -6,10 +6,10 @@ choices, secretly assigns the two measurements to the two challenged meters,
 runs a full protocol round, and shows the adversary exactly what its corrupted
 parties would have seen. The adversary then guesses the assignment bit.
 
-Strategies are pure functions from an AdversaryView to a bit. The two
-collusion attacks that make the corruption sets maximal are implemented both
-as strategies (so they can be measured like any other adversary) and as
-standalone recovery operations returning the challenged meter's plaintext.
+Strategies are pure functions from an AdversaryView to a bit. The collusion
+attack one corruption past the maximal sets is implemented both as a strategy
+per backend (so it can be measured like any other adversary) and as one
+standalone operation returning the challenged meter's plaintext.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 from .masking import MaskingBackend, prf
 from .model import (
@@ -31,7 +31,6 @@ from .model import (
     RoundOutcome,
     Scenario,
     ScenarioError,
-    SendingList,
     full_mesh,
     link_on,
     party_name,
@@ -45,6 +44,10 @@ from .walker import predict_aggregate, reachable_active
 
 # 99% two-sided normal quantile, used for every reported confidence interval.
 WILSON_Z = 2.5758293035489004
+
+# Every trial builds a full mesh of n_sm meters; past this size (the
+# north-star mesh) a game config would only exhaust memory.
+MAX_GAME_N_SM = 1000
 
 
 class SetupViolation(ValueError):
@@ -204,11 +207,11 @@ def _build_view(setup: GameSetup, backend, outcome: RoundOutcome, nonce: int) ->
             # owns the round-opening share.
             secrets["dc_share"] = backend.init_share()[0]
             secrets["prf_keys"] = {
-                i: key.hex() for i, key in backend.prf_keys.items()
+                i: key.hex() for i, key in backend.params.keys.items()
             }
         if setup.corrupted_sms:
             secrets["sm_prf_keys"] = {
-                i: backend.prf_keys[i].hex() for i in sorted(setup.corrupted_sms)
+                i: backend.params.keys[i].hex() for i in sorted(setup.corrupted_sms)
             }
             secrets["sm_round_shares"] = {
                 i: backend.share_of(i) for i in sorted(setup.corrupted_sms)
@@ -243,11 +246,6 @@ def _build_view(setup: GameSetup, backend, outcome: RoundOutcome, nonce: int) ->
 
 
 def view_to_json(view: AdversaryView) -> str:
-    def default(o):
-        if isinstance(o, Mapping):
-            return dict(o)
-        raise TypeError(f"cannot serialize {type(o).__name__}")
-
     payload = {
         "n_sm": view.n_sm,
         "round": view.round,
@@ -265,7 +263,7 @@ def view_to_json(view: AdversaryView) -> str:
         "secrets": view.secrets,
         "aggregate": view.aggregate,
     }
-    return json.dumps(payload, sort_keys=True, default=default)
+    return json.dumps(payload, sort_keys=True)
 
 
 def run_trial(setup: GameSetup, nonce: int = 0) -> _Trial:
@@ -307,7 +305,7 @@ def play_game(setup: GameSetup, adversary: Callable[[AdversaryView], int], nonce
     return PlayResult(status=status, secret_bit=trial.secret_bit, guess=guess)
 
 
-# --- recovery cores shared by the attack strategies and the attack ops ---
+# --- recovery cores shared by the attack strategies and the attack op ---
 
 
 def _first_handoff_to_corrupted(view: AdversaryView):
@@ -412,12 +410,12 @@ STRATEGIES: dict[str, Callable[[AdversaryView], int]] = {
 }
 
 
-# --- the two standalone attack operations ---
+# --- the standalone attack operation ---
 
 
 def _check_attack_preconditions(setup: GameSetup) -> None:
     i_star, j_star = setup.challenged
-    order = setup.scenario.sending_list.order
+    order = setup.scenario.sending_list
     if not setup.corrupted_dc:
         raise SetupViolation("attack needs the concentrator corrupted")
     if not setup.corrupted_sms:
@@ -432,27 +430,17 @@ def _check_attack_preconditions(setup: GameSetup) -> None:
             raise SetupViolation(f"attack needs a working {party_name(a)}-{party_name(b)} link")
 
 
-def attack_masking_dc_plus_neighbor(setup: GameSetup, nonce: int = 0) -> int:
+def attack_dc_plus_neighbor(setup: GameSetup, nonce: int = 0) -> int:
     """Corrupted concentrator plus the meter scheduled right after the
-    challenged one: recovers the challenged meter's exact measurement."""
-    if not isinstance(setup.scenario.backend, MaskingSpec):
-        raise SetupViolation("this attack targets the masking backend")
+    challenged one: recovers the challenged meter's exact measurement, by
+    unmasking its report under masking or by decrypting the ciphertext the
+    neighbor received under the encrypting backend."""
     _check_attack_preconditions(setup)
     trial = run_trial(setup, nonce)
     if trial.abort_reason is not None:
         raise SetupViolation(f"challenger aborted: {trial.abort_reason}")
-    return recover_masking_measurement(trial.view)
-
-
-def attack_he_dc_plus_neighbor(setup: GameSetup, nonce: int = 0) -> int:
-    """Same collusion against the encrypting backend: the neighbor's received
-    ciphertext decrypts, under the concentrator's key, to the measurement."""
-    if not isinstance(setup.scenario.backend, PaillierSpec):
-        raise SetupViolation("this attack targets the encrypting backend")
-    _check_attack_preconditions(setup)
-    trial = run_trial(setup, nonce)
-    if trial.abort_reason is not None:
-        raise SetupViolation(f"challenger aborted: {trial.abort_reason}")
+    if isinstance(setup.scenario.backend, MaskingSpec):
+        return recover_masking_measurement(trial.view)
     return recover_he_measurement(trial.view)
 
 
@@ -487,7 +475,7 @@ def _family_setup(
     scenario = Scenario(
         n_sm=n_sm,
         graph=full_mesh(n_sm),
-        sending_list=SendingList(tuple(order)),
+        sending_list=tuple(order),
         n_min=2,
         round=trial_index,
         measurements={i: rng.randrange(1000) for i in rest},
@@ -565,6 +553,8 @@ def empirical_unlinkability(
     minimum = 3 if family.endswith("-breach") else 2
     if n_sm < minimum:
         raise ScenarioError(f"family {family} needs n_sm >= {minimum}, got {n_sm}")
+    if n_sm > MAX_GAME_N_SM:
+        raise ScenarioError(f"n_sm must be at most {MAX_GAME_N_SM}, got {n_sm}")
     strategy_name = strategy or default_strategy
     adversary = STRATEGIES[strategy_name]
     rng = random.Random(seed)
@@ -587,66 +577,4 @@ def empirical_unlinkability(
         rate=wins / trials,
         ci_low=lo,
         ci_high=hi,
-    )
-
-
-# --- distinguishability experiment templates -------------------------------
-#
-# Small challenger/distinguisher drivers used to sanity-check the two
-# randomness sources the backends lean on. They measure win rates the same
-# way the main game does; they do not constitute proofs.
-
-
-def prg_experiment(
-    pseudo_stream: Callable[[int, int], Sequence[int]],
-    distinguisher: Callable[[Sequence[int]], int],
-    trials: int,
-    seed: int,
-    length: int = 8,
-    bits: int = 64,
-) -> GameStats:
-    """Challenger flips b and shows either `pseudo_stream(seed, length)` or
-    fresh uniform words; the distinguisher guesses which."""
-    rng = random.Random(seed)
-    wins = 0
-    for _ in range(trials):
-        b = rng.getrandbits(1)
-        if b == 1:
-            sample = tuple(pseudo_stream(rng.getrandbits(63), length))
-        else:
-            sample = tuple(rng.getrandbits(bits) for _ in range(length))
-        if (int(distinguisher(sample)) & 1) == b:
-            wins += 1
-    lo, hi = wilson_interval(wins, trials)
-    return GameStats(
-        family="prg", strategy=distinguisher.__name__, trials=trials, wins=wins,
-        aborts=0, rate=wins / trials, ci_low=lo, ci_high=hi,
-    )
-
-
-def ind_cpa_experiment(
-    key_bits: int,
-    choose: Callable[[random.Random, int], tuple[int, int]],
-    distinguish: Callable[[int, int, int, int], int],
-    trials: int,
-    seed: int,
-) -> GameStats:
-    """Chosen-plaintext indistinguishability driver for the encrypting
-    backend: the adversary picks (m0, m1), sees E(m_b), and guesses b."""
-    from .paillier import encrypt, randomness_stream
-
-    keys = keygen(key_bits, seed)
-    rng = random.Random(seed)
-    stream = randomness_stream(keys, seed, 0)
-    wins = 0
-    for _ in range(trials):
-        m0, m1 = choose(rng, keys.n)
-        b = rng.getrandbits(1)
-        c = encrypt(keys, m1 if b else m0, next(stream))
-        if (int(distinguish(c.value, keys.n, m0, m1)) & 1) == b:
-            wins += 1
-    lo, hi = wilson_interval(wins, trials)
-    return GameStats(
-        family="ind-cpa", strategy=distinguish.__name__, trials=trials, wins=wins,
-        aborts=0, rate=wins / trials, ci_low=lo, ci_high=hi,
     )

@@ -131,8 +131,8 @@ class MaskingBackend:
 
     name = "masking"
 
-    def __init__(self, scenario: Scenario, params: Optional[MaskingParams] = None):
-        self.params = params if params is not None else derive_params(scenario)
+    def __init__(self, scenario: Scenario):
+        self.params = derive_params(scenario)
         self.k = self.params.k
         self._t = scenario.round
         self._measurements = dict(scenario.measurements)
@@ -164,7 +164,3 @@ class MaskingBackend:
 
     def share_of(self, i: int) -> int:
         return self._shares[i]
-
-    @property
-    def prf_keys(self) -> Mapping[int, bytes]:
-        return dict(self.params.keys)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import compress
@@ -149,19 +150,6 @@ def link_on(g: FailureGraph, a: int, b: int) -> bool:
     return g.working[a] >> b & 1 == 1
 
 
-@dataclass(frozen=True)
-class SendingList:
-    """Ring order over meter indices; the concentrator endpoints are implicit."""
-
-    order: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.order)
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-
 # Message kinds double as the "kind" field of exported trace records.
 KIND_INITIAL_DATA = "initial_data"
 KIND_ACTIVATION = "activation"
@@ -283,7 +271,8 @@ class Scenario:
 
     n_sm: int
     graph: FailureGraph
-    sending_list: SendingList
+    # Ring order over meter indices; the concentrator endpoints are implicit.
+    sending_list: tuple[int, ...]
     n_min: int
     round: int
     measurements: Mapping[int, int]
@@ -450,7 +439,7 @@ def _fields(s: Scenario) -> dict:
     """Every field of the scenario file but the two edge arrays."""
     d = {
         "n_sm": s.n_sm,
-        "sending_list": list(s.sending_list.order),
+        "sending_list": list(s.sending_list),
         "n_min": s.n_min,
         "round": s.round,
         "measurements": {str(i): m for i, m in sorted(s.measurements.items())},
@@ -513,7 +502,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         n_sm = _int(d["n_sm"], "n_sm")
         raw_edges = d["edges"]
         raw_working = d["working_edges"]
-        sending_list = SendingList(tuple(_int(i, "sending_list entry") for i in d["sending_list"]))
+        sending_list = tuple(_int(i, "sending_list entry") for i in d["sending_list"])
         n_min = _int(d["n_min"], "n_min")
         round_index = _int(d["round"], "round")
         raw_measurements = _object(d["measurements"], "measurements")
@@ -558,9 +547,8 @@ def scenario_from_dict(d: dict) -> Scenario:
     )
 
 
-def scenario_to_json(s: Scenario, pretty: bool = False) -> str:
-    indent = 2 if pretty else None
-    return json.dumps(scenario_to_dict(s), indent=indent, sort_keys=True)
+def scenario_to_json(s: Scenario) -> str:
+    return json.dumps(scenario_to_dict(s), sort_keys=True)
 
 
 @contextmanager
@@ -577,11 +565,26 @@ def _gc_paused():
             gc.enable()
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json's object_pairs_hook: a key given twice in one object is an error,
+    where json.loads would keep the last value without a word."""
+    d = dict(pairs)
+    if len(d) != len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ScenarioError(f"key {key!r} repeated in one JSON object")
+    return d
+
+
+def load_json(text: str) -> object:
+    """json.loads that refuses repeated keys."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def scenario_from_json(text: str) -> Scenario:
     # A 400-meter mesh parses into ~150k small lists, enough to start
     # several full collections that find nothing to free.
     with _gc_paused():
-        return scenario_from_dict(json.loads(text))
+        return scenario_from_dict(load_json(text))
 
 
 # Stands in for both edge arrays in the digest's json.dumps. Every other

@@ -225,10 +225,8 @@ class PaillierBackend:
 
     name = "paillier"
 
-    def __init__(self, scenario: Scenario, keys: Optional[PaillierKeys] = None):
-        self.keys = keys if keys is not None else keygen(
-            scenario.backend.key_bits, scenario.seed
-        )
+    def __init__(self, scenario: Scenario):
+        self.keys = keygen(scenario.backend.key_bits, scenario.seed)
         self._measurements = dict(scenario.measurements)
         self._rand = randomness_stream(self.keys, scenario.seed, scenario.round)
 

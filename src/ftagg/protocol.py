@@ -22,7 +22,6 @@ from .model import (
     MaskingSpec,
     RoundOutcome,
     Scenario,
-    TraceRecord,
 )
 from .netsim import DeliveryStatus, SimNetwork
 from .paillier import PaillierBackend

@@ -13,7 +13,6 @@ from ftagg.model import (
     MaskingSpec,
     PaillierSpec,
     Scenario,
-    SendingList,
     scenario_to_dict,
     validate_scenario,
 )
@@ -53,7 +52,7 @@ def make_scenario(
         Scenario(
             n_sm=n_sm,
             graph=FailureGraph.build(n_sm, edges, working),
-            sending_list=SendingList(tuple(order or range(1, n_sm + 1))),
+            sending_list=tuple(order or range(1, n_sm + 1)),
             n_min=n_min,
             round=round_index,
             measurements=measurements,
@@ -120,7 +119,7 @@ def random_scenario(rng: random.Random, n_max=12, backend=None, key_bits=128):
         Scenario(
             n_sm=n,
             graph=FailureGraph.build(n, edges, working),
-            sending_list=SendingList(tuple(order)),
+            sending_list=tuple(order),
             n_min=rng.randint(1, n),
             round=rng.randint(0, 1000),
             measurements={i: rng.randint(0, 1000) for i in range(1, n + 1)},

@@ -25,8 +25,7 @@ from ftagg.game import (
     GameSetup,
     GameStatus,
     STRATEGIES,
-    attack_he_dc_plus_neighbor,
-    attack_masking_dc_plus_neighbor,
+    attack_dc_plus_neighbor,
     empirical_unlinkability,
     play_game,
     run_trial,
@@ -47,7 +46,6 @@ from ftagg.model import (
     MaskingSpec,
     PaillierSpec,
     Scenario,
-    SendingList,
     full_mesh,
     party_name,
 )
@@ -250,7 +248,7 @@ def _game_scenario(n_sm, measurements, backend, round_index, seed):
     return Scenario(
         n_sm=n_sm,
         graph=full_mesh(n_sm),
-        sending_list=SendingList(tuple(range(1, n_sm + 1))),
+        sending_list=tuple(range(1, n_sm + 1)),
         n_min=2,
         round=round_index,
         measurements=measurements,
@@ -285,11 +283,11 @@ def _fuzzed_invalid_setup(rng, j):
     )
     kind = j % 11
     if kind == 0:
-        scenario = replace(scenario, sending_list=SendingList((1, 2, 3)))
+        scenario = replace(scenario, sending_list=(1, 2, 3))
     elif kind == 1:
-        scenario = replace(scenario, sending_list=SendingList((1, 2, 2, 4)))
+        scenario = replace(scenario, sending_list=(1, 2, 2, 4))
     elif kind == 2:
-        scenario = replace(scenario, sending_list=SendingList((1, 2, 3, 9)))
+        scenario = replace(scenario, sending_list=(1, 2, 3, 9))
     elif kind == 3:
         setup = replace(setup, challenged=(3, 3))
     elif kind == 4:
@@ -322,7 +320,7 @@ def test_criterion_8_privacy_games():
         trial = run_trial(setup, nonce=j)
         assert trial.abort_reason is None
         expected = setup.m0 if trial.secret_bit == 0 else setup.m1
-        assert attack_masking_dc_plus_neighbor(setup, nonce=j) == expected
+        assert attack_dc_plus_neighbor(setup, nonce=j) == expected
         assert play_game(setup, STRATEGIES["masking-attack"], nonce=j).status == GameStatus.WIN
 
     he_backend = PaillierSpec(key_bits=256)
@@ -333,7 +331,7 @@ def test_criterion_8_privacy_games():
         trial = run_trial(setup, nonce=j)
         assert trial.abort_reason is None
         expected = setup.m0 if trial.secret_bit == 0 else setup.m1
-        assert attack_he_dc_plus_neighbor(setup, nonce=j) == expected
+        assert attack_dc_plus_neighbor(setup, nonce=j) == expected
         assert play_game(setup, STRATEGIES["he-attack"], nonce=j).status == GameStatus.WIN
 
     coin = empirical_unlinkability(

@@ -154,7 +154,7 @@ def test_paillier_scenarios_fall_back_to_a_wide_modulus():
     s = make_scenario(3, backend=PaillierSpec(key_bits=128))
     params = derive_baseline_params(s)
     assert params.k == 1 << 64
-    result = run_baseline_round(s, params=params)
+    result = run_baseline_round(s)
     assert result.status is BaselineStatus.COMPLETED
     assert result.aggregate == sum(s.measurements.values())
 
@@ -197,7 +197,7 @@ def test_share_derivations_are_domain_separated():
 def test_eavesdropper_view_exposes_measurement_plus_static():
     s = make_scenario(3, measurements={1: 11, 2: 22, 3: 33})
     params = derive_baseline_params(s)
-    result = run_baseline_round(s, params=params)
+    result = run_baseline_round(s)
     for i in (1, 2, 3):
         view = eavesdropper_view(result.trace, i, params.k)
         assert view == (s.measurements[i] + params.static_shares[i]) % params.k

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from ftagg.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
+from ftagg.game import MAX_GAME_N_SM
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SRC = SCENARIOS.parent / "src"
@@ -161,6 +162,8 @@ def test_game_breach_config_wins_every_trial(capsys):
         ["not", "an", "object"],
         {"family": "masking-breach", "trials": 5, "seed": 1, "n_sm": 2},
         {"family": "masking-colluding-meters", "trials": 5, "seed": 1, "n_sm": 1},
+        # Refused before any mesh is built; 10**6 would ask for about 125 GB.
+        {"family": "masking-concentrator", "trials": 1, "seed": 1, "n_sm": MAX_GAME_N_SM + 1},
     ],
 )
 def test_bad_game_configs_exit_two(capsys, tmp_path, config):

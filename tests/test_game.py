@@ -1,5 +1,6 @@
 import json
 import random
+from typing import Callable, Sequence
 
 import pytest
 from conftest import full_edges
@@ -7,14 +8,14 @@ from ftagg.game import (
     FAMILIES,
     STRATEGIES,
     GameSetup,
+    GameStats,
     GameStatus,
     SetupViolation,
-    attack_he_dc_plus_neighbor,
-    attack_masking_dc_plus_neighbor,
+    attack_dc_plus_neighbor,
     empirical_unlinkability,
-    ind_cpa_experiment,
     play_game,
-    prg_experiment,
+    recover_he_measurement,
+    recover_masking_measurement,
     run_trial,
     view_to_json,
     wilson_interval,
@@ -25,9 +26,9 @@ from ftagg.model import (
     MaskingSpec,
     PaillierSpec,
     Scenario,
-    SendingList,
     full_mesh,
 )
+from ftagg.paillier import encrypt, keygen, randomness_stream
 
 
 def setup_4sm(**overrides) -> GameSetup:
@@ -52,7 +53,6 @@ def setup_4sm(**overrides) -> GameSetup:
     )
     for key, value in overrides.items():
         (challenge if key in challenge else scenario)[key] = value
-    scenario["sending_list"] = SendingList(tuple(scenario["sending_list"]))
     return GameSetup(scenario=Scenario(**scenario), **challenge)
 
 
@@ -133,14 +133,14 @@ def test_masking_attack_recovers_pinned_measurement():
     # Equal challenge measurements pin the challenged meter's plaintext no
     # matter which way the secret bit lands.
     setup = setup_4sm(m0=42, m1=42)
-    assert attack_masking_dc_plus_neighbor(setup) == 42
+    assert attack_dc_plus_neighbor(setup) == 42
 
 
 def test_masking_attack_recovers_whichever_value_was_assigned():
     for nonce in range(20):
         setup = setup_4sm(seed=1000 + nonce)
         trial = run_trial(setup, nonce)
-        recovered = attack_masking_dc_plus_neighbor(setup, nonce)
+        recovered = attack_dc_plus_neighbor(setup, nonce)
         expected = setup.m0 if trial.secret_bit == 0 else setup.m1
         assert recovered == expected
 
@@ -153,7 +153,7 @@ def test_masking_attack_strategy_always_wins():
 
 def test_he_attack_recovers_pinned_measurement():
     setup = setup_4sm(m0=7, m1=7, backend=PaillierSpec(key_bits=128))
-    assert attack_he_dc_plus_neighbor(setup) == 7
+    assert attack_dc_plus_neighbor(setup) == 7
 
 
 def test_he_attack_strategy_always_wins():
@@ -165,31 +165,32 @@ def test_he_attack_strategy_always_wins():
 
 def test_attack_requires_corrupted_concentrator():
     with pytest.raises(SetupViolation):
-        attack_masking_dc_plus_neighbor(setup_4sm(corrupted_dc=False))
+        attack_dc_plus_neighbor(setup_4sm(corrupted_dc=False))
 
 
 def test_attack_requires_corrupted_neighbor():
     with pytest.raises(SetupViolation):
-        attack_masking_dc_plus_neighbor(setup_4sm(corrupted_sms=frozenset({4})))
+        attack_dc_plus_neighbor(setup_4sm(corrupted_sms=frozenset({4})))
     with pytest.raises(SetupViolation):
-        attack_masking_dc_plus_neighbor(setup_4sm(corrupted_sms=frozenset()))
+        attack_dc_plus_neighbor(setup_4sm(corrupted_sms=frozenset()))
 
 
 def test_attack_requires_challenged_meter_first():
     with pytest.raises(SetupViolation):
-        attack_masking_dc_plus_neighbor(setup_4sm(sending_list=(2, 1, 3, 4)))
+        attack_dc_plus_neighbor(setup_4sm(sending_list=(2, 1, 3, 4)))
 
 
 def test_attack_requires_working_neighbor_link():
     with pytest.raises(SetupViolation):
-        attack_masking_dc_plus_neighbor(setup_4sm(graph=mesh_4sm(working_off=[(1, 2)])))
+        attack_dc_plus_neighbor(setup_4sm(graph=mesh_4sm(working_off=[(1, 2)])))
 
 
 def test_attack_rejects_wrong_backend():
+    he_view = run_trial(setup_4sm(backend=PaillierSpec(key_bits=128))).view
     with pytest.raises(SetupViolation):
-        attack_masking_dc_plus_neighbor(setup_4sm(backend=PaillierSpec(key_bits=128)))
+        recover_masking_measurement(he_view)
     with pytest.raises(SetupViolation):
-        attack_he_dc_plus_neighbor(setup_4sm())
+        recover_he_measurement(run_trial(setup_4sm()).view)
 
 
 def _all_ints(obj):
@@ -302,6 +303,66 @@ def test_all_families_are_runnable():
         stats = empirical_unlinkability(name, 10, seed=13, n_sm=n)
         assert stats.trials == 10
         assert stats.aborts == 0
+
+
+# --- distinguishability experiments -----------------------------------------
+#
+# Small challenger/distinguisher drivers that sanity-check the two randomness
+# sources the backends lean on. They measure win rates the same way the main
+# game does; they do not constitute proofs.
+
+
+def prg_experiment(
+    pseudo_stream: Callable[[int, int], Sequence[int]],
+    distinguisher: Callable[[Sequence[int]], int],
+    trials: int,
+    seed: int,
+    length: int = 8,
+    bits: int = 64,
+) -> GameStats:
+    """Challenger flips b and shows either `pseudo_stream(seed, length)` or
+    fresh uniform words; the distinguisher guesses which."""
+    rng = random.Random(seed)
+    wins = 0
+    for _ in range(trials):
+        b = rng.getrandbits(1)
+        if b == 1:
+            sample = tuple(pseudo_stream(rng.getrandbits(63), length))
+        else:
+            sample = tuple(rng.getrandbits(bits) for _ in range(length))
+        if (int(distinguisher(sample)) & 1) == b:
+            wins += 1
+    lo, hi = wilson_interval(wins, trials)
+    return GameStats(
+        family="prg", strategy=distinguisher.__name__, trials=trials, wins=wins,
+        aborts=0, rate=wins / trials, ci_low=lo, ci_high=hi,
+    )
+
+
+def ind_cpa_experiment(
+    key_bits: int,
+    choose: Callable[[random.Random, int], tuple[int, int]],
+    distinguish: Callable[[int, int, int, int], int],
+    trials: int,
+    seed: int,
+) -> GameStats:
+    """Chosen-plaintext indistinguishability driver for the encrypting
+    backend: the adversary picks (m0, m1), sees E(m_b), and guesses b."""
+    keys = keygen(key_bits, seed)
+    rng = random.Random(seed)
+    stream = randomness_stream(keys, seed, 0)
+    wins = 0
+    for _ in range(trials):
+        m0, m1 = choose(rng, keys.n)
+        b = rng.getrandbits(1)
+        c = encrypt(keys, m1 if b else m0, next(stream))
+        if (int(distinguish(c.value, keys.n, m0, m1)) & 1) == b:
+            wins += 1
+    lo, hi = wilson_interval(wins, trials)
+    return GameStats(
+        family="ind-cpa", strategy=distinguish.__name__, trials=trials, wins=wins,
+        aborts=0, rate=wins / trials, ci_low=lo, ci_high=hi,
+    )
 
 
 def test_prg_experiment_near_half():

@@ -14,7 +14,6 @@ from ftagg.model import (
     NMinOutOfRange,
     Scenario,
     ScenarioError,
-    SendingList,
     UnknownParty,
     WorkingEdgeNotInGraph,
     check_key_bits,
@@ -229,7 +228,7 @@ def test_graph_must_cover_every_party():
     shrunk = Scenario(
         n_sm=3,
         graph=FailureGraph.build(2, full_edges(2), full_edges(2)),
-        sending_list=SendingList((1, 2, 3)),
+        sending_list=(1, 2, 3),
         n_min=1,
         round=0,
         measurements={1: 1, 2: 2, 3: 3},

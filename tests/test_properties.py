@@ -13,7 +13,6 @@ from ftagg.model import (
     FailureGraph,
     MaskingSpec,
     Scenario,
-    SendingList,
     validate_scenario,
 )
 from ftagg.netsim import SimNetwork
@@ -37,7 +36,7 @@ def scenarios(draw):
         Scenario(
             n_sm=n,
             graph=FailureGraph.build(n, edges, working),
-            sending_list=SendingList(tuple(order)),
+            sending_list=tuple(order),
             n_min=draw(st.integers(min_value=1, max_value=n)),
             round=draw(st.integers(min_value=0, max_value=999)),
             measurements={

@@ -17,7 +17,6 @@ from ftagg.model import (
     PaillierSpec,
     Scenario,
     ScenarioError,
-    SendingList,
     UnknownParty,
     full_mesh,
     graph_from_names,
@@ -55,7 +54,7 @@ def scenarios(draw):
         Scenario(
             n_sm=n,
             graph=FailureGraph.build(n, edges, working),
-            sending_list=SendingList(tuple(order)),
+            sending_list=tuple(order),
             n_min=draw(st.integers(min_value=1, max_value=n)),
             round=draw(st.integers(min_value=0, max_value=(1 << 64) - 1)),
             measurements=measurements,
@@ -80,7 +79,7 @@ def test_digest_equals_reference_on_full_meshes():
             Scenario(
                 n_sm=n,
                 graph=g,
-                sending_list=SendingList(tuple(range(1, n + 1))),
+                sending_list=tuple(range(1, n + 1)),
                 n_min=1,
                 round=0,
                 measurements={i: i for i in range(1, n + 1)},
@@ -95,7 +94,7 @@ def test_edge_arrays_follow_name_order():
     s = Scenario(
         n_sm=100,
         graph=full_mesh(100),
-        sending_list=SendingList(tuple(range(1, 101))),
+        sending_list=tuple(range(1, 101)),
         n_min=1,
         round=0,
         measurements={i: 0 for i in range(1, 101)},
