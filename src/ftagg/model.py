@@ -512,8 +512,10 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise ScenarioError(f"scenario file missing key {exc.args[0]!r}") from None
     except TypeError as exc:
         raise ScenarioError(f"malformed scenario field: {exc}") from None
-    # A valid n_sm equals the sending list's length; checked here already so
-    # that a huge n_sm cannot size the party tables below.
+    # A valid n_sm is positive and equals the sending list's length; checked
+    # here already so that no out-of-range n_sm can size the party tables below.
+    if n_sm < 1:
+        raise ScenarioError(f"need at least one meter, got n_sm={n_sm}")
     if n_sm > len(sending_list):
         raise IncompleteSendingList(
             f"sending list names {len(sending_list)} meters but n_sm is {n_sm}"

@@ -266,6 +266,8 @@ def test_paillier_sum_just_below_half_the_key_runs(capsys, tmp_path):
         {"measurements": {"1": 10, "2": 7, "٣": 20, "4": 9}},
         {"sm_online": {"1": True, "01": False}},
         {"prf_keys": {"01": "00" * 16}},
+        {"n_sm": 0},
+        {"n_sm": -(1 << 64)},
     ],
 )
 def test_malformed_scenario_fields_exit_two(capsys, tmp_path, changes):
