@@ -173,7 +173,7 @@ def _cmd_game(args: argparse.Namespace) -> dict:
     if family not in FAMILIES:
         raise ScenarioError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
     strategy = config.get("strategy")
-    if strategy is not None and strategy not in STRATEGIES:
+    if strategy is not None and (not isinstance(strategy, str) or strategy not in STRATEGIES):
         raise ScenarioError(
             f"unknown strategy {strategy!r}; choose from {sorted(STRATEGIES)}"
         )

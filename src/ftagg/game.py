@@ -24,7 +24,6 @@ from .masking import MaskingBackend, prf
 from .model import (
     DC,
     KIND_ACTIVATION,
-    KIND_END_OF_ROUND,
     KIND_INITIAL_DATA,
     MaskingSpec,
     PaillierSpec,
@@ -48,6 +47,9 @@ WILSON_Z = 2.5758293035489004
 # Every trial builds a full mesh of n_sm meters; past this size (the
 # north-star mesh) a game config would only exhaust memory.
 MAX_GAME_N_SM = 1000
+# A trial's cost grows with n_sm; past this many meter-trials in one config
+# (10**7 trials at n_sm=1000 would run for about two months) the game refuses.
+MAX_GAME_WORK = 10**6
 
 
 class SetupViolation(ValueError):
@@ -164,27 +166,6 @@ def _measurements(setup: GameSetup, bit: int) -> dict[int, int]:
     return measurements
 
 
-def _message_payload(msg) -> dict:
-    kind = msg.kind
-    if kind == KIND_INITIAL_DATA:
-        return {"round": msg.round, "sm": msg.sm, "data": _plain(msg.payload)}
-    if kind == KIND_ACTIVATION:
-        return {
-            "share": _plain(msg.share),
-            "remaining": list(msg.remaining),
-            "active": list(msg.active),
-        }
-    if kind == KIND_END_OF_ROUND:
-        return {"round": msg.round, "share": _plain(msg.share), "active": list(msg.active)}
-    return {}
-
-
-def _plain(value):
-    if isinstance(value, Ciphertext):
-        return value.value
-    return value
-
-
 def _build_view(setup: GameSetup, backend, outcome: RoundOutcome, nonce: int) -> AdversaryView:
     corrupted = set(setup.corrupted_sms)
     if setup.corrupted_dc:
@@ -194,7 +175,10 @@ def _build_view(setup: GameSetup, backend, outcome: RoundOutcome, nonce: int) ->
         if r.delivered and r.receiver in corrupted:
             m = trace_record_to_dict(r)
             del m["delivered"]
-            m["body"] = _message_payload(r.message)
+            m["body"] = {
+                name: v.value if isinstance(v, Ciphertext) else v
+                for name, v in vars(r.message).items()
+            }
             messages.append(m)
 
     secrets: dict[str, object] = {}
@@ -246,23 +230,9 @@ def _build_view(setup: GameSetup, backend, outcome: RoundOutcome, nonce: int) ->
 
 
 def view_to_json(view: AdversaryView) -> str:
-    payload = {
-        "n_sm": view.n_sm,
-        "round": view.round,
-        "backend": view.backend_name,
-        "nonce": view.nonce,
-        "challenged": list(view.challenged),
-        "m0": view.m0,
-        "m1": view.m1,
-        "mlist": {str(i): m for i, m in sorted(view.mlist.items())},
-        "corrupted_dc": view.corrupted_dc,
-        "corrupted_sms": list(view.corrupted_sms),
-        "modulus": view.modulus,
-        "public_n": view.public_n,
-        "messages": list(view.messages),
-        "secrets": view.secrets,
-        "aggregate": view.aggregate,
-    }
+    payload = dict(vars(view))
+    payload["backend"] = payload.pop("backend_name")
+    payload["mlist"] = {str(i): m for i, m in view.mlist.items()}
     return json.dumps(payload, sort_keys=True)
 
 
@@ -555,6 +525,10 @@ def empirical_unlinkability(
         raise ScenarioError(f"family {family} needs n_sm >= {minimum}, got {n_sm}")
     if n_sm > MAX_GAME_N_SM:
         raise ScenarioError(f"n_sm must be at most {MAX_GAME_N_SM}, got {n_sm}")
+    if trials * n_sm > MAX_GAME_WORK:
+        raise ScenarioError(
+            f"trials x n_sm must be at most {MAX_GAME_WORK}, got {trials} x {n_sm}"
+        )
     strategy_name = strategy or default_strategy
     adversary = STRATEGIES[strategy_name]
     rng = random.Random(seed)

@@ -8,10 +8,10 @@ import hashlib
 import json
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import compress
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class ScenarioError(ValueError):
@@ -162,12 +162,12 @@ KIND_END_OF_ROUND = "end_of_round"
 
 @dataclass(frozen=True)
 class InitialData:
-    """Per-meter opening message; payload is None when the backend ships no
+    """Per-meter opening message; data is None when the backend ships no
     masked value (it then only marks the meter as reachable)."""
 
     round: int
     sm: int
-    payload: Optional[int]
+    data: Optional[int]
 
     kind = KIND_INITIAL_DATA
 
@@ -381,9 +381,7 @@ def validate_scenario(s: Scenario) -> Scenario:
 
 
 def _backend_to_dict(b: BackendSpec) -> dict:
-    if isinstance(b, MaskingSpec):
-        return {"type": "masking", "k_bits": b.k_bits}
-    return {"type": "paillier", "key_bits": b.key_bits}
+    return {"type": b.type, **asdict(b)}
 
 
 def _backend_from_dict(d: dict) -> BackendSpec:
@@ -399,66 +397,29 @@ def _backend_from_dict(d: dict) -> BackendSpec:
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _links_in_name_order(adj: Sequence[int], names: Sequence[str]) -> Iterator:
-    """Each party a that links to parties b > a, with those b: both in name
-    order, which is the order of a sort on [names[a], names[b]] pairs.
-    Scenario files and the digest list links in this order."""
+def _edge_text(adj: Sequence[int]) -> str:
+    """Compact JSON array of every link once as [lower-index name,
+    higher-index name], sorted as name pairs. Joined as text from each
+    party's adjacency bits, without a list per link."""
     width = len(adj)
     if width < 2:
-        return  # no pair; and itemgetter of a single index returns no tuple
+        return "[]"  # no pair; and itemgetter of a single index returns no tuple
+    names = [party_name(v) for v in range(width)]
     by_name = sorted(range(width), key=names.__getitem__)
+    sorted_names = [names[v] for v in by_name]
     # Byte width-1-b of a row's bit string is bit b.
     in_name_order = itemgetter(*(width - 1 - b for b in by_name))
     parties = (1 << width) - 1
     bit_string = f"0{width}b"
+    rows = []
     for a in by_name:
         above_a = adj[a] >> (a + 1) << (a + 1) & parties
         if above_a:
             row = format(above_a, bit_string).encode().translate(_BIT_BYTES)
-            yield a, compress(by_name, in_name_order(row))
-
-
-def _edge_names(adj: Sequence[int]) -> list[list[str]]:
-    """Every link once as [lower-index name, higher-index name]."""
-    names = [party_name(v) for v in range(len(adj))]
-    return [[names[a], names[b]] for a, bs in _links_in_name_order(adj, names) for b in bs]
-
-
-def _edge_text(adj: Sequence[int]) -> str:
-    """The compact JSON text of `_edge_names(adj)`, joined from the names
-    without a list per link."""
-    names = [party_name(v) for v in range(len(adj))]
-    rows = []
-    for a, bs in _links_in_name_order(adj, names):
-        head = '["' + names[a] + '","'
-        rows.append(head + ('"],' + head).join(map(names.__getitem__, bs)) + '"]')
+            head = '["' + names[a] + '","'
+            bs = compress(sorted_names, in_name_order(row))
+            rows.append(head + ('"],' + head).join(bs) + '"]')
     return "[" + ",".join(rows) + "]"
-
-
-def _fields(s: Scenario) -> dict:
-    """Every field of the scenario file but the two edge arrays."""
-    d = {
-        "n_sm": s.n_sm,
-        "sending_list": list(s.sending_list),
-        "n_min": s.n_min,
-        "round": s.round,
-        "measurements": {str(i): m for i, m in sorted(s.measurements.items())},
-        "backend": _backend_to_dict(s.backend),
-        "seed": s.seed,
-    }
-    if s.sm_online:
-        d["sm_online"] = {str(i): v for i, v in sorted(s.sm_online.items())}
-    if s.prf_keys is not None:
-        d["prf_keys"] = {str(i): key.hex() for i, key in sorted(s.prf_keys.items())}
-    return d
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "edges": _edge_names(s.graph.edges),
-        "working_edges": _edge_names(s.graph.working),
-        **_fields(s),
-    }
 
 
 def _object(value: object, what: str) -> dict:
@@ -549,10 +510,6 @@ def scenario_from_dict(d: dict) -> Scenario:
     )
 
 
-def scenario_to_json(s: Scenario) -> str:
-    return json.dumps(scenario_to_dict(s), sort_keys=True)
-
-
 @contextmanager
 def _gc_paused():
     """Keep the cyclic garbage collector off inside the block, then restore
@@ -589,19 +546,35 @@ def scenario_from_json(text: str) -> Scenario:
         return scenario_from_dict(load_json(text))
 
 
-# Stands in for both edge arrays in the digest's json.dumps. Every other
-# string there is a number key, a backend type or hex, so this one's JSON
-# text splits the output in three, edges first in key order.
+# Stands in for both edge arrays in `scenario_to_json`'s json.dumps. Every
+# other string there is a number key, a backend type or hex, so this one's
+# JSON text splits the output in three, edges first in key order.
 _EDGE_ARRAYS_HERE = "\0"
 
 
-def scenario_digest(s: Scenario) -> str:
-    """Stable content hash used to key reports to their scenario: sha256 of
-    `json.dumps(scenario_to_dict(s), sort_keys=True, separators=(",", ":"))`,
-    with the edge arrays written as text instead of built as lists."""
-    d = _fields(s)
-    d["edges"] = d["working_edges"] = _EDGE_ARRAYS_HERE
+def scenario_to_json(s: Scenario) -> str:
+    """The canonical scenario text: compact, key-sorted JSON that
+    `scenario_from_json` reads back to the same scenario."""
+    d = {
+        "edges": _EDGE_ARRAYS_HERE,
+        "working_edges": _EDGE_ARRAYS_HERE,
+        "n_sm": s.n_sm,
+        "sending_list": list(s.sending_list),
+        "n_min": s.n_min,
+        "round": s.round,
+        "measurements": {str(i): m for i, m in s.measurements.items()},
+        "backend": _backend_to_dict(s.backend),
+        "seed": s.seed,
+    }
+    if s.sm_online:
+        d["sm_online"] = {str(i): v for i, v in s.sm_online.items()}
+    if s.prf_keys is not None:
+        d["prf_keys"] = {str(i): key.hex() for i, key in s.prf_keys.items()}
     text = json.dumps(d, sort_keys=True, separators=(",", ":"))
     head, middle, tail = text.split(json.dumps(_EDGE_ARRAYS_HERE))
-    edges, working = _edge_text(s.graph.edges), _edge_text(s.graph.working)
-    return hashlib.sha256((head + edges + middle + working + tail).encode()).hexdigest()
+    return head + _edge_text(s.graph.edges) + middle + _edge_text(s.graph.working) + tail
+
+
+def scenario_digest(s: Scenario) -> str:
+    """Stable content hash used to key reports to their scenario."""
+    return hashlib.sha256(scenario_to_json(s).encode()).hexdigest()

@@ -13,7 +13,7 @@ from ftagg.model import (
     MaskingSpec,
     PaillierSpec,
     Scenario,
-    scenario_to_dict,
+    party_name,
     validate_scenario,
 )
 
@@ -23,9 +23,36 @@ def full_edges(n_sm: int) -> list[tuple[int, int]]:
 
 
 def reference_digest(s: Scenario) -> str:
-    """What `scenario_digest` must return: sha256 of the compact, key-sorted
-    `json.dumps` of `scenario_to_dict`."""
-    canonical = json.dumps(scenario_to_dict(s), sort_keys=True, separators=(",", ":"))
+    """What `scenario_digest` must return, built here from the `Scenario`
+    alone: sha256 of the compact, key-sorted JSON of the scenario file, whose
+    edge arrays list each link once as [lower-index name, higher-index name],
+    sorted as name pairs."""
+
+    def links(adj):
+        pairs = itertools.combinations(range(len(adj)), 2)
+        return sorted([party_name(a), party_name(b)] for a, b in pairs if adj[a] >> b & 1)
+
+    b = s.backend
+    if isinstance(b, MaskingSpec):
+        backend = {"type": "masking", "k_bits": b.k_bits}
+    else:
+        backend = {"type": "paillier", "key_bits": b.key_bits}
+    d = {
+        "edges": links(s.graph.edges),
+        "working_edges": links(s.graph.working),
+        "n_sm": s.n_sm,
+        "sending_list": list(s.sending_list),
+        "n_min": s.n_min,
+        "round": s.round,
+        "measurements": {str(i): m for i, m in s.measurements.items()},
+        "backend": backend,
+        "seed": s.seed,
+    }
+    if s.sm_online:
+        d["sm_online"] = {str(i): v for i, v in s.sm_online.items()}
+    if s.prf_keys is not None:
+        d["prf_keys"] = {str(i): key.hex() for i, key in s.prf_keys.items()}
+    canonical = json.dumps(d, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 from ftagg.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
-from ftagg.game import MAX_GAME_N_SM
+from ftagg.game import MAX_GAME_N_SM, MAX_GAME_WORK
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SRC = SCENARIOS.parent / "src"
@@ -156,6 +156,7 @@ def test_game_breach_config_wins_every_trial(capsys):
     [
         {"family": "no-such-family", "trials": 5, "seed": 1},
         {"family": "masking-breach", "strategy": "psychic", "trials": 5, "seed": 1},
+        {"family": "masking-breach", "strategy": ["coin-flip"], "trials": 5, "seed": 1},
         {"family": "masking-breach", "seed": 1},
         {"family": "masking-breach", "trials": "many", "seed": 1},
         {"trials": 5, "seed": 1},
@@ -164,6 +165,8 @@ def test_game_breach_config_wins_every_trial(capsys):
         {"family": "masking-colluding-meters", "trials": 5, "seed": 1, "n_sm": 1},
         # Refused before any mesh is built; 10**6 would ask for about 125 GB.
         {"family": "masking-concentrator", "trials": 1, "seed": 1, "n_sm": MAX_GAME_N_SM + 1},
+        # Refused before the first trial; the run would take minutes.
+        {"family": "masking-concentrator", "trials": MAX_GAME_WORK // 5 + 1, "seed": 1},
     ],
 )
 def test_bad_game_configs_exit_two(capsys, tmp_path, config):

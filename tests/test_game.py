@@ -6,6 +6,7 @@ import pytest
 from conftest import full_edges
 from ftagg.game import (
     FAMILIES,
+    MAX_GAME_WORK,
     STRATEGIES,
     GameSetup,
     GameStats,
@@ -26,6 +27,7 @@ from ftagg.model import (
     MaskingSpec,
     PaillierSpec,
     Scenario,
+    ScenarioError,
     full_mesh,
 )
 from ftagg.paillier import encrypt, keygen, randomness_stream
@@ -303,6 +305,18 @@ def test_all_families_are_runnable():
         stats = empirical_unlinkability(name, 10, seed=13, n_sm=n)
         assert stats.trials == 10
         assert stats.aborts == 0
+
+
+def test_too_much_work_is_refused_before_the_first_trial(monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial was built")
+
+    strategy = FAMILIES["he-concentrator"][1]
+    monkeypatch.setitem(FAMILIES, "he-concentrator", (no_trial, strategy))
+    with pytest.raises(ScenarioError, match="trials x n_sm"):
+        empirical_unlinkability("he-concentrator", 10_000_000, seed=1, n_sm=1000)
+    with pytest.raises(ScenarioError, match="trials x n_sm"):
+        empirical_unlinkability("he-concentrator", MAX_GAME_WORK // 5 + 1, seed=1, n_sm=5)
 
 
 # --- distinguishability experiments -----------------------------------------

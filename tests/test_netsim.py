@@ -7,7 +7,7 @@ from ftagg.netsim import DeliveryStatus, SimNetwork
 
 
 def msg(i=1):
-    return InitialData(round=0, sm=i, payload=7)
+    return InitialData(round=0, sm=i, data=7)
 
 
 def test_delivery_over_working_link():

@@ -1,10 +1,12 @@
-"""Mutation fuzz of the shipped scenario files through `ftagg run`.
+"""Mutation fuzz of the shipped scenario files through `ftagg run` and
+`ftagg baseline`, and of the shipped game configs through `ftagg game`.
 
-Each example applies a few random edits to a scenario's JSON (replace a
-value, delete or add a key or item, duplicate an item, add a key that
-spells an existing one differently) and runs the CLI in process. Every input must either exit 2 with an error or exit 0 with the
-aggregate the reference walker predicts, and a scenario that runs must keep
-every meter key, value and link the file gave it.
+Each example applies a few random edits to a file's JSON (replace a value,
+delete or add a key or item, duplicate an item, add a key that spells an
+existing one differently) and runs the CLI in process. Every scenario must
+either exit 2 with an error or exit 0 with the aggregate the reference walker
+predicts, and a scenario that runs must keep every meter key, value and link
+the file gave it. Every game config must exit 0 or 2, never with a traceback.
 """
 
 import contextlib
@@ -14,13 +16,15 @@ from pathlib import Path
 
 import pytest
 from ftagg.cli import EXIT_INVALID, EXIT_OK, main
-from ftagg.model import scenario_from_json, scenario_to_dict, validate_scenario
+from ftagg.game import MAX_GAME_N_SM, MAX_GAME_WORK
+from ftagg.model import scenario_from_json, scenario_to_json, validate_scenario
 from ftagg.walker import predict_aggregate
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = sorted(p.stem for p in SCENARIOS.glob("*.json") if not p.stem.startswith("game_"))
+GAMES = sorted(p.stem for p in SCENARIOS.glob("game_*.json"))
 
 # Small ints keep a mutated key_bits or n_sm cheap; the named values sit at
 # the bounds the parser and validator check.
@@ -31,11 +35,30 @@ texts = st.sampled_from(
     ["DC", "SM1", "SM2", "SM4", "SM9", "1", "01", " 1", "+1", "1_0", "١", "", "masking",
      "paillier", "00" * 16, "k_bits", "key_bits", "sm_online", "prf_keys"]
 ) | st.text(max_size=3)
-json_values = st.recursive(
-    st.none() | st.booleans() | ints | st.floats(allow_nan=False) | texts,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(texts, inner, max_size=3),
-    max_leaves=6,
+
+
+def values_of(ints, texts):
+    return st.recursive(
+        st.none() | st.booleans() | ints | st.floats(allow_nan=False) | texts,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(texts, inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+json_values = values_of(ints, texts)
+
+# A game's run time grows with trials x n_sm, so its ints stay small apart
+# from the bounds the game checks. Only masking families are named: a
+# Paillier trial costs about 5 ms, and the shipped configs ask for 200.
+game_ints = st.integers(min_value=-1, max_value=6) | st.sampled_from(
+    [0, -1, MAX_GAME_N_SM + 1, MAX_GAME_WORK + 1]
 )
+game_texts = st.sampled_from(
+    ["family", "strategy", "trials", "seed", "n_sm", "masking-breach",
+     "masking-colluding-meters", "masking-concentrator", "no-such-family", "coin-flip",
+     "sum-only", "transcript-hash", "masking-attack", "he-attack", ""]
+) | st.text(max_size=3)
+game_values = values_of(game_ints, game_texts)
 
 
 def aliases(key: str) -> list[str]:
@@ -58,8 +81,8 @@ def location(draw, doc):
 
 
 @st.composite
-def mutated(draw):
-    name = draw(st.sampled_from(SHIPPED))
+def mutated(draw, names=SHIPPED, values=json_values, texts=texts):
+    name = draw(st.sampled_from(names))
     doc = json.loads((SCENARIOS / f"{name}.json").read_text())
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         if not doc:
@@ -67,23 +90,37 @@ def mutated(draw):
         parent, key = draw(location(doc))
         op = draw(st.sampled_from(["replace", "delete", "add", "duplicate", "alias"]))
         if op == "replace":
-            parent[key] = draw(json_values)
+            parent[key] = draw(values)
         elif op == "delete":
             del parent[key]
         elif op == "add" and isinstance(parent, dict):
-            parent[draw(texts)] = draw(json_values)
+            parent[draw(texts)] = draw(values)
         elif op == "add":
-            parent.insert(key, draw(json_values))
+            parent.insert(key, draw(values))
         elif op == "duplicate" and isinstance(parent, list):
             parent.insert(key, json.loads(json.dumps(parent[key])))
         elif op == "alias" and isinstance(parent, dict):
-            parent[draw(st.sampled_from(aliases(key)))] = draw(st.just(parent[key]) | json_values)
+            parent[draw(st.sampled_from(aliases(key)))] = draw(st.just(parent[key]) | values)
     return name, doc
 
 
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "scenario.json"
+
+
+def run_cli(path, command, name, text):
+    """Exit code and parsed report of one in-process CLI call; an exit 2
+    must come with an error line."""
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path)])
+    assert code in (EXIT_OK, EXIT_INVALID), (name, text, err.getvalue())
+    if code == EXIT_INVALID:
+        assert err.getvalue().startswith("error: ")
+        return code, None
+    return code, json.loads(out.getvalue())
 
 
 @settings(
@@ -95,19 +132,13 @@ def scratch(tmp_path_factory):
 def test_mutated_scenarios_run_right_or_exit_two(scratch, case):
     name, doc = case
     text = json.dumps(doc)
-    scratch.write_text(text)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["run", str(scratch)])
-    assert code in (EXIT_OK, EXIT_INVALID), (name, text, err.getvalue())
+    code, report = run_cli(scratch, "run", name, text)
     if code == EXIT_INVALID:
-        assert err.getvalue().startswith("error: ")
         return
-    report = json.loads(out.getvalue())
     s = validate_scenario(scenario_from_json(text))
     assert report["aggregate"] == predict_aggregate(s), (name, text)
     # Nothing the file says was dropped or merged while parsing.
-    again = scenario_to_dict(s)
+    again = json.loads(scenario_to_json(s))
     for field in ("n_sm", "sending_list", "n_min", "round", "seed", "measurements"):
         assert again[field] == doc[field], (field, text)
     assert again.get("sm_online", {}) == doc.get("sm_online", {}), text
@@ -116,3 +147,29 @@ def test_mutated_scenarios_run_right_or_exit_two(scratch, case):
         assert {str(i): key for i, key in s.prf_keys.items()} == pinned, text
     for field in ("edges", "working_edges"):
         assert {frozenset(e) for e in again[field]} == {frozenset(e) for e in doc[field]}, text
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=mutated())
+def test_mutated_scenarios_baseline_right_or_exit_two(scratch, case):
+    name, doc = case
+    text = json.dumps(doc)
+    code, report = run_cli(scratch, "baseline", name, text)
+    if code == EXIT_OK:
+        s = validate_scenario(scenario_from_json(text))
+        assert report["protocol"]["aggregate"] == predict_aggregate(s), (name, text)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=mutated(GAMES, game_values, game_texts))
+def test_mutated_game_configs_exit_zero_or_two(scratch, case):
+    name, doc = case
+    run_cli(scratch, "game", name, json.dumps(doc))
