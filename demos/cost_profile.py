@@ -3,9 +3,10 @@
 On a healthy network every meter sends its opening report plus exactly two
 more messages: the acknowledgment it owes its activator and one forward
 (the last meter's forward is the round closer, so it amortizes to the same
-two). Elapsed time stays under 4 N timeout-units even on badly broken
-topologies, because every failure burns one timeout but also permanently
-removes a candidate.
+two). On any topology a round takes at most max(N dt, N + 2 + (N-1) dt)
+ticks, which is max(5N, 6N-3) at dt = 5: either every report times out, or
+every meter reports and the first holder's every handoff times out. Each
+failure burns one timeout but also permanently removes a candidate.
 
 Run:  python3 demos/cost_profile.py
 """
@@ -45,6 +46,12 @@ def build(n, edges, working, n_min, seed):
     )
 
 
+def tick_bound(n):
+    """n reports, the opening handoff, n-1 timed-out handoffs and the final
+    message, or n timed-out reports, whichever is longer."""
+    return max(n * DELTA_T, n + 1 + (n - 1) * DELTA_T + 1)
+
+
 def zero_failure_mesh(n):
     edges = full_edges(n)
     return build(n, edges, edges, n_min=2, seed=3)
@@ -72,16 +79,18 @@ def main() -> None:
         print(f"{n:>4} {str(counts):>16} {net.clock:>8} {len(outcome.trace):>13}")
     print()
 
-    print("random broken topologies: elapsed ticks vs the 4*N*dt ceiling")
+    print("random broken topologies: elapsed ticks vs the proven max(5N, 6N-3)")
     rng = random.Random(5)
-    worst = 0.0
+    at_bound = 0
     for _ in range(2000):
         scenario = random_broken_scenario(rng)
         net = SimNetwork.for_scenario(scenario)
-        run_round(scenario, make_backend(scenario), net)
-        bound = 4 * scenario.n_sm * DELTA_T
-        worst = max(worst, net.clock / bound)
-    print(f"2000 rounds, worst observed elapsed/bound ratio: {worst:.2f}")
+        outcome = run_round(scenario, make_backend(scenario), net)
+        bound = tick_bound(scenario.n_sm)
+        assert net.clock <= bound, (net.clock, bound)
+        assert len(outcome.trace) <= 3 * scenario.n_sm + 1
+        at_bound += net.clock == bound
+    print(f"2000 rounds, all within the bound; {at_bound} of them reach it exactly")
 
 
 if __name__ == "__main__":

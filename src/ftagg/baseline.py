@@ -36,9 +36,6 @@ HASH_PRIME = 0xB2604907F0978EEF97384D38052DC75B0A3562D6CFD51F8F0000000000000001
 HASH_BASE = 0x19C01B3BCB4DEF52DC59FB07D27D85912D80B62309315781089197DF8F22FDCA
 HASH_BASE_ORDER = 1 << 64
 
-STEP_CAP_FACTOR = 20
-
-
 @dataclass(frozen=True)
 class HashGroup:
     """Multiplicative group for H(x) = g^x mod p with g of exact order k.
@@ -94,9 +91,11 @@ class BaselineParams:
     hash_group: HashGroup
 
     def __post_init__(self):
-        assert self.hash_group.k == self.k
+        if self.hash_group.k != self.k:
+            raise AssertionError("hash group order must equal the modulus")
         for i, s in self.static_shares.items():
-            assert 0 <= s < self.k, f"static share for meter {i} out of range"
+            if not 0 <= s < self.k:
+                raise AssertionError(f"static share for meter {i} out of range")
 
 
 def derive_baseline_params(scenario: Scenario) -> BaselineParams:
@@ -157,17 +156,17 @@ class BaselineResult:
     report_checks: Mapping[int, bool] = field(default_factory=dict)
 
 
-def run_baseline_round(scenario: Scenario, step_cap: Optional[int] = None) -> BaselineResult:
+def run_baseline_round(scenario: Scenario) -> BaselineResult:
     """Walk the sending list once and let whatever happens happen.
 
     There is no quorum and no up-front reachability filter: the share sum
     must physically travel the list and return to the concentrator, or the
     round simply never finishes (reported here as STUCK once the walk runs
-    out of list or the step cap fires).
+    out of list). The walk's list position only rises, so a round sends at
+    most 3n+2 records.
     """
     params = derive_baseline_params(scenario)
     net = SimNetwork.for_scenario(scenario)
-    cap = step_cap if step_cap is not None else STEP_CAP_FACTOR * scenario.n_sm
     k = params.k
     group = params.hash_group
     t = scenario.round
@@ -191,20 +190,14 @@ def run_baseline_round(scenario: Scenario, step_cap: Optional[int] = None) -> Ba
             report_checks=dict(report_checks or {}),
         )
 
-    def capped() -> bool:
-        return len(net.trace) >= cap
-
     # The concentrator hunts for a first responsive meter down the list.
     pos = None
     for idx, i in enumerate(order):
-        status = net.send(DC, i, ShareHandoff(t, s_0))
-        if status is DeliveryStatus.DELIVERED:
-            ack = net.send(i, DC, Ack())
-            assert ack is DeliveryStatus.DELIVERED, "ack lost on a live link"
+        if net.send(DC, i, ShareHandoff(t, s_0)) is DeliveryStatus.DELIVERED:
+            if net.send(i, DC, Ack()) is not DeliveryStatus.DELIVERED:
+                raise AssertionError("ack lost on a live link")
             pos = idx
             break
-        if capped():
-            return result(BaselineStatus.STUCK, reason="step cap hit during the opening search")
     if pos is None:
         return result(BaselineStatus.STUCK, reason="no meter answered the opening share")
 
@@ -225,8 +218,6 @@ def run_baseline_round(scenario: Scenario, step_cap: Optional[int] = None) -> Ba
         # down the report is silently gone.
         if net.send(i, DC, report) is DeliveryStatus.DELIVERED:
             reports[i] = report
-        if capped():
-            return result(BaselineStatus.STUCK, reason=f"step cap hit at SM{i}")
 
         s_running = (s_running + round_shares[i]) % k
         handoff = ShareHandoff(t, s_running)
@@ -236,14 +227,11 @@ def run_baseline_round(scenario: Scenario, step_cap: Optional[int] = None) -> Ba
         found = None
         for nxt in range(pos + 1, n + 1):
             target = DC if nxt == n else order[nxt]
-            status = net.send(i, target, handoff)
-            if status is DeliveryStatus.DELIVERED:
-                ack = net.send(target, i, Ack())
-                assert ack is DeliveryStatus.DELIVERED, "ack lost on a live link"
+            if net.send(i, target, handoff) is DeliveryStatus.DELIVERED:
+                if net.send(target, i, Ack()) is not DeliveryStatus.DELIVERED:
+                    raise AssertionError("ack lost on a live link")
                 found = nxt
                 break
-            if capped():
-                return result(BaselineStatus.STUCK, reason=f"step cap hit at SM{i}")
         if found is None:
             return result(
                 BaselineStatus.STUCK,

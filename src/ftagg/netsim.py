@@ -16,7 +16,7 @@ from .model import (
     FailureGraph,
     ScenarioError,
     TraceRecord,
-    link_on,
+    UnknownParty,
     party_name,
 )
 
@@ -31,15 +31,19 @@ class DeliveryStatus(enum.Enum):
 class SimNetwork:
     """Single-round transport over a frozen FailureGraph.
 
-    The graph's working set never changes while the instance lives; an offline
-    meter is modeled as every link touching it being treated as off.
+    An offline meter is folded into the link table when the network is
+    built: its own row is 0 and its bit is cleared in every other row, so
+    every link touching it is off for the whole round.
     """
 
     def __init__(self, graph: FailureGraph, online: Optional[Mapping[int, bool]] = None):
-        self.graph = graph
-        self._online = dict(online or {})
-        if not self._online.get(DC, True):
+        online = online or {}
+        if not online.get(DC, True):
             raise ScenarioError("the concentrator cannot be offline")
+        offline = sum(1 << p for p, up in online.items() if not up)
+        self._links = [
+            0 if offline >> p & 1 else row & ~offline for p, row in enumerate(graph.working)
+        ]
         self.clock = 0
         self.trace: list[TraceRecord] = []
 
@@ -47,11 +51,11 @@ class SimNetwork:
     def for_scenario(scenario) -> "SimNetwork":
         return SimNetwork(scenario.graph, online=scenario.sm_online)
 
-    def is_online(self, p: int) -> bool:
-        return self._online.get(p, True)
-
     def _link_works(self, a: int, b: int) -> bool:
-        return link_on(self.graph, a, b) and self.is_online(a) and self.is_online(b)
+        n = len(self._links)
+        if not (0 <= a < n and 0 <= b < n):
+            raise UnknownParty(f"link ({a},{b}) references a party outside 0..{n - 1}")
+        return self._links[a] >> b & 1 == 1
 
     def send(self, sender: int, receiver: int, msg) -> DeliveryStatus:
         """Attempt a delivery; every attempt lands in the trace exactly once."""
@@ -71,5 +75,6 @@ class SimNetwork:
         The link is known to be on (the triggering message got through and
         links are static), so this never times out and costs no extra ticks.
         """
-        assert self._link_works(sender, receiver), "ack over a dead link"
+        if not self._link_works(sender, receiver):
+            raise AssertionError("ack over a dead link")
         self.trace.append(TraceRecord(self.clock, sender, receiver, msg, True))

@@ -26,10 +26,6 @@ from .model import (
 from .netsim import DeliveryStatus, SimNetwork
 from .paillier import PaillierBackend
 
-STEP_CAP_SLOPE = 10
-STEP_CAP_OFFSET = 10
-
-
 class MalformedTrace(ValueError):
     pass
 
@@ -76,67 +72,47 @@ def run_round(
     l_rem = [i for i in scenario.sending_list if i in collected]
     remaining_at_init = tuple(l_rem)
     l_act: list[int] = []
-
-    def finish(aggregate: Optional[int]) -> RoundOutcome:
-        trace = tuple(net.trace)
-        cap = STEP_CAP_SLOPE * scenario.n_sm + STEP_CAP_OFFSET
-        assert len(trace) <= cap, f"{len(trace)} steps exceed the hard cap {cap}"
-        return RoundOutcome(
-            aggregate=aggregate,
-            active=tuple(l_act),
-            remaining_at_init=remaining_at_init,
-            trace=trace,
-        )
-
-    if len(l_rem) < n_min:
-        return finish(None)
-
-    aux, s_running = backend.init_share()
-
-    def check_last() -> bool:
-        return not l_rem or len(l_rem) + len(l_act) < n_min
-
-    # The first pick's concentrator link already worked this round, so this
-    # handoff cannot time out.
-    first = l_rem[0]
-    status = net.send(DC, first, Activation(s_running, tuple(l_rem), ()))
-    assert status is DeliveryStatus.DELIVERED, "opening handoff lost on a live link"
-    net.send_bundled_ack(first, DC, AckS())
-
-    holder = first
-    eor: Optional[EndOfRound] = None
-    while eor is None:
-        s_running = backend.fold_measurement(s_running, holder)
-        l_act.append(holder)
-        l_rem.remove(holder)
-
-        is_last = check_last()
-        next_holder = None
-        while not is_last:
+    aggregate = None
+    if len(l_rem) >= n_min:
+        aux, s_running = backend.init_share()
+        # The concentrator is the first holder: it has nothing to fold, and
+        # its handoff cannot time out, since the first pick's concentrator
+        # link already worked this round.
+        holder = DC
+        while l_rem and len(l_rem) + len(l_act) >= n_min:
             j = l_rem[0]
             status = net.send(holder, j, Activation(s_running, tuple(l_rem), tuple(l_act)))
+            del l_rem[0]
             if status is DeliveryStatus.DELIVERED:
                 net.send_bundled_ack(j, holder, AckS())
-                next_holder = j
-                break
-            l_rem.remove(j)
-            is_last = check_last()
+                s_running = backend.fold_measurement(s_running, j)
+                l_act.append(j)
+                holder = j
 
-        if is_last:
-            # The quorum check rides with the final message: below quorum the
-            # share and the contributor list are both withheld.
-            if len(l_rem) + len(l_act) < n_min:
-                eor = EndOfRound(t, None, ())
-            else:
-                eor = EndOfRound(t, s_running, tuple(l_act))
-            status = net.send(holder, DC, eor)
-            assert status is DeliveryStatus.DELIVERED, "final message lost on a live link"
+        # The quorum check rides with the final message: below quorum the
+        # share and the contributor list are both withheld. The loop ends
+        # with no candidate left or too few to reach n_min, so the quorum
+        # holds iff the contributors alone reach it.
+        if len(l_act) < n_min:
+            eor = EndOfRound(t, None, ())
         else:
-            holder = next_holder
+            eor = EndOfRound(t, s_running, tuple(l_act))
+        if net.send(holder, DC, eor) is not DeliveryStatus.DELIVERED:
+            raise AssertionError("final message lost on a live link")
+        if eor.share is not None:
+            aggregate = backend.finalize(eor.share, eor.active, collected, aux)
 
-    if eor.share is None:
-        return finish(None)
-    return finish(backend.finalize(eor.share, eor.active, collected, aux))
+    # Each meter reports once and is then handed the share (two records) or
+    # skipped (one); the final message is one more record.
+    cap = 3 * scenario.n_sm + 1
+    if len(net.trace) > cap:
+        raise AssertionError(f"{len(net.trace)} steps exceed the proven bound {cap}")
+    return RoundOutcome(
+        aggregate=aggregate,
+        active=tuple(l_act),
+        remaining_at_init=remaining_at_init,
+        trace=tuple(net.trace),
+    )
 
 
 C1 = "C1"

@@ -145,7 +145,7 @@ def test_criterion_3_invariants_over_corpus(corpus):
         expected_eors = 1 if len(outcome.remaining_at_init) >= scenario.n_min else 0
         assert len(eors) == expected_eors
         classify_steps(outcome)
-        bound = 10 * scenario.n_sm + 10
+        bound = 3 * scenario.n_sm + 1
         assert len(outcome.trace) <= bound
         margin = bound - len(outcome.trace)
         if max_steps_margin is None or margin < max_steps_margin:

@@ -113,13 +113,6 @@ def test_nobody_reachable_is_stuck():
     assert "opening" in result.reason
 
 
-def test_step_cap_forces_stuck():
-    s = make_scenario(4)
-    result = run_baseline_round(s, step_cap=3)
-    assert result.status is BaselineStatus.STUCK
-    assert "step cap" in result.reason
-
-
 def test_baseline_matches_new_protocol_when_nothing_fails():
     rng = random.Random(12)
     for _ in range(25):

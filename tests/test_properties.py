@@ -52,7 +52,7 @@ def scenarios(draw):
 @given(scenarios())
 def test_round_terminates_with_wellformed_trace(scenario):
     outcome = run_round(scenario, make_backend(scenario), SimNetwork.for_scenario(scenario))
-    assert len(outcome.trace) <= 10 * scenario.n_sm + 10
+    assert len(outcome.trace) <= 3 * scenario.n_sm + 1
     labels = classify_steps(outcome)
     assert set(labels) <= {"C1", "C2", "C3_1", "C3_2"}
     assert proof_case_histogram(outcome) == {

@@ -205,7 +205,7 @@ def test_invariants_on_random_scenarios():
     for _ in range(400):
         s = random_scenario(rng, backend=MaskingSpec())
         outcome, net = run(s)
-        assert len(outcome.trace) <= 10 * s.n_sm + 10
+        assert len(outcome.trace) <= 3 * s.n_sm + 1
 
         # Each meter is activated at most once, and only reachable ones.
         activated = [
