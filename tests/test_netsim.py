@@ -2,7 +2,15 @@ import json
 
 import pytest
 from conftest import golden_ring4, make_scenario
-from ftagg.model import DC, AckS, InitialData, ScenarioError, UnknownParty, trace_to_jsonl
+from ftagg.model import (
+    DC,
+    AckS,
+    InitialData,
+    ScenarioError,
+    UnknownParty,
+    full_mesh,
+    trace_to_jsonl,
+)
 from ftagg.netsim import DeliveryStatus, SimNetwork
 
 
@@ -85,6 +93,12 @@ def test_dc_must_stay_online():
     s = make_scenario(2)
     with pytest.raises(ScenarioError):
         SimNetwork(s.graph, online={DC: False, 1: True, 2: True})
+
+
+@pytest.mark.parametrize("party", [-1, 3, 9])
+def test_online_key_outside_the_parties_rejected(party):
+    with pytest.raises(UnknownParty, match=f"online names party {party},"):
+        SimNetwork(full_mesh(2), online={party: False})
 
 
 def test_identical_sequences_trace_identically():

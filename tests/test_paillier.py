@@ -331,3 +331,38 @@ def test_keys_from_totient_rejects_a_wrong_totient():
     for phi in (keys.lam + 2, keys.lam - 2, keys.n, 0):
         with pytest.raises(ValueError):
             keys_from_totient(keys.n, phi, 128)
+
+
+# --- Pins that let the CRT randomizer prove it gives pow(r, n, n^2) exactly. ---
+
+
+def _small_key_primes(limit=60):
+    """Every pair p > q of primes below limit that makes a valid key."""
+    primes = list(sympy.primerange(limit))
+    return [(p, q) for i, p in enumerate(primes) for q in primes[:i]
+            if math.gcd(p * q, (p - 1) * (q - 1)) == 1]
+
+
+def test_small_key_primes_cover_the_tiny_key():
+    pairs = _small_key_primes()
+    assert (7, 5) in pairs and (5, 3) in pairs and len(pairs) > 60
+
+
+@pytest.mark.parametrize("p, q", _small_key_primes())
+def test_randomizer_equals_plain_pow_for_every_unit(p, q):
+    keys = keys_from_primes(p, q, bits=(p * q).bit_length())
+    n, n_sq = keys.n, keys.n_sq
+    for r in range(1, n):
+        if math.gcd(r, n) == 1:
+            assert encrypt(keys, 0, r).value == pow(r, n, n_sq), r
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 1024])
+def test_randomizer_equals_plain_pow_on_stream_draws(bits):
+    keys = keygen(bits, 13)
+    n, n_sq = keys.n, keys.n_sq
+    rng = random.Random(bits)
+    stream = randomness_stream(keys, 13, 0)
+    for _ in range(200):
+        r, m = next(stream), rng.randrange(n)
+        assert encrypt(keys, m, r).value == (1 + m * n) * pow(r, n, n_sq) % n_sq
