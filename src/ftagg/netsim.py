@@ -38,6 +38,10 @@ class SimNetwork:
 
     def __init__(self, graph: FailureGraph, online: Optional[Mapping[int, bool]] = None):
         online = online or {}
+        n = len(graph.working)
+        for p in online:
+            if not 0 <= p < n:
+                raise UnknownParty(f"online names party {p}, outside 0..{n - 1}")
         if not online.get(DC, True):
             raise ScenarioError("the concentrator cannot be offline")
         offline = sum(1 << p for p, up in online.items() if not up)

@@ -12,6 +12,13 @@ The private key is lambda = phi(n), mu = phi(n)^-1 mod n and the primes p, q.
 Decryption computes L(c^lambda mod n^2) * mu mod n the CRT way: mod p^2 and
 q^2 with exponents p - 1 and q - 1, joined mod n (Paillier, EUROCRYPT 1999,
 section 7).
+
+Encryption computes its randomizer r^n mod n^2 from p and q as well: as
+x^p mod p^2 depends only on x mod p, r^n mod p^2 = (r^(q mod (p-1)) mod p)^p
+mod p^2, likewise mod q^2, joined mod n^2. This is a simulation shortcut. A
+real meter holds only the public key; the shortcut is valid here only because
+it yields the same integer as pow(r, n, n^2), so every ciphertext, trace and
+view is the one the public-key formula gives.
 """
 
 from __future__ import annotations
@@ -110,8 +117,9 @@ def _random_prime(bits: int, rng: random.Random) -> int:
 @dataclass(frozen=True)
 class PaillierKeys:
     """Public n and g = n + 1; private lam, mu, the primes p > q and the CRT
-    constants hp = ((p-1)q)^-1 mod p, hq = ((q-1)p)^-1 mod q and
-    q_inv = q^-1 mod p. Build one with keys_from_primes."""
+    constants hp = ((p-1)q)^-1 mod p, hq = ((q-1)p)^-1 mod q,
+    q_inv = q^-1 mod p and q_sq_inv = (q^2)^-1 mod p^2. Build one with
+    keys_from_primes."""
 
     n: int
     g: int
@@ -123,6 +131,7 @@ class PaillierKeys:
     hp: int
     hq: int
     q_inv: int
+    q_sq_inv: int
 
     @property
     def n_sq(self) -> int:
@@ -142,6 +151,7 @@ def keys_from_primes(p: int, q: int, bits: int) -> PaillierKeys:
     return PaillierKeys(
         n=n, g=n + 1, lam=phi, mu=pow(phi, -1, n), bits=bits, p=p, q=q,
         hp=pow((p - 1) * q, -1, p), hq=pow((q - 1) * p, -1, q), q_inv=pow(q, -1, p),
+        q_sq_inv=pow(q * q, -1, p * p),
     )
 
 
@@ -176,14 +186,24 @@ def keygen(bits: int, seed: int) -> PaillierKeys:
 
 
 def encrypt(keys: PaillierKeys, m: int, r: int) -> Ciphertext:
-    """c = g^m * r^n mod n^2, with g = n + 1 so g^m = 1 + m*n."""
+    """c = g^m * r^n mod n^2, with g = n + 1 so g^m = 1 + m*n.
+
+    r^n mod n^2 is joined by the CRT from r^n mod p^2 = (r^(q mod (p-1))
+    mod p)^p mod p^2 and its twin mod q^2. That uses the private p and q, a
+    simulation shortcut that a real meter cannot take; it is exact, so the
+    ciphertext is the one pow(r, n, n^2) gives.
+    """
     n = keys.n
     if not 0 <= m < n:
         raise PlaintextOutOfRange(f"plaintext {m} outside [0, {n})")
     if not 1 <= r < n or math.gcd(r, n) != 1:
         raise BadRandomness("randomness must be a unit of Z_n")
-    n_sq = keys.n_sq
-    return Ciphertext(((1 + m * n) % n_sq) * pow(r, n, n_sq) % n_sq, n_sq)
+    p, q = keys.p, keys.q
+    p_sq, q_sq, n_sq = p * p, q * q, keys.n_sq
+    r_p = pow(pow(r, q % (p - 1), p), p, p_sq)
+    r_q = pow(pow(r, p % (q - 1), q), q, q_sq)
+    r_n = r_q + q_sq * ((r_p - r_q) * keys.q_sq_inv % p_sq)
+    return Ciphertext((1 + m * n) * r_n % n_sq, n_sq)
 
 
 def add_encrypted(s_running: Ciphertext, c: Ciphertext) -> Ciphertext:

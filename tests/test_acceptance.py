@@ -198,10 +198,14 @@ def test_criterion_6_cost_claims(corpus):
 
     items, _ = corpus
     for scenario, _outcome, elapsed in items:
-        assert elapsed <= 4 * scenario.n_sm * DELTA_T
+        # Every report times out, or the first holder's every handoff does:
+        # max(5N, 6N-3) at dt = 5.
+        n = scenario.n_sm
+        assert elapsed <= max(n * DELTA_T, n + 2 + (n - 1) * DELTA_T)
     print(
         "criterion 6 PASS: zero-failure non-initial messages per SM average exactly "
-        f"2.0, elapsed <= 4*N*dt on all {len(items)} scenarios"
+        f"2.0, elapsed <= max(5N, 6N-3) ticks (the proven bound at dt = 5, within "
+        f"the claimed 4*N*dt) on all {len(items)} scenarios"
     )
 
 

@@ -318,12 +318,14 @@ def test_miller_rabin_composite_passing_first_round_matches_reference():
     assert liar_first > 0
 
 
-@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("bits", [64, 128, 256, 2048])
 def test_keys_rebuilt_from_totient_equal_keygen(bits):
     keys = keygen(bits, 5)
     assert keys.p * keys.q == keys.n and keys.p > keys.q
     assert keys_from_totient(keys.n, keys.lam, bits) == keys
     assert keys_from_primes(keys.q, keys.p, bits) == keys
+    p_sq = keys.p * keys.p
+    assert keys.q_sq_inv * keys.q * keys.q % p_sq == 1 and 0 < keys.q_sq_inv < p_sq
 
 
 def test_keys_from_totient_rejects_a_wrong_totient():

@@ -244,7 +244,7 @@ def test_invariants_on_random_scenarios():
         if outcome.aggregate is not None:
             assert len(outcome.active) >= s.n_min
 
-        assert net.clock <= 4 * s.n_sm * 5
+        assert net.clock <= max(5 * s.n_sm, 6 * s.n_sm - 3)
 
 
 def test_zero_failure_cost_claims():
