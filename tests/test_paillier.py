@@ -345,11 +345,6 @@ def _small_key_primes(limit=60):
             if math.gcd(p * q, (p - 1) * (q - 1)) == 1]
 
 
-def test_small_key_primes_cover_the_tiny_key():
-    pairs = _small_key_primes()
-    assert (7, 5) in pairs and (5, 3) in pairs and len(pairs) > 60
-
-
 @pytest.mark.parametrize("p, q", _small_key_primes())
 def test_randomizer_equals_plain_pow_for_every_unit(p, q):
     keys = keys_from_primes(p, q, bits=(p * q).bit_length())
