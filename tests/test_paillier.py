@@ -4,6 +4,7 @@ import random
 
 import pytest
 import sympy
+from sympy.ntheory.primetest import is_strong_lucas_prp, mr
 from conftest import make_scenario
 from ftagg.model import PaillierSpec
 from ftagg.paillier import (
@@ -268,6 +269,42 @@ def _chernick_carmichaels(count):
     return found
 
 
+def _chernick_carmichaels_below(limit):
+    """Every Chernick Carmichael number below limit, from a sieve of the
+    factors."""
+    k_max = 1
+    while (6 * k_max + 1) * (12 * k_max + 1) * (18 * k_max + 1) < limit:
+        k_max += 1
+    prime = bytearray([1]) * (18 * k_max + 2)
+    for i in range(2, math.isqrt(len(prime)) + 1):
+        if prime[i]:
+            prime[i * i :: i] = bytearray(len(prime[i * i :: i]))
+    return [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in range(1, k_max)
+            if prime[6 * k + 1] and prime[12 * k + 1] and prime[18 * k + 1]]
+
+
+def _base_2_strong_pseudoprimes(limit):
+    return [n for n in range(3, limit, 2) if mr(n, [2]) and not sympy.isprime(n)]
+
+
+# Composites that pass a strong test to base 2: the case a proof below 2^64
+# must settle with something other than base 2.
+SPSP_2 = _base_2_strong_pseudoprimes(200_000)
+CHERNICK_SPSP_2 = [c for c in _chernick_carmichaels_below(1 << 64) if mr(c, [2])]
+
+
+def _primality_cases_below_2_64():
+    rng = random.Random(2064)
+    widths = [rng.randrange(32, 65) for _ in range(400)]
+    odd = [rng.randrange(1 << (w - 1), 1 << w) | 1 for w in widths]
+    primes = [sympy.nextprime(rng.randrange(1 << (w - 1), (1 << w) - (1 << 20)))
+              for w in widths[:100]]
+    strong_lucas_liars = [n for n in range(3, 50_000, 2)
+                          if is_strong_lucas_prp(n) and not sympy.isprime(n)]
+    edge = [sympy.prevprime(1 << 64), sympy.nextprime(1 << 64), (1 << 64) - 1, (1 << 64) + 1]
+    return odd + primes + strong_lucas_liars + edge + SPSP_2 + CHERNICK_SPSP_2
+
+
 def _primality_cases():
     rng = random.Random(2017)
     odd = [rng.randrange(1 << 63, 1 << 79) | 1 for _ in range(400)]
@@ -275,7 +312,15 @@ def _primality_cases():
     near_bound = [PSI_12 - 2, PSI_12 + 2, sympy.prevprime(PSI_12), sympy.nextprime(PSI_12),
                   PSI_12 * 3 + 2, sympy.nextprime(1 << 80)]
     small = list(range(0, 1100)) + [1 << 61, (1 << 61) - 1]
-    return odd + primes + near_bound + small + PSI + _chernick_carmichaels(30)
+    return (odd + primes + near_bound + small + PSI + _chernick_carmichaels(30)
+            + _primality_cases_below_2_64())
+
+
+def test_primality_cases_reach_below_2_64():
+    cases = _primality_cases_below_2_64()
+    assert sum((1 << 31) <= n < (1 << 64) and sympy.isprime(n) for n in cases) >= 100
+    assert SPSP_2[:4] == [2047, 3277, 4033, 4681] and len(SPSP_2) == 19
+    assert len(CHERNICK_SPSP_2) == 251 and max(CHERNICK_SPSP_2) < 1 << 64
 
 
 def test_miller_rabin_matches_reference_loop_draw_for_draw():
@@ -309,13 +354,41 @@ def test_miller_rabin_composite_passing_first_round_matches_reference():
     # A composite whose first random base is a strong liar goes on to the
     # fixed bases, fails one, and must then finish the plain loop.
     liar_first = 0
-    for n in PSI[:-1] + _chernick_carmichaels(10):
+    for n in PSI[:-1] + _chernick_carmichaels(10) + SPSP_2 + CHERNICK_SPSP_2[:20]:
         for seed in range(300):
             liar_first += _reference_is_probable_prime(n, random.Random(seed), rounds=1)
             fast, ref = random.Random(seed), random.Random(seed)
             assert is_probable_prime(n, fast) == _reference_is_probable_prime(n, ref), (n, seed)
             assert fast.getstate() == ref.getstate(), (n, seed)
     assert liar_first > 0
+
+
+class _FirstDrawFixed(random.Random):
+    """A Random whose first randrange returns `first`; later draws are its own."""
+
+    def __init__(self, first, seed):
+        super().__init__(seed)
+        self.first = first
+
+    def randrange(self, *args):
+        if self.first is None:
+            return super().randrange(*args)
+        first, self.first = self.first, None
+        return first
+
+
+# Strong Lucas pseudoprimes without a factor below 1000 that fail base 2, each
+# with a strong liar a: a random first base is a liar about once in 10^6 draws.
+LUCAS_LIARS = [(2666711, 1382482), (8581219, 5731357), (13826231, 9074861)]
+
+
+def test_miller_rabin_strong_lucas_pseudoprime_passing_first_round_matches_reference():
+    for n, liar in LUCAS_LIARS:
+        assert is_strong_lucas_prp(n) and mr(n, [liar]) and not mr(n, [2])
+        for seed in range(20):
+            fast, ref = _FirstDrawFixed(liar, seed), _FirstDrawFixed(liar, seed)
+            assert is_probable_prime(n, fast) is _reference_is_probable_prime(n, ref) is False
+            assert fast.getstate() == ref.getstate(), (n, seed)
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256, 2048])
