@@ -1,12 +1,22 @@
 """Additive homomorphic backend: textbook Paillier with the g = n + 1 variant.
 
 Keygen is fully deterministic for a fixed seed so traces and tests reproduce
-bit-identically. Its Miller-Rabin test draws 40 random bases per candidate, but
-below PSI_12 = 318665857834031151167461 (about 2^78, so key_bits <= 156) a
-candidate that passes the first one is settled by strong tests to the 12 prime
-bases 2..37, which are deterministic there (Sorenson & Webster, "Strong
-pseudoprimes to twelve prime bases", Math. Comp. 2017); the other 39 bases are
-drawn but not tried, so every key is the one the full loop gives.
+bit-identically. Its Miller-Rabin test draws 40 random bases per candidate. A
+candidate that passes the first one is settled by a proof where one is known,
+in three tiers:
+
+- below 2^64 (key_bits <= 128), by the Baillie-PSW test: a strong test to
+  base 2 and a strong Lucas test with Selfridge's parameters (Baillie &
+  Wagstaff, "Lucas pseudoprimes", Math. Comp. 1980; Pomerance, Selfridge &
+  Wagstaff, "The pseudoprimes to 25*10^9", Math. Comp. 1980). No composite
+  below 2^64 passes both, by Feitsma's list of the base-2 pseudoprimes there;
+- below PSI_12 = 318665857834031151167461 (about 2^78, so key_bits <= 156),
+  by strong tests to the 12 prime bases 2..37 (Sorenson & Webster, "Strong
+  pseudoprimes to twelve prime bases", Math. Comp. 2017);
+- above, by the other 39 random rounds.
+
+A proven prime's other 39 bases are drawn but not tried, so every key is the
+one the full loop gives.
 
 The private key is lambda = phi(n), mu = phi(n)^-1 mod n and the primes p, q.
 Decryption computes L(c^lambda mod n^2) * mu mod n the CRT way: mod p^2 and
@@ -78,12 +88,60 @@ def _strong_probe(a: int, d: int, r: int, n: int) -> bool:
     return False
 
 
-def is_probable_prime(n: int, rng: random.Random, rounds: int = MR_ROUNDS) -> bool:
-    """Miller-Rabin with `rounds` random bases drawn from rng.
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a & n & 3 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
 
-    Once n < PSI_12 passes its first round, the 12 fixed bases decide it. A
-    proven prime would pass every later round, so those bases are only drawn,
-    which leaves the result and rng's state as the full loop leaves them.
+
+def _strong_lucas(n: int) -> bool:
+    """True iff odd n > 2 is a strong Lucas probable prime with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D) / 4. No such D exists for a square, so squares are rejected
+    first."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and D % n:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    # Ladder over the bits of d = (n + 1) / 2^s: v = V_k, w = V_(k+1), qk = Q^k.
+    v, w, qk = 2, 1, 1
+    for bit in bin((n + 1) >> s)[2:]:
+        if bit == "1":
+            v, w, qk = (v * w - qk) % n, (w * w - 2 * qk * Q) % n, qk * qk * Q % n
+        else:
+            v, w, qk = (v * v - 2 * qk) % n, (v * w - qk) % n, qk * qk % n
+    # D * U_d = 2 V_(d+1) - V_d, and D is a unit mod n.
+    if v == 0 or (2 * w - v) % n == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def is_probable_prime(n: int, rng: random.Random) -> bool:
+    """Miller-Rabin with MR_ROUNDS random bases drawn from rng.
+
+    Once n passes its first round, Baillie-PSW decides it below 2^64 and the
+    12 fixed bases below PSI_12. A proven prime would pass every later round,
+    so those bases are only drawn, which leaves the result and rng's state as
+    the full loop leaves them; a composite goes on with the full loop.
     """
     if n <= 1000:
         return n in _SMALL_PRIMES
@@ -91,14 +149,17 @@ def is_probable_prime(n: int, rng: random.Random, rounds: int = MR_ROUNDS) -> bo
         return False
     r = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> r
-    for done in range(1, rounds + 1):
-        if not _strong_probe(rng.randrange(2, n - 1), d, r, n):
-            return False
-        if done == 1 and n < PSI_12 and all(_strong_probe(a, d, r, n) for a in _PSI_12_BASES):
-            for _ in range(rounds - 1):
-                rng.randrange(2, n - 1)
-            return True
-    return True
+    if not _strong_probe(rng.randrange(2, n - 1), d, r, n):
+        return False
+    if n < 1 << 64:
+        proven = _strong_probe(2, d, r, n) and _strong_lucas(n)
+    else:
+        proven = n < PSI_12 and all(_strong_probe(a, d, r, n) for a in _PSI_12_BASES)
+    if proven:
+        for _ in range(MR_ROUNDS - 1):
+            rng.randrange(2, n - 1)
+        return True
+    return all(_strong_probe(rng.randrange(2, n - 1), d, r, n) for _ in range(MR_ROUNDS - 1))
 
 
 def _next_prime(start: int, rng: random.Random) -> int:

@@ -13,6 +13,7 @@ from ftagg.paillier import (
     MalformedCiphertext,
     PaillierBackend,
     PlaintextOutOfRange,
+    _strong_lucas,
     add_encrypted,
     decrypt_aggregate,
     encrypt,
@@ -328,6 +329,29 @@ def test_miller_rabin_matches_reference_loop_draw_for_draw():
         fast, ref = random.Random(case), random.Random(case)
         assert is_probable_prime(n, fast) == _reference_is_probable_prime(n, ref), n
         assert fast.getstate() == ref.getstate(), n
+
+
+def test_strong_lucas_agrees_with_sympy():
+    for n in range(3, 50_001, 2):
+        assert _strong_lucas(n) == is_strong_lucas_prp(n), n
+    rng = random.Random(64)
+    for _ in range(2000):
+        n = rng.randrange(1 << 63, 1 << 64) | 1
+        assert _strong_lucas(n) == is_strong_lucas_prp(n), n
+
+
+def test_strong_lucas_rejects_squares_of_primes():
+    # (D/p^2) is never -1, so Selfridge's search finds no D: the square check
+    # must answer, or the search would run on until D = p.
+    near_2_32 = [sympy.prevprime(1 << 32), sympy.nextprime(1 << 32)]
+    for p in list(sympy.primerange(3, 2000)) + near_2_32:
+        assert not _strong_lucas(p * p), p
+        assert not is_strong_lucas_prp(p * p)
+
+
+def test_is_probable_prime_takes_no_rounds_option():
+    with pytest.raises(TypeError):
+        is_probable_prime(1009 * 1013, random.Random(0), rounds=0)
 
 
 def _lambda_mu_decrypt(keys, c):
