@@ -167,7 +167,7 @@ def test_miller_rabin_agrees_with_sympy():
         assert is_probable_prime(n, rng) == sympy.isprime(n), n
     for carmichael in (561, 1105, 1729, 41041, 825265):
         assert not is_probable_prime(carmichael, rng)
-    for pseudoprime in PSI + _chernick_carmichaels(30):
+    for pseudoprime in PSI + CHERNICK[:30]:
         assert not is_probable_prime(pseudoprime, rng), pseudoprime
 
 
@@ -259,20 +259,9 @@ PSI = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
 PSI_12 = PSI[-1]
 
 
-def _chernick_carmichaels(count):
-    """(6k+1)(12k+1)(18k+1) with all three factors prime is a Carmichael number."""
-    found, k = [], 1
-    while len(found) < count:
-        f = (6 * k + 1, 12 * k + 1, 18 * k + 1)
-        if all(sympy.isprime(x) for x in f):
-            found.append(f[0] * f[1] * f[2])
-        k += 1
-    return found
-
-
 def _chernick_carmichaels_below(limit):
-    """Every Chernick Carmichael number below limit, from a sieve of the
-    factors."""
+    """Every Chernick Carmichael number (6k+1)(12k+1)(18k+1), all three factors
+    prime, below limit, in ascending order."""
     k_max = 1
     while (6 * k_max + 1) * (12 * k_max + 1) * (18 * k_max + 1) < limit:
         k_max += 1
@@ -288,10 +277,11 @@ def _base_2_strong_pseudoprimes(limit):
     return [n for n in range(3, limit, 2) if mr(n, [2]) and not sympy.isprime(n)]
 
 
+CHERNICK = _chernick_carmichaels_below(1 << 64)
 # Composites that pass a strong test to base 2: the case a proof below 2^64
 # must settle with something other than base 2.
 SPSP_2 = _base_2_strong_pseudoprimes(200_000)
-CHERNICK_SPSP_2 = [c for c in _chernick_carmichaels_below(1 << 64) if mr(c, [2])]
+CHERNICK_SPSP_2 = [c for c in CHERNICK if mr(c, [2])]
 
 
 def _primality_cases_below_2_64():
@@ -313,7 +303,7 @@ def _primality_cases():
     near_bound = [PSI_12 - 2, PSI_12 + 2, sympy.prevprime(PSI_12), sympy.nextprime(PSI_12),
                   PSI_12 * 3 + 2, sympy.nextprime(1 << 80)]
     small = list(range(0, 1100)) + [1 << 61, (1 << 61) - 1]
-    return (odd + primes + near_bound + small + PSI + _chernick_carmichaels(30)
+    return (odd + primes + near_bound + small + PSI + CHERNICK[:30]
             + _primality_cases_below_2_64())
 
 
@@ -376,9 +366,9 @@ def test_decrypt_matches_lambda_mu_formula(bits, samples):
 
 def test_miller_rabin_composite_passing_first_round_matches_reference():
     # A composite whose first random base is a strong liar goes on to the
-    # fixed bases, fails one, and must then finish the plain loop.
+    # proof, fails it, and must then finish the plain loop.
     liar_first = 0
-    for n in PSI[:-1] + _chernick_carmichaels(10) + SPSP_2 + CHERNICK_SPSP_2[:20]:
+    for n in PSI[:-1] + CHERNICK[:10] + SPSP_2 + CHERNICK_SPSP_2[:20]:
         for seed in range(300):
             liar_first += _reference_is_probable_prime(n, random.Random(seed), rounds=1)
             fast, ref = random.Random(seed), random.Random(seed)
