@@ -1,7 +1,10 @@
 import json
+import random
 
 import pytest
-from conftest import golden_ring4, make_scenario
+from conftest import golden_ring4, make_scenario, random_scenario
+from ftagg import model
+from ftagg.baseline import run_baseline_round
 from ftagg.model import (
     DC,
     AckS,
@@ -9,9 +12,12 @@ from ftagg.model import (
     ScenarioError,
     UnknownParty,
     full_mesh,
+    trace_record_to_dict,
     trace_to_jsonl,
 )
 from ftagg.netsim import DeliveryStatus, SimNetwork
+from ftagg.protocol import make_backend, run_round
+from test_small_scope import SCOPE, rounds
 
 
 def msg(i=1):
@@ -129,3 +135,33 @@ def test_trace_jsonl_shape():
     }
     second = json.loads(lines[1])
     assert second["delivered"] is False and second["from"] == "SM2"
+
+
+def _reference_jsonl(trace):
+    """The trace writer as the dict view spells it, line by line."""
+    return "\n".join(json.dumps(trace_record_to_dict(r)) for r in trace) + "\n"
+
+
+def _traces_to_write():
+    """Protocol and baseline traces of every small-scope round, and of random
+    scenarios whose meter names and ticks run to two digits and more."""
+    small = (s for n, all_online, _ in SCOPE for s in rounds(n, all_online))
+    rng = random.Random(1010)
+    wide = (random_scenario(rng, n_max=40) for _ in range(150))
+    for s in (*small, *(s for s in wide if s.n_sm >= 10)):
+        yield run_round(s, make_backend(s), SimNetwork.for_scenario(s)).trace
+        yield run_baseline_round(s).trace
+
+
+def test_trace_jsonl_matches_the_dict_view_byte_for_byte():
+    kinds, timed_out, empty = set(), 0, 0
+    for trace in _traces_to_write():
+        assert trace_to_jsonl(trace) == _reference_jsonl(trace)
+        kinds.update(r.message.kind for r in trace)
+        timed_out += sum(not r.delivered for r in trace)
+        empty += not trace
+    every_kind = {v for k, v in vars(model).items() if k.startswith("KIND_")}
+    assert len(every_kind) == 7 and kinds == every_kind
+    assert timed_out and empty
+    # Every meter offline: no send attempt, and the writer gives one empty line.
+    assert trace_to_jsonl(()) == "\n"
