@@ -296,6 +296,23 @@ def _primality_cases_below_2_64():
     return odd + primes + strong_lucas_liars + edge + SPSP_2 + CHERNICK_SPSP_2
 
 
+# Primes 2^k + 3: a base in [2, n - 2) is drawn from k + 1 random bits, so
+# about every other draw is rejected and drawn again.
+REDRAW_PRIMES = [4099, 32771, 65539, 262147, 268435459, 1073741827, 36028797018963971]
+
+
+def _wheel_cases():
+    """Multiples of 3, 5, 7, 11 and 13 above 1000, which are rejected with no
+    draw, and odd numbers next to them, which must go on to a draw."""
+    rng = random.Random(15015)
+    primes_64 = [sympy.nextprime(rng.randrange(1 << 62, 1 << 63)) for _ in range(10)]
+    multiples = [1001, 1005, 1011, 1015, 1027, 15015, 3 * 5 * 7 * 11 * 13 * 17]
+    multiples += [f * p for p in primes_64 for f in (3, 5, 7, 11, 13)]
+    k_odd = [1, 3, 5, 67, 1001] + [rng.randrange(1 << 40, 1 << 60) | 1 for _ in range(20)]
+    beside = [15015 * k + d for k in k_odd for d in (-2, 2)]
+    return multiples + beside + REDRAW_PRIMES
+
+
 def _primality_cases():
     rng = random.Random(2017)
     odd = [rng.randrange(1 << 63, 1 << 79) | 1 for _ in range(400)]
@@ -304,7 +321,7 @@ def _primality_cases():
                   PSI_12 * 3 + 2, sympy.nextprime(1 << 80)]
     small = list(range(0, 1100)) + [1 << 61, (1 << 61) - 1]
     return (odd + primes + near_bound + small + PSI + CHERNICK[:30]
-            + _primality_cases_below_2_64())
+            + _primality_cases_below_2_64() + _wheel_cases())
 
 
 def test_primality_cases_reach_below_2_64():
@@ -312,6 +329,15 @@ def test_primality_cases_reach_below_2_64():
     assert sum((1 << 31) <= n < (1 << 64) and sympy.isprime(n) for n in cases) >= 100
     assert SPSP_2[:4] == [2047, 3277, 4033, 4681] and len(SPSP_2) == 19
     assert len(CHERNICK_SPSP_2) == 251 and max(CHERNICK_SPSP_2) < 1 << 64
+
+
+def test_wheel_cases_reach_both_sides_of_the_wheel():
+    cases = _wheel_cases()
+    assert all(n > 1000 for n in cases)
+    assert sum(math.gcd(n, 15015) > 1 for n in cases) >= 50
+    assert sum(math.gcd(n, 15015) == 1 and sympy.isprime(n) is False for n in cases) >= 10
+    assert all(sympy.isprime(n) and n - 3 == 1 << (n - 3).bit_length() - 1
+               for n in REDRAW_PRIMES)
 
 
 def test_miller_rabin_matches_reference_loop_draw_for_draw():
