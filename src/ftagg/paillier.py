@@ -16,7 +16,9 @@ in three tiers:
 - above, by the other 39 random rounds.
 
 A proven prime's other 39 bases are drawn but not tried, so every key is the
-one the full loop gives.
+one the full loop gives. Before any of this, a wheel over 3 * 5 * 7 * 11 * 13
+and one gcd with the product of the primes below 1000 reject the candidates
+with a small factor, with no draw, as the full loop's trial division does.
 
 The private key is lambda = phi(n), mu = phi(n)^-1 mod n and the primes p, q.
 Decryption computes L(c^lambda mod n^2) * mu mod n the CRT way: mod p^2 and
@@ -66,6 +68,21 @@ def _small_primes(limit: int = 1000) -> list[int]:
 
 _SMALL_PRIMES = frozenset(_small_primes())
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+
+_WHEEL = 3 * 5 * 7 * 11 * 13
+
+
+def _wheel() -> bytes:
+    """Byte r is 0 iff r shares a factor with _WHEEL, so byte n % _WHEEL
+    rejects the candidates n that the primorial gcd would reject for these
+    five primes. Slice assignment fills it in well under a millisecond."""
+    table = bytearray([1]) * _WHEEL
+    for p in (3, 5, 7, 11, 13):
+        table[::p] = bytes(_WHEEL // p)
+    return bytes(table)
+
+
+_COPRIME_TO_WHEEL = _wheel()
 
 MR_ROUNDS = 40
 
@@ -135,6 +152,20 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
+def _draw_bases(n: int, count: int, rng: random.Random) -> None:
+    """Draw count bases as rng.randrange(2, n - 1) would, and drop them.
+
+    CPython's randrange draws (n - 3).bit_length() random bits and draws
+    again until they fall below n - 3, so running that loop here leaves rng
+    in the same state, without randrange's per-call argument checks."""
+    width = n - 3
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
+    for _ in range(count):
+        while getrandbits(k) >= width:
+            pass
+
+
 def is_probable_prime(n: int, rng: random.Random) -> bool:
     """Miller-Rabin with MR_ROUNDS random bases drawn from rng.
 
@@ -145,7 +176,7 @@ def is_probable_prime(n: int, rng: random.Random) -> bool:
     """
     if n <= 1000:
         return n in _SMALL_PRIMES
-    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
+    if not _COPRIME_TO_WHEEL[n % _WHEEL] or math.gcd(n, _SMALL_PRIMORIAL) != 1:
         return False
     r = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> r
@@ -156,8 +187,7 @@ def is_probable_prime(n: int, rng: random.Random) -> bool:
     else:
         proven = n < PSI_12 and all(_strong_probe(a, d, r, n) for a in _PSI_12_BASES)
     if proven:
-        for _ in range(MR_ROUNDS - 1):
-            rng.randrange(2, n - 1)
+        _draw_bases(n, MR_ROUNDS - 1, rng)
         return True
     return all(_strong_probe(rng.randrange(2, n - 1), d, r, n) for _ in range(MR_ROUNDS - 1))
 
