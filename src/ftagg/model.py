@@ -8,7 +8,8 @@ import hashlib
 import json
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
@@ -220,8 +221,26 @@ def trace_record_to_dict(r: TraceRecord) -> dict:
     }
 
 
+# json.dumps(trace_record_to_dict(r)) + "\n" for every record: names and
+# kinds are plain ASCII that JSON writes unescaped.
+_TRACE_LINE = '{"tick": %d, "from": "%s", "to": "%s", "kind": "%s", "delivered": %s}\n'
+
+
 def trace_to_jsonl(trace: Sequence[TraceRecord]) -> str:
-    return "\n".join(json.dumps(trace_record_to_dict(r)) for r in trace) + "\n"
+    """One JSON line per record; a trace with no record writes one empty line."""
+    if not trace:
+        return "\n"
+    return "".join(
+        _TRACE_LINE
+        % (
+            r.tick,
+            party_name(r.sender),
+            party_name(r.receiver),
+            r.message.kind,
+            "true" if r.delivered else "false",
+        )
+        for r in trace
+    )
 
 
 @dataclass(frozen=True)
@@ -381,7 +400,7 @@ def validate_scenario(s: Scenario) -> Scenario:
 
 
 def _backend_to_dict(b: BackendSpec) -> dict:
-    return {"type": b.type, **asdict(b)}
+    return {"type": b.type, **vars(b)}
 
 
 def _backend_from_dict(d: dict) -> BackendSpec:
@@ -397,18 +416,26 @@ def _backend_from_dict(d: dict) -> BackendSpec:
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
+@lru_cache(maxsize=64)
+def _name_order(width: int) -> tuple[tuple, tuple, tuple, itemgetter]:
+    """For parties 0..width-1: their names, the parties in name order, the
+    names in that order, and a getter that takes a row's bit-string bytes in
+    that order (byte width-1-b of the string is bit b). Needs width >= 2, as
+    itemgetter of a single index returns no tuple."""
+    names = tuple(party_name(v) for v in range(width))
+    by_name = tuple(sorted(range(width), key=names.__getitem__))
+    sorted_names = tuple(names[v] for v in by_name)
+    return names, by_name, sorted_names, itemgetter(*(width - 1 - b for b in by_name))
+
+
 def _edge_text(adj: Sequence[int]) -> str:
     """Compact JSON array of every link once as [lower-index name,
     higher-index name], sorted as name pairs. Joined as text from each
     party's adjacency bits, without a list per link."""
     width = len(adj)
     if width < 2:
-        return "[]"  # no pair; and itemgetter of a single index returns no tuple
-    names = [party_name(v) for v in range(width)]
-    by_name = sorted(range(width), key=names.__getitem__)
-    sorted_names = [names[v] for v in by_name]
-    # Byte width-1-b of a row's bit string is bit b.
-    in_name_order = itemgetter(*(width - 1 - b for b in by_name))
+        return "[]"
+    names, by_name, sorted_names, in_name_order = _name_order(width)
     parties = (1 << width) - 1
     bit_string = f"0{width}b"
     rows = []
