@@ -125,7 +125,17 @@ def _strong_lucas(n: int) -> bool:
     """True iff odd n > 2 is a strong Lucas probable prime with Selfridge's
     parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
     Q = (1 - D) / 4. No such D exists for a square, so squares are rejected
-    first."""
+    first.
+
+    With alpha, beta the roots of x^2 - x + Q, the test asks whether
+    U_d = 0 or V_(d 2^r) = 0 for some r < s, where n + 1 = d 2^s, d odd.
+    Both D and Q are units mod n (a prime factor of Q would divide an
+    earlier D of the search), so these are g^d = 1 and g^(d 2^r) = -1 for
+    g = alpha / beta. The ladder runs on W_k = g^k + g^-k alone, as
+    W_2k = W_k^2 - 2 and W_(2k+1) = W_k W_(k+1) - W_1, and reads g^k = +-1
+    exactly as (W_k, W_(k+1)) = +-(2, W_1): if W_k = 2 and z = g^k, then
+    (z - 1)^2 = 0, and W_(k+1) = W_1 makes (z - 1)(g - 1/g) = 0, where
+    g - 1/g = sqrt(D) / Q is a unit."""
     if math.isqrt(n) ** 2 == n:
         return False
     D = 5
@@ -135,20 +145,19 @@ def _strong_lucas(n: int) -> bool:
         D = -D - 2 if D > 0 else 2 - D
     Q = (1 - D) // 4
     s = ((n + 1) & -(n + 1)).bit_length() - 1
-    # Ladder over the bits of d = (n + 1) / 2^s: v = V_k, w = V_(k+1), qk = Q^k.
-    v, w, qk = 2, 1, 1
+    w1 = (1 - 2 * Q) * pow(Q, -1, n) % n  # g + 1/g = (alpha^2 + beta^2) / Q
+    v, w = 2, w1
     for bit in bin((n + 1) >> s)[2:]:
         if bit == "1":
-            v, w, qk = (v * w - qk) % n, (w * w - 2 * qk * Q) % n, qk * qk * Q % n
+            v, w = (v * w - w1) % n, (w * w - 2) % n
         else:
-            v, w, qk = (v * v - 2 * qk) % n, (v * w - qk) % n, qk * qk % n
-    # D * U_d = 2 V_(d+1) - V_d, and D is a unit mod n.
-    if v == 0 or (2 * w - v) % n == 0:
+            v, w = (v * v - 2) % n, (v * w - w1) % n
+    if v == 2 and w == w1:
         return True
-    for _ in range(s - 1):
-        v, qk = (v * v - 2 * qk) % n, qk * qk % n
-        if v == 0:
+    for _ in range(s):
+        if v == n - 2 and w == -w1 % n:
             return True
+        v, w = (v * v - 2) % n, (v * w - w1) % n
     return False
 
 
