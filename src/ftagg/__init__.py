@@ -42,9 +42,8 @@ from .game import (
     AdversaryView,
     GameSetup,
     GameStats,
-    GameStatus,
-    PlayResult,
     SetupViolation,
+    Trial,
     attack_dc_plus_neighbor,
     empirical_unlinkability,
     play_game,

@@ -97,24 +97,10 @@ class AdversaryView:
     aggregate: Optional[int]
 
 
-class GameStatus:
-    WIN = "win"
-    LOSS = "loss"
-    ABORT = "abort"
-
-
 @dataclass(frozen=True)
-class PlayResult:
-    status: str
-    secret_bit: Optional[int] = None
-    guess: Optional[int] = None
-    abort_reason: str = ""
-
-
-@dataclass(frozen=True)
-class _Trial:
-    """Internal product of one challenger pass: either an abort reason or the
-    secret bit plus the adversary's view of the finished round."""
+class Trial:
+    """One challenger pass: either an abort reason, or the secret bit with
+    the adversary's view and the outcome of the finished round."""
 
     abort_reason: Optional[str]
     secret_bit: Optional[int] = None
@@ -189,16 +175,14 @@ def _build_view(setup: GameSetup, backend, outcome: RoundOutcome, nonce: int) ->
         if setup.corrupted_dc:
             # The concentrator pre-shares every PRF key at enrollment and
             # owns the round-opening share.
-            secrets["dc_share"] = backend.init_share()[0]
-            secrets["prf_keys"] = {
-                i: key.hex() for i, key in backend.params.keys.items()
-            }
+            secrets["dc_share"] = backend.s_0
+            secrets["prf_keys"] = {i: key.hex() for i, key in backend.prf_keys.items()}
         if setup.corrupted_sms:
             secrets["sm_prf_keys"] = {
-                i: backend.params.keys[i].hex() for i in sorted(setup.corrupted_sms)
+                i: backend.prf_keys[i].hex() for i in sorted(setup.corrupted_sms)
             }
             secrets["sm_round_shares"] = {
-                i: backend.share_of(i) for i in sorted(setup.corrupted_sms)
+                i: backend.shares[i] for i in sorted(setup.corrupted_sms)
             }
     else:
         public_n = backend.keys.n
@@ -236,19 +220,19 @@ def view_to_json(view: AdversaryView) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def run_trial(setup: GameSetup, nonce: int = 0) -> _Trial:
+def run_trial(setup: GameSetup, nonce: int = 0) -> Trial:
     """One challenger pass: vet the submission, flip the bit, run the round,
     and expose the corrupted parties' view. Bad submissions abort before any
     protocol message is sent."""
     try:
         reason = _check_submission(setup)
         if reason is not None:
-            return _Trial(abort_reason=reason)
+            return Trial(abort_reason=reason)
         # Flipping the bit later only swaps two measurements, which keeps
         # every scenario invariant this validation checks.
         probe = validate_scenario(replace(setup.scenario, measurements=_measurements(setup, 0)))
     except ScenarioError as exc:
-        return _Trial(abort_reason=f"invalid submission: {exc}")
+        return Trial(abort_reason=f"invalid submission: {exc}")
 
     # Contribution check against the independent reachability predictor: both
     # challenged meters must end up in the round's contributor set under the
@@ -256,23 +240,22 @@ def run_trial(setup: GameSetup, nonce: int = 0) -> _Trial:
     walk = reachable_active(probe)
     i_star, j_star = setup.challenged
     if predict_aggregate(probe) is None or i_star not in walk or j_star not in walk:
-        return _Trial(abort_reason="challenged meters cannot contribute under the failure model")
+        return Trial(abort_reason="challenged meters cannot contribute under the failure model")
 
     bit = _bit_for_trial(setup, nonce)
     scenario = replace(probe, measurements=_measurements(setup, bit))
     backend = make_backend(scenario)
     outcome = run_round(scenario, backend, SimNetwork.for_scenario(scenario))
     view = _build_view(setup, backend, outcome, nonce)
-    return _Trial(abort_reason=None, secret_bit=bit, view=view, outcome=outcome)
+    return Trial(abort_reason=None, secret_bit=bit, view=view, outcome=outcome)
 
 
-def play_game(setup: GameSetup, adversary: Callable[[AdversaryView], int], nonce: int = 0) -> PlayResult:
+def play_game(setup: GameSetup, adversary: Callable[[AdversaryView], int], nonce: int = 0) -> Optional[bool]:
+    """None if the challenger aborts, else whether the adversary's guess won."""
     trial = run_trial(setup, nonce)
     if trial.abort_reason is not None:
-        return PlayResult(status=GameStatus.ABORT, abort_reason=trial.abort_reason)
-    guess = int(adversary(trial.view)) & 1
-    status = GameStatus.WIN if guess == trial.secret_bit else GameStatus.LOSS
-    return PlayResult(status=status, secret_bit=trial.secret_bit, guess=guess)
+        return None
+    return (int(adversary(trial.view)) & 1) == trial.secret_bit
 
 
 # --- recovery cores shared by the attack strategies and the attack op ---
@@ -536,11 +519,11 @@ def empirical_unlinkability(
     aborts = 0
     for idx in range(trials):
         setup = builder(rng, n_sm, idx)
-        result = play_game(setup, adversary, nonce=idx)
-        if result.status == GameStatus.WIN:
-            wins += 1
-        elif result.status == GameStatus.ABORT:
+        won = play_game(setup, adversary, nonce=idx)
+        if won is None:
             aborts += 1
+        elif won:
+            wins += 1
     lo, hi = wilson_interval(wins, trials)
     return GameStats(
         family=family,

@@ -40,7 +40,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .model import Scenario, check_key_bits
 
@@ -354,14 +354,13 @@ class PaillierBackend:
         # The opening message only marks the meter reachable; no data rides it.
         return None
 
-    def init_share(self) -> tuple[None, Ciphertext]:
-        return None, encrypt(self.keys, 0, next(self._rand))
+    def init_share(self) -> Ciphertext:
+        return encrypt(self.keys, 0, next(self._rand))
 
     def fold_measurement(self, s_running: Ciphertext, i: int) -> Ciphertext:
         c = encrypt(self.keys, self._measurements[i], next(self._rand))
         return add_encrypted(s_running, c)
 
-    def finalize(self, s_final, l_act, collected, aux) -> Optional[int]:
-        if s_final is None or not l_act:
-            return None
+    def finalize(self, s_final, l_act, collected, opening) -> int:
+        # The opener is an encryption of zero, already folded into s_final.
         return decrypt_aggregate(self.keys, s_final)

@@ -33,17 +33,22 @@ class MalformedTrace(ValueError):
 class ComputationBackend(Protocol):
     """What the engine needs from a computation scheme.
 
-    initial_payload may return None when nothing rides the opening message;
-    finalize must return None whenever it receives no final share.
+    initial_payload may return None when nothing rides the opening message.
+    init_share returns the concentrator's opener, the first running share;
+    the engine hands the same opener back to finalize as its fourth argument
+    (masking's s_0; Paillier ignores it). finalize is called only at quorum:
+    with the final share and at least n_min >= 1 contributors. perfbench's
+    tracing proxy wraps these four calls with exactly these arities, so they
+    stay fixed, initial_payload's unused t included.
     """
 
     def initial_payload(self, i: int, t: int) -> Optional[object]: ...
 
-    def init_share(self) -> tuple[object, object]: ...
+    def init_share(self) -> object: ...
 
     def fold_measurement(self, s_running: object, i: int) -> object: ...
 
-    def finalize(self, s_final, l_act, collected, aux) -> Optional[int]: ...
+    def finalize(self, s_final, l_act, collected, opening) -> int: ...
 
 
 def make_backend(scenario: Scenario) -> ComputationBackend:
@@ -74,7 +79,7 @@ def run_round(
     l_act: list[int] = []
     aggregate = None
     if len(l_rem) >= n_min:
-        aux, s_running = backend.init_share()
+        opening = s_running = backend.init_share()
         # The concentrator is the first holder: it has nothing to fold, and
         # its handoff cannot time out, since the first pick's concentrator
         # link already worked this round.
@@ -100,7 +105,7 @@ def run_round(
         if net.send(holder, DC, eor) is not DeliveryStatus.DELIVERED:
             raise AssertionError("final message lost on a live link")
         if eor.share is not None:
-            aggregate = backend.finalize(eor.share, eor.active, collected, aux)
+            aggregate = backend.finalize(eor.share, eor.active, collected, opening)
 
     # Each meter reports once and is then handed the share (two records) or
     # skipped (one); the final message is one more record.

@@ -7,12 +7,14 @@ import itertools
 import json
 import random
 
+from ftagg.masking import MaskingBackend
 from ftagg.model import (
     DC,
     FailureGraph,
     MaskingSpec,
     PaillierSpec,
     Scenario,
+    full_mesh,
     party_name,
     validate_scenario,
 )
@@ -86,6 +88,24 @@ def make_scenario(
             backend=backend or MaskingSpec(),
             seed=seed,
             sm_online=online or {},
+        )
+    )
+
+
+def masking_backend(n, k_bits, seed, t, measurements=None):
+    """A backend over n meters, built without validation so that the sums may
+    wrap the modulus; meters outside `measurements` measure 0."""
+    measurements = measurements or {}
+    return MaskingBackend(
+        Scenario(
+            n_sm=n,
+            graph=full_mesh(n),
+            sending_list=tuple(range(1, n + 1)),
+            n_min=1,
+            round=t,
+            measurements={i: measurements.get(i, 0) for i in range(1, n + 1)},
+            backend=MaskingSpec(k_bits=k_bits),
+            seed=seed,
         )
     )
 

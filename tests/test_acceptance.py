@@ -17,26 +17,18 @@ from conftest import (
     golden_ring4,
     golden_ring5,
     make_scenario,
+    masking_backend,
     random_scenario,
     zero_failure_scenario,
 )
 from ftagg.baseline import BaselineStatus, eavesdropper_delta, run_baseline_round
 from ftagg.game import (
     GameSetup,
-    GameStatus,
     STRATEGIES,
     attack_dc_plus_neighbor,
     empirical_unlinkability,
     play_game,
     run_trial,
-)
-from ftagg.masking import (
-    derive_prf_key,
-    mask,
-    prf,
-    round_share,
-    unmask_aggregate,
-    update_share,
 )
 from ftagg.model import (
     DC,
@@ -217,18 +209,15 @@ def test_criterion_7_backend_algebra():
         seed = rng.getrandbits(64)
         t = rng.randrange(1000)
         s_0 = rng.randrange(k)
-        running = s_0
-        masked, prfs, plain = {}, {}, {}
         n = rng.randint(1, 10)
-        for i in rng.sample(range(1, n + 1), rng.randint(1, n)):
-            m = rng.randrange(min(k, 1000))
-            s_i = round_share(seed, i, t, k)
-            p_i = prf(derive_prf_key(seed, i), t, k)
-            masked[i] = mask(m, s_i, p_i, k)
-            prfs[i] = p_i
-            plain[i] = m
-            running = update_share(running, s_i, k)
-        assert unmask_aggregate(running, s_0, masked, prfs, k) == sum(plain.values()) % k
+        contributors = rng.sample(range(1, n + 1), rng.randint(1, n))
+        plain = {i: rng.randrange(min(k, 1000)) for i in contributors}
+        backend = masking_backend(n, k.bit_length() - 1, seed, t, plain)
+        collected = {i: backend.initial_payload(i, t) for i in contributors}
+        running = s_0
+        for i in contributors:
+            running = backend.fold_measurement(running, i)
+        assert backend.finalize(running, contributors, collected, s_0) == sum(plain.values()) % k
 
     keys = keygen(256, 0xBEEF)
     units = randomness_stream(keys, seed=0xBEEF, t=0)
@@ -325,7 +314,7 @@ def test_criterion_8_privacy_games():
         assert trial.abort_reason is None
         expected = setup.m0 if trial.secret_bit == 0 else setup.m1
         assert attack_dc_plus_neighbor(setup, nonce=j) == expected
-        assert play_game(setup, STRATEGIES["masking-attack"], nonce=j).status == GameStatus.WIN
+        assert play_game(setup, STRATEGIES["masking-attack"], nonce=j) is True
 
     he_backend = PaillierSpec(key_bits=256)
     for j in range(100):
@@ -336,7 +325,7 @@ def test_criterion_8_privacy_games():
         assert trial.abort_reason is None
         expected = setup.m0 if trial.secret_bit == 0 else setup.m1
         assert attack_dc_plus_neighbor(setup, nonce=j) == expected
-        assert play_game(setup, STRATEGIES["he-attack"], nonce=j).status == GameStatus.WIN
+        assert play_game(setup, STRATEGIES["he-attack"], nonce=j) is True
 
     coin = empirical_unlinkability(
         "masking-colluding-meters", 2000, seed=0xC0, strategy="coin-flip"
@@ -354,8 +343,7 @@ def test_criterion_8_privacy_games():
     fuzz_total = 220
     aborted = 0
     for j in range(fuzz_total):
-        result = play_game(_fuzzed_invalid_setup(fuzz_rng, j), STRATEGIES["coin-flip"], nonce=j)
-        if result.status == GameStatus.ABORT:
+        if play_game(_fuzzed_invalid_setup(fuzz_rng, j), STRATEGIES["coin-flip"], nonce=j) is None:
             aborted += 1
     assert aborted == fuzz_total
 

@@ -10,7 +10,6 @@ from ftagg.game import (
     STRATEGIES,
     GameSetup,
     GameStats,
-    GameStatus,
     SetupViolation,
     attack_dc_plus_neighbor,
     empirical_unlinkability,
@@ -71,9 +70,8 @@ coin = STRATEGIES["coin-flip"]
 
 
 def test_valid_setup_reaches_a_verdict():
-    result = play_game(setup_4sm(), coin)
-    assert result.status in (GameStatus.WIN, GameStatus.LOSS)
-    assert result.secret_bit in (0, 1)
+    assert play_game(setup_4sm(), coin) in (True, False)
+    assert run_trial(setup_4sm()).secret_bit in (0, 1)
 
 
 @pytest.mark.parametrize(
@@ -97,38 +95,38 @@ def test_valid_setup_reaches_a_verdict():
     ],
 )
 def test_malformed_submissions_abort(overrides, hint):
-    result = play_game(setup_4sm(**overrides), coin)
-    assert result.status == GameStatus.ABORT
-    assert hint in result.abort_reason
+    setup = setup_4sm(**overrides)
+    assert play_game(setup, coin) is None
+    assert hint in run_trial(setup).abort_reason
 
 
 def test_working_edges_outside_graph_abort():
-    result = play_game(setup_4sm(graph=mesh_4sm(edges_off=[(2, 4)])), coin)
-    assert result.status == GameStatus.ABORT
-    assert "invalid submission" in result.abort_reason
+    setup = setup_4sm(graph=mesh_4sm(edges_off=[(2, 4)]))
+    assert play_game(setup, coin) is None
+    assert "invalid submission" in run_trial(setup).abort_reason
 
 
 def test_disconnected_challenged_meter_aborts():
     working = mesh_4sm(working_off=[(0, 1), (1, 2), (1, 3), (1, 4)])
-    result = play_game(setup_4sm(graph=working), coin)
-    assert result.status == GameStatus.ABORT
-    assert "contribute" in result.abort_reason
+    setup = setup_4sm(graph=working)
+    assert play_game(setup, coin) is None
+    assert "contribute" in run_trial(setup).abort_reason
 
 
 def test_unreachable_quorum_aborts():
     working = mesh_4sm(working_off=[(0, 4), (1, 4), (2, 4), (3, 4)])
-    result = play_game(setup_4sm(graph=working, n_min=4), coin)
-    assert result.status == GameStatus.ABORT
-    assert "contribute" in result.abort_reason
+    setup = setup_4sm(graph=working, n_min=4)
+    assert play_game(setup, coin) is None
+    assert "contribute" in run_trial(setup).abort_reason
 
 
 def test_challenged_meter_skipped_by_walk_aborts():
     # SM3 reports fine but no activated meter can reach it, so the walk
     # passes it over; the challenger must notice and abort.
     working = mesh_4sm(working_off=[(1, 3), (2, 3), (3, 4)])
-    result = play_game(setup_4sm(graph=working), coin)
-    assert result.status == GameStatus.ABORT
-    assert "contribute" in result.abort_reason
+    setup = setup_4sm(graph=working)
+    assert play_game(setup, coin) is None
+    assert "contribute" in run_trial(setup).abort_reason
 
 
 def test_masking_attack_recovers_pinned_measurement():
@@ -149,8 +147,7 @@ def test_masking_attack_recovers_whichever_value_was_assigned():
 
 def test_masking_attack_strategy_always_wins():
     for nonce in range(25):
-        result = play_game(setup_4sm(seed=2000 + nonce), STRATEGIES["masking-attack"], nonce)
-        assert result.status == GameStatus.WIN
+        assert play_game(setup_4sm(seed=2000 + nonce), STRATEGIES["masking-attack"], nonce) is True
 
 
 def test_he_attack_recovers_pinned_measurement():
@@ -161,8 +158,7 @@ def test_he_attack_recovers_pinned_measurement():
 def test_he_attack_strategy_always_wins():
     for nonce in range(25):
         setup = setup_4sm(seed=3000 + nonce, backend=PaillierSpec(key_bits=128))
-        result = play_game(setup, STRATEGIES["he-attack"], nonce)
-        assert result.status == GameStatus.WIN
+        assert play_game(setup, STRATEGIES["he-attack"], nonce) is True
 
 
 def test_attack_requires_corrupted_concentrator():

@@ -1,20 +1,14 @@
 import random
 
 import pytest
-from conftest import make_scenario
+from conftest import make_scenario, masking_backend
 from ftagg.masking import (
-    KeySetMismatch,
     MaskingBackend,
-    MaskingParams,
-    derive_params,
     derive_prf_key,
     derive_share_key,
-    init_share,
     mask,
     prf,
     round_share,
-    unmask_aggregate,
-    update_share,
 )
 from ftagg.model import MaskingSpec, MeasurementOutOfRange, ScenarioError
 
@@ -46,7 +40,9 @@ def test_mask_rejects_out_of_range(m):
     [(3, 4, 16, 7), (15, 1, 16, 0), (0, 0, 16, 0)],
 )
 def test_update_share_known_values(s, si, k, expected):
-    assert update_share(s, si, k) == expected
+    backend = masking_backend(1, k.bit_length() - 1, seed=0, t=0)
+    backend.shares[1] = si
+    assert backend.fold_measurement(s, 1) == expected
 
 
 def test_prf_deterministic_and_round_separated():
@@ -100,14 +96,13 @@ def test_round_share_varies_by_round_and_meter():
 
 
 def test_init_share_deterministic_per_round_seed():
-    a = derive_params(make_scenario(3, seed=1, round_index=0))
-    b = derive_params(make_scenario(3, seed=1, round_index=0))
-    c = derive_params(make_scenario(3, seed=1, round_index=1))
-    assert init_share(a) == init_share(b)
-    assert init_share(a) != init_share(c)
-    s_0, s_running = init_share(a)
-    assert s_0 == s_running
-    assert 0 <= s_0 < a.k
+    a = MaskingBackend(make_scenario(3, seed=1, round_index=0))
+    b = MaskingBackend(make_scenario(3, seed=1, round_index=0))
+    c = MaskingBackend(make_scenario(3, seed=1, round_index=1))
+    assert a.init_share() == b.init_share()
+    assert a.init_share() != c.init_share()
+    assert a.init_share() == a.s_0
+    assert 0 <= a.s_0 < a.k
 
 
 def test_pinned_prf_keys_are_honored():
@@ -124,9 +119,9 @@ def test_pinned_prf_keys_are_honored():
         seed=base.seed,
         prf_keys={1: pin},
     )
-    params = derive_params(pinned)
-    assert params.keys[1] == pin
-    assert params.keys[2] == derive_prf_key(base.seed, 2)
+    backend = MaskingBackend(pinned)
+    assert backend.prf_keys[1] == pin
+    assert backend.prf_keys[2] == derive_prf_key(base.seed, 2)
 
 
 def test_unmask_recovers_plain_sum():
@@ -138,41 +133,22 @@ def test_unmask_recovers_plain_sum():
         active = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
         seed = rng.getrandbits(64)
         t = rng.randrange(1000)
-        params = MaskingParams(
-            k=k,
-            keys={i: derive_prf_key(seed, i) for i in range(1, n + 1)},
-            dc_seed=rng.getrandbits(64),
-        )
+        opening = rng.getrandbits(64) % k
         ms = {i: rng.randrange(k) for i in active}
-        s_0, s_running = init_share(params)
-        masked, prfs = {}, {}
+        backend = masking_backend(n, k_bits, seed, t, ms)
+        collected = {i: backend.initial_payload(i, t) for i in active}
+        s_running = opening
         for i in active:
-            s_i = round_share(seed, i, t, k)
-            p_i = prf(params.keys[i], t, k)
-            masked[i] = mask(ms[i], s_i, p_i, k)
-            prfs[i] = p_i
-            s_running = update_share(s_running, s_i, k)
-        got = unmask_aggregate(s_running, s_0, masked, prfs, k)
+            s_running = backend.fold_measurement(s_running, i)
+        got = backend.finalize(s_running, active, collected, opening)
         assert got == sum(ms.values()) % k
 
 
 def test_unmask_single_contributor():
-    params = MaskingParams(k=1 << 16, keys={1: derive_prf_key(0, 1)}, dc_seed=5)
-    s_0, s = init_share(params)
-    s_1 = round_share(0, 1, 3, params.k)
-    p_1 = prf(params.keys[1], 3, params.k)
-    s = update_share(s, s_1, params.k)
-    got = unmask_aggregate(s, s_0, {1: mask(42, s_1, p_1, params.k)}, {1: p_1}, params.k)
-    assert got == 42
-
-
-def test_unmask_rejects_empty_and_mismatched_sets():
-    with pytest.raises(KeySetMismatch):
-        unmask_aggregate(0, 0, {}, {}, 16)
-    with pytest.raises(KeySetMismatch):
-        unmask_aggregate(0, 0, {1: 3}, {2: 3}, 16)
-    with pytest.raises(KeySetMismatch):
-        unmask_aggregate(0, 0, {1: 3, 2: 4}, {1: 3}, 16)
+    backend = masking_backend(1, 16, seed=0, t=3, measurements={1: 42})
+    opening = 5
+    s = backend.fold_measurement(opening, 1)
+    assert backend.finalize(s, [1], {1: backend.initial_payload(1, 3)}, opening) == 42
 
 
 def test_masked_values_fresh_across_rounds():
@@ -194,23 +170,22 @@ def test_backend_masks_measurements_and_finalizes():
     backend = MaskingBackend(s)
     k = s.backend.k
     for i in (1, 2, 3):
-        expect = mask(s.measurements[i], backend.share_of(i), backend.prf_of(i), k)
+        p_i = prf(backend.prf_keys[i], s.round, k)
+        expect = mask(s.measurements[i], backend.shares[i], p_i, k)
         assert backend.initial_payload(i, s.round) == expect
 
-    aux, s_running = backend.init_share()
+    opening = s_running = backend.init_share()
     collected = {i: backend.initial_payload(i, s.round) for i in (1, 2, 3)}
     for i in (1, 2, 3):
         s_running = backend.fold_measurement(s_running, i)
-    assert backend.finalize(s_running, [1, 2, 3], collected, aux) == 15
-    assert backend.finalize(None, [1, 2, 3], collected, aux) is None
-    assert backend.finalize(s_running, [], collected, aux) is None
+    assert backend.finalize(s_running, [1, 2, 3], collected, opening) == 15
 
 
 def test_backend_partial_active_set():
     s = make_scenario(4, measurements={1: 10, 2: 20, 3: 30, 4: 40})
     backend = MaskingBackend(s)
-    aux, s_running = backend.init_share()
+    opening = s_running = backend.init_share()
     collected = {i: backend.initial_payload(i, s.round) for i in (1, 3)}
     for i in (1, 3):
         s_running = backend.fold_measurement(s_running, i)
-    assert backend.finalize(s_running, [1, 3], collected, aux) == 40
+    assert backend.finalize(s_running, [1, 3], collected, opening) == 40

@@ -179,20 +179,18 @@ def test_backend_fold_and_finalize():
     )
     backend = PaillierBackend(s)
     assert backend.initial_payload(1, s.round) is None
-    aux, acc = backend.init_share()
-    assert aux is None
+    opening = acc = backend.init_share()
+    assert decrypt_aggregate(backend.keys, opening) == 0
     for i in (1, 2, 3):
         acc = backend.fold_measurement(acc, i)
-    assert backend.finalize(acc, [1, 2, 3], {}, aux) == 600
-    assert backend.finalize(None, [1, 2, 3], {}, aux) is None
-    assert backend.finalize(acc, [], {}, aux) is None
+    assert backend.finalize(acc, [1, 2, 3], {}, opening) == 600
 
 
 def test_backend_deterministic_for_fixed_scenario():
     s = make_scenario(2, backend=PaillierSpec(key_bits=128), seed=77)
     a = PaillierBackend(s)
     b = PaillierBackend(s)
-    assert a.init_share()[1] == b.init_share()[1]
+    assert a.init_share() == b.init_share()
     assert a.keys == b.keys
 
 

@@ -7,7 +7,7 @@ invariant comes back as a minimal topology instead of a 12-meter blob.
 import itertools
 from collections import Counter
 
-from ftagg.masking import derive_prf_key, mask, prf, round_share, unmask_aggregate, update_share
+from conftest import masking_backend
 from ftagg.model import (
     DC,
     FailureGraph,
@@ -105,16 +105,13 @@ def test_aggregate_matches_reference_walker(scenario):
 def test_masking_pipeline_cancels(k_bits, seed, t, s_0, ms):
     k = 1 << k_bits
     s_0 %= k
+    backend = masking_backend(max(ms), k_bits, seed, t, {i: m % k for i, m in ms.items()})
+    collected = {i: backend.initial_payload(i, t) for i in ms}
     running = s_0
-    masked, prfs = {}, {}
-    for i, m in ms.items():
-        s_i = round_share(seed, i, t, k)
-        p_i = prf(derive_prf_key(seed, i), t, k)
-        masked[i] = mask(m % k, s_i, p_i, k)
-        prfs[i] = p_i
-        running = update_share(running, s_i, k)
+    for i in ms:
+        running = backend.fold_measurement(running, i)
     expected = sum(m % k for m in ms.values()) % k
-    assert unmask_aggregate(running, s_0, masked, prfs, k) == expected
+    assert backend.finalize(running, list(ms), collected, s_0) == expected
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

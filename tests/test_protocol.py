@@ -1,6 +1,8 @@
+import importlib.util
 import random
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -174,6 +176,35 @@ def test_runs_are_deterministic(backend):
     b, _ = run(s)
     assert a == b
 
+
+
+def load_tracing():
+    """The benchmark's span recorder, loaded by path: its proxies make the
+    same calls into a backend and a network that `run_round` makes."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "backend", [MaskingSpec(), PaillierSpec(key_bits=128)], ids=["masking", "paillier-128"]
+)
+def test_round_runs_unchanged_through_the_benchmark_proxies(backend):
+    # The proxies pin the backend contract's four calls and their arities.
+    tracer = load_tracing().Tracer()
+    s = make_scenario(5, off=[(DC, 2), (3, 4)], backend=backend)
+    bare, _ = run(s)
+    traced = run_round(
+        s, tracer.backend(make_backend(s)), tracer.network(SimNetwork.for_scenario(s))
+    )
+    assert traced == bare
+    assert bare.aggregate is not None
+    assert bare.aggregate == predict_aggregate(s)
+    layer = make_backend(s).name
+    calls = {f"{layer}.{call}" for call in ("payload", "init_share", "fold", "finalize")}
+    assert calls <= {span[0] for span in tracer.spans}
 
 def test_engine_agrees_with_walker_on_random_scenarios():
     rng = random.Random(101)
