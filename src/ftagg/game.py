@@ -7,9 +7,11 @@ runs a full protocol round, and shows the adversary exactly what its corrupted
 parties would have seen. The adversary then guesses the assignment bit.
 
 Strategies are pure functions from an AdversaryView to a bit. The collusion
-attack one corruption past the maximal sets is implemented both as a strategy
-per backend (so it can be measured like any other adversary) and as one
-standalone operation returning the challenged meter's plaintext.
+attack one corruption past the maximal sets is one view reader,
+`recover_measurement`: it returns the first challenged meter's plaintext when
+the view shows that meter opened the activation chain and handed its share to
+a corrupted meter, and raises otherwise. The `masking-attack` and `he-attack`
+strategies and the standalone `attack_dc_plus_neighbor` both use it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Mapping, Optional
 
 from .masking import MaskingBackend, prf
@@ -31,13 +34,12 @@ from .model import (
     Scenario,
     ScenarioError,
     full_mesh,
-    link_on,
     party_name,
     trace_record_to_dict,
     validate_scenario,
 )
 from .netsim import SimNetwork
-from .paillier import Ciphertext, decrypt_aggregate, keygen, keys_from_totient
+from .paillier import Ciphertext, decrypt_aggregate, keys_from_totient
 from .protocol import make_backend, run_round
 from .walker import predict_aggregate, reachable_active
 
@@ -115,32 +117,20 @@ def _bit_for_trial(setup: GameSetup, nonce: int) -> int:
     return digest[0] & 1
 
 
-def _measurement_domain(s: Scenario) -> int:
-    if isinstance(s.backend, MaskingSpec):
-        return s.backend.k
-    return keygen(s.backend.key_bits, s.seed).n
-
-
 def _check_submission(setup: GameSetup) -> Optional[str]:
-    """The challenger's vetting pass; a string is an abort reason."""
+    """The challenger's own vetting pass; a string is an abort reason. The
+    sending list and the measurement range are `validate_scenario`'s."""
     s = setup.scenario
     i_star, j_star = setup.challenged
-    if sorted(s.sending_list) != list(range(1, s.n_sm + 1)):
-        return "sending list must contain every meter exactly once"
     if i_star == j_star:
         return "challenged meters must be distinct"
     if not (1 <= i_star <= s.n_sm and 1 <= j_star <= s.n_sm):
         return "challenged meters must exist"
     if i_star in setup.corrupted_sms or j_star in setup.corrupted_sms:
         return "challenged meters must be honest"
-    domain = _measurement_domain(s)
-    if not (0 <= setup.m0 < domain and 0 <= setup.m1 < domain):
-        return "challenge measurements outside the measurement domain"
     expected = set(range(1, s.n_sm + 1)) - {i_star, j_star}
     if set(s.measurements) != expected:
         return "measurement list must cover exactly the non-challenged meters"
-    if any(not (0 <= m < domain) for m in s.measurements.values()):
-        return "measurement list outside the measurement domain"
     return None
 
 
@@ -258,68 +248,37 @@ def play_game(setup: GameSetup, adversary: Callable[[AdversaryView], int], nonce
     return (int(adversary(trial.view)) & 1) == trial.secret_bit
 
 
-# --- recovery cores shared by the attack strategies and the attack op ---
+# --- the breach recovery shared by the attack strategies and the attack op ---
 
 
-def _first_handoff_to_corrupted(view: AdversaryView):
-    """The activation a corrupted meter received directly from the first
-    challenged meter; its share field is S after that meter folded."""
-    i_star = view.challenged[0]
-    for m in view.messages:
-        if (
-            m["kind"] == KIND_ACTIVATION
-            and m["from"] == f"SM{i_star}"
-            and m["to"].startswith("SM")
-        ):
-            return m
-    return None
-
-
-def _initial_report(view: AdversaryView, i: int):
-    for m in view.messages:
-        if m["kind"] == KIND_INITIAL_DATA and m["from"] == f"SM{i}" and m["to"] == "DC":
-            return m
-    return None
-
-
-def recover_masking_measurement(view: AdversaryView) -> int:
-    """Masked report minus the share delta observed by the colluding next
-    meter, minus the recomputed PRF value: the raw measurement."""
-    if view.backend_name != "masking":
-        raise SetupViolation("masking recovery needs the masking backend")
+def recover_measurement(view: AdversaryView) -> int:
+    """The first challenged meter's plaintext, read from the handoff it sent
+    to a corrupted meter as the round's first contributor: that share is the
+    concentrator's opener plus the meter's own fold. Under masking the
+    report, minus that share's delta over the opener, minus the PRF value,
+    is the measurement; under Paillier the share decrypts to it."""
     if not view.corrupted_dc:
-        raise SetupViolation("recovery needs the concentrator's keys and report")
-    handoff = _first_handoff_to_corrupted(view)
-    if handoff is None:
-        raise SetupViolation("no corrupted meter received the challenged handoff")
+        raise SetupViolation("recovery needs the concentrator's keys")
     i_star = view.challenged[0]
-    report = _initial_report(view, i_star)
-    if report is None:
-        raise SetupViolation("the challenged masked report never reached the concentrator")
+    sender = party_name(i_star)
+    sent = [m for m in view.messages if m["from"] == sender]
+    handoffs = [
+        m["body"]["share"]
+        for m in sent
+        if m["kind"] == KIND_ACTIVATION and m["body"]["active"] == (i_star,)
+    ]
+    if not handoffs:
+        raise SetupViolation(f"no corrupted meter received {sender}'s handoff as first contributor")
+    share = handoffs[0]
+    if view.backend_name == "paillier":
+        sk = view.secrets["he_secret_key"]
+        keys = keys_from_totient(sk["n"], sk["lam"], sk["bits"])
+        return decrypt_aggregate(keys, Ciphertext(share, keys.n_sq))
+    # Its report reached the corrupted concentrator, since it contributed.
+    (report,) = [m["body"]["data"] for m in sent if m["kind"] == KIND_INITIAL_DATA]
     k = view.modulus
-    s_0 = view.secrets["dc_share"]
     key = bytes.fromhex(view.secrets["prf_keys"][i_star])
-    s_i_star = handoff["body"]["share"]
-    return (report["body"]["data"] - (s_i_star - s_0) - prf(key, view.round, k)) % k
-
-
-def recover_he_measurement(view: AdversaryView) -> int:
-    """Decrypt the running ciphertext the colluding next meter received from
-    the first challenged meter; the concentrator's opener contributes zero."""
-    if view.backend_name != "paillier":
-        raise SetupViolation("ciphertext recovery needs the encrypting backend")
-    if not view.corrupted_dc:
-        raise SetupViolation("recovery needs the decryption key")
-    handoff = _first_handoff_to_corrupted(view)
-    if handoff is None:
-        raise SetupViolation("no corrupted meter received the challenged handoff")
-    sk = view.secrets["he_secret_key"]
-    keys = keys_from_totient(sk["n"], sk["lam"], sk["bits"])
-    return decrypt_aggregate(keys, Ciphertext(handoff["body"]["share"], keys.n_sq))
-
-
-def _guess_from_recovered(view: AdversaryView, recovered: int) -> int:
-    return 0 if recovered == view.m0 else 1
+    return (report - (share - view.secrets["dc_share"]) - prf(key, view.round, k)) % k
 
 
 # --- strategies: pure view -> bit, registered by name for the CLI ---
@@ -346,67 +305,43 @@ def strategy_transcript_hash(view: AdversaryView) -> int:
     return digest[0] & 1
 
 
-def strategy_masking_attack(view: AdversaryView) -> int:
-    return _guess_from_recovered(view, recover_masking_measurement(view))
-
-
-def strategy_he_attack(view: AdversaryView) -> int:
-    return _guess_from_recovered(view, recover_he_measurement(view))
+def strategy_breach(view: AdversaryView) -> int:
+    return 0 if recover_measurement(view) == view.m0 else 1
 
 
 STRATEGIES: dict[str, Callable[[AdversaryView], int]] = {
     "coin-flip": strategy_coin_flip,
     "sum-only": strategy_sum_only,
     "transcript-hash": strategy_transcript_hash,
-    "masking-attack": strategy_masking_attack,
-    "he-attack": strategy_he_attack,
+    # Two names for one strategy: game configs and family defaults use both.
+    "masking-attack": strategy_breach,
+    "he-attack": strategy_breach,
 }
 
 
 # --- the standalone attack operation ---
 
 
-def _check_attack_preconditions(setup: GameSetup) -> None:
-    i_star, j_star = setup.challenged
-    order = setup.scenario.sending_list
-    if not setup.corrupted_dc:
-        raise SetupViolation("attack needs the concentrator corrupted")
-    if not setup.corrupted_sms:
-        raise SetupViolation("attack needs a corrupted meter right after the challenged one")
-    if order[0] != i_star:
-        raise SetupViolation("attack needs the challenged meter first in the sending list")
-    neighbor = order[1] if len(order) > 1 else None
-    if neighbor not in setup.corrupted_sms:
-        raise SetupViolation("attack needs a corrupted meter right after the challenged one")
-    for a, b in ((i_star, neighbor), (i_star, DC), (neighbor, DC)):
-        if not link_on(setup.scenario.graph, a, b):
-            raise SetupViolation(f"attack needs a working {party_name(a)}-{party_name(b)} link")
-
-
 def attack_dc_plus_neighbor(setup: GameSetup, nonce: int = 0) -> int:
-    """Corrupted concentrator plus the meter scheduled right after the
-    challenged one: recovers the challenged meter's exact measurement, by
-    unmasking its report under masking or by decrypting the ciphertext the
-    neighbor received under the encrypting backend."""
-    _check_attack_preconditions(setup)
+    """One trial of a breach setup, then the first challenged meter's exact
+    measurement by `recover_measurement`: corrupted concentrator plus the
+    meter the challenged one handed the share to as first contributor."""
     trial = run_trial(setup, nonce)
     if trial.abort_reason is not None:
         raise SetupViolation(f"challenger aborted: {trial.abort_reason}")
-    if isinstance(setup.scenario.backend, MaskingSpec):
-        return recover_masking_measurement(trial.view)
-    return recover_he_measurement(trial.view)
+    return recover_measurement(trial.view)
 
 
 # --- canonical setup families and the empirical driver ---
 
 
 def _family_setup(
-    rng: random.Random,
-    n_sm: int,
     backend,
     corrupted_dc: bool,
     corrupt_others: bool,
     attack_order: bool,
+    rng: random.Random,
+    n_sm: int,
     trial_index: int,
 ) -> GameSetup:
     meters = list(range(1, n_sm + 1))
@@ -445,30 +380,23 @@ def _family_setup(
     )
 
 
-def _family(backend_factory, corrupted_dc, corrupt_others, attack_order, default_strategy):
-    def build(rng: random.Random, n_sm: int, trial_index: int) -> GameSetup:
-        return _family_setup(
-            rng, n_sm, backend_factory(), corrupted_dc, corrupt_others, attack_order, trial_index
-        )
-
-    return build, default_strategy
-
-
+# Each family is (builder(rng, n_sm, trial_index), default strategy).
 FAMILIES: dict[str, tuple] = {
     # Colluding meters only: everything but the challenged pair is corrupted.
-    "masking-colluding-meters": _family(MaskingSpec, False, True, False, "transcript-hash"),
-    "he-colluding-meters": _family(lambda: PaillierSpec(key_bits=256), False, True, False, "transcript-hash"),
+    "masking-colluding-meters": (partial(_family_setup, MaskingSpec(), False, True, False), "transcript-hash"),
+    "he-colluding-meters": (partial(_family_setup, PaillierSpec(256), False, True, False), "transcript-hash"),
     # Concentrator corrupted, meters honest.
-    "masking-concentrator": _family(MaskingSpec, True, False, False, "transcript-hash"),
-    "he-concentrator": _family(lambda: PaillierSpec(key_bits=256), True, False, False, "sum-only"),
+    "masking-concentrator": (partial(_family_setup, MaskingSpec(), True, False, False), "transcript-hash"),
+    "he-concentrator": (partial(_family_setup, PaillierSpec(256), True, False, False), "sum-only"),
     # One meter past the maximal sets: concentrator plus colluding meters,
     # with the sending list arranged for the recovery attack.
-    "masking-breach": _family(MaskingSpec, True, True, True, "masking-attack"),
-    "he-breach": _family(lambda: PaillierSpec(key_bits=256), True, True, True, "he-attack"),
+    "masking-breach": (partial(_family_setup, MaskingSpec(), True, True, True), "masking-attack"),
+    "he-breach": (partial(_family_setup, PaillierSpec(256), True, True, True), "he-attack"),
 }
 
 
-def wilson_interval(wins: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(wins: int, trials: int) -> tuple[float, float]:
+    z = WILSON_Z
     if trials == 0:
         return 0.0, 1.0
     phat = wins / trials

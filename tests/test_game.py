@@ -14,14 +14,16 @@ from ftagg.game import (
     attack_dc_plus_neighbor,
     empirical_unlinkability,
     play_game,
-    recover_he_measurement,
-    recover_masking_measurement,
+    recover_measurement,
     run_trial,
     view_to_json,
     wilson_interval,
 )
-from ftagg.masking import derive_prf_key, round_share
+from ftagg.masking import MaskingBackend, derive_prf_key, mask, prf, round_share
 from ftagg.model import (
+    DC,
+    KIND_ACTIVATION,
+    KIND_INITIAL_DATA,
     FailureGraph,
     MaskingSpec,
     PaillierSpec,
@@ -29,7 +31,9 @@ from ftagg.model import (
     ScenarioError,
     full_mesh,
 )
+from ftagg.netsim import SimNetwork
 from ftagg.paillier import encrypt, keygen, randomness_stream
+from ftagg.protocol import run_round
 
 
 def setup_4sm(**overrides) -> GameSetup:
@@ -83,11 +87,11 @@ def test_valid_setup_reaches_a_verdict():
         (dict(challenged=(1, 1)), "distinct"),
         (dict(challenged=(1, 9)), "exist"),
         (dict(corrupted_sms=frozenset({3, 4})), "honest"),
-        (dict(m0=1 << 64), "domain"),
-        (dict(m1=-3), "domain"),
+        (dict(m0=1 << 64), "modulus"),
+        (dict(m1=-3), "negative"),
         (dict(measurements={2: 7}), "cover"),
         (dict(measurements={2: 7, 3: 1, 4: 11}), "cover"),
-        (dict(measurements={2: 7, 4: 1 << 64}), "domain"),
+        (dict(measurements={2: 7, 4: 1 << 64}), "modulus"),
         (dict(n_min=9), "invalid"),
         (dict(backend=PaillierSpec(key_bits=65)), "key_bits"),
         (dict(backend=PaillierSpec(key_bits=4098)), "key_bits"),
@@ -183,12 +187,63 @@ def test_attack_requires_working_neighbor_link():
         attack_dc_plus_neighbor(setup_4sm(graph=mesh_4sm(working_off=[(1, 2)])))
 
 
-def test_attack_rejects_wrong_backend():
-    he_view = run_trial(setup_4sm(backend=PaillierSpec(key_bits=128))).view
+@pytest.mark.parametrize("backend", [MaskingSpec(), PaillierSpec(key_bits=128)])
+def test_recovery_refuses_a_challenged_meter_that_was_not_first_contributor(backend):
+    # SM2 opens the chain, so the share SM1 hands to SM3 already holds SM2's
+    # measurement; reading it as SM1's alone would be a silent wrong value.
+    setup = setup_4sm(
+        sending_list=(2, 1, 3, 4),
+        challenged=(1, 4),
+        measurements={2: 7, 3: 11},
+        corrupted_sms=frozenset({2, 3}),
+        backend=backend,
+    )
+    trial = run_trial(setup)
+    assert trial.abort_reason is None
+    with pytest.raises(SetupViolation, match="first contributor"):
+        recover_measurement(trial.view)
     with pytest.raises(SetupViolation):
-        recover_masking_measurement(he_view)
-    with pytest.raises(SetupViolation):
-        recover_he_measurement(run_trial(setup_4sm()).view)
+        attack_dc_plus_neighbor(setup)
+
+
+@pytest.mark.parametrize("backend", [MaskingSpec(), PaillierSpec(key_bits=128)])
+def test_attack_recovers_a_first_contributor_that_is_not_first_in_the_list(backend):
+    # SM4 heads the sending list but is offline, so SM1 opens the chain.
+    for nonce in range(6):
+        setup = setup_4sm(
+            sending_list=(4, 1, 2, 3), sm_online={4: False}, backend=backend, seed=500 + nonce
+        )
+        trial = run_trial(setup, nonce)
+        assert trial.outcome.active[0] == 1
+        expected = setup.m0 if trial.secret_bit == 0 else setup.m1
+        assert attack_dc_plus_neighbor(setup, nonce) == expected
+
+
+def test_a_round_below_quorum_still_leaks_to_the_concentrator_and_a_meter():
+    # SM1 hands the share to SM2, which cannot reach SM3, so the round closes
+    # with two contributors under n_min = 3. SM1's report, the opener, SM1's
+    # PRF value and the share SM2 received still give SM1's measurement away.
+    links = [(0, 1), (0, 2), (0, 3), (1, 2)]
+    scenario = Scenario(
+        n_sm=3,
+        graph=FailureGraph.build(3, links, links),
+        sending_list=(1, 2, 3),
+        n_min=3,
+        round=4,
+        measurements={1: 123, 2: 45, 3: 6},
+        backend=MaskingSpec(),
+        seed=77,
+    )
+    backend = MaskingBackend(scenario)
+    outcome = run_round(scenario, backend, SimNetwork.for_scenario(scenario))
+    assert outcome.aggregate is None and outcome.active == (1, 2)
+    sent = {(r.message.kind, r.sender, r.receiver): r.message for r in outcome.trace}
+    report = sent[KIND_INITIAL_DATA, 1, DC].data
+    handoff = sent[KIND_ACTIVATION, 1, 2].share
+    k = scenario.backend.k
+    p1 = prf(derive_prf_key(scenario.seed, 1), scenario.round, k)
+    assert report == mask(123, round_share(scenario.seed, 1, scenario.round, k), p1, k)
+    assert (report - (handoff - backend.s_0) - p1) % k == 123
 
 
 def _all_ints(obj):
