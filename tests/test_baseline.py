@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -18,9 +19,23 @@ from ftagg.baseline import (
     run_baseline_round,
     static_share,
 )
-from ftagg.model import DC, MaskingSpec, ModulusTooSmall, PaillierSpec, ScenarioError
+from ftagg.model import (
+    DC,
+    MaskingSpec,
+    ModulusTooSmall,
+    PaillierSpec,
+    ScenarioError,
+    trace_to_jsonl,
+)
 from ftagg.netsim import SimNetwork
 from ftagg.protocol import make_backend, run_round
+from test_small_scope import rounds as small_scope_rounds
+
+# sha256 of `_baseline_fingerprint` over every small-scope round at n <= 3 and
+# over 500 random draws of both backends, recorded from the engine's earlier
+# form (an opening search, then a walk), so a rewrite keeps every field.
+SMALL_SCOPE_PIN = "1c22e4122a04910a4774b2a5548900437e1d57a197ac5aed132f451af2c7615b"
+RANDOM_DRAWS_PIN = "a1272f889db22fdce36b1f43de22242cdba1426766294c570354a5d45afe741c"
 
 
 def test_group_constants_hold():
@@ -215,3 +230,28 @@ def test_eavesdropper_view_requires_an_activated_meter():
     assert 1 not in result.active
     with pytest.raises(ScenarioError):
         eavesdropper_view(result.trace, 1, 1 << 64)
+
+
+def _baseline_fingerprint(scenarios) -> str:
+    """sha256 over every result field of each round, its trace JSONL and the
+    messages the trace carries."""
+    h = hashlib.sha256()
+    for s in scenarios:
+        r = run_baseline_round(s)
+        h.update(
+            repr(
+                (r.status.value, r.aggregate, r.active, r.reason, r.share_check,
+                 sorted(r.report_checks.items()), [x.message for x in r.trace])
+            ).encode()
+        )
+        h.update(trace_to_jsonl(r.trace).encode())
+    return h.hexdigest()
+
+
+def test_baseline_results_are_pinned_over_the_small_scope_and_random_draws():
+    small = [s for n in (1, 2, 3) for s in small_scope_rounds(n, all_online=False)]
+    rng = random.Random(1414)
+    drawn = [random_scenario(rng, n_max=8) for _ in range(500)]
+    assert (len(small), len(drawn)) == (1604, 500)
+    assert _baseline_fingerprint(small) == SMALL_SCOPE_PIN
+    assert _baseline_fingerprint(drawn) == RANDOM_DRAWS_PIN
