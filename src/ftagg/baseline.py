@@ -84,32 +84,16 @@ def dc_round_share(seed: int, t: int, k: int) -> int:
     return _residue(seed, b"bldcrnd", (t,), k)
 
 
-@dataclass(frozen=True)
-class BaselineParams:
-    k: int
-    static_shares: Mapping[int, int]
-    hash_group: HashGroup
-
-    def __post_init__(self):
-        if self.hash_group.k != self.k:
-            raise AssertionError("hash group order must equal the modulus")
-        for i, s in self.static_shares.items():
-            if not 0 <= s < self.k:
-                raise AssertionError(f"static share for meter {i} out of range")
-
-
-def derive_baseline_params(scenario: Scenario) -> BaselineParams:
-    # An encrypting scenario's sum is bounded only by its key size.
+def baseline_modulus(scenario: Scenario) -> int:
+    """The masking modulus k. An encrypting scenario's sum is bounded only by
+    its key size, so the baseline masks it modulo 2^64."""
     k = scenario.backend.k if isinstance(scenario.backend, MaskingSpec) else 1 << 64
     total = sum(scenario.measurements.values())
     if total >= k:
         raise ModulusTooSmall(
             f"sum of measurements {total} must stay below the baseline modulus {k}"
         )
-    shares = {
-        i: static_share(scenario.seed, i, k) for i in range(1, scenario.n_sm + 1)
-    }
-    return BaselineParams(k=k, static_shares=shares, hash_group=HashGroup.from_modulus(k))
+    return k
 
 
 @dataclass(frozen=True)
@@ -162,115 +146,87 @@ def run_baseline_round(scenario: Scenario) -> BaselineResult:
     There is no quorum and no up-front reachability filter: the share sum
     must physically travel the list and return to the concentrator, or the
     round simply never finishes (reported here as STUCK once the walk runs
-    out of list). The walk's list position only rises, so a round sends at
-    most 3n+2 records.
+    out of list). The concentrator is the first holder; a meter holder
+    reports, folds its round share and hands the sum on. The walk's list
+    position only rises, so a round sends at most 3n+2 records.
     """
-    params = derive_baseline_params(scenario)
+    k = baseline_modulus(scenario)
+    group = HashGroup.from_modulus(k)
     net = SimNetwork.for_scenario(scenario)
-    k = params.k
-    group = params.hash_group
-    t = scenario.round
-    order = scenario.sending_list
+    seed, t, order = scenario.seed, scenario.round, scenario.sending_list
     n = len(order)
-
-    round_shares = {i: baseline_round_share(scenario.seed, i, t, k) for i in order}
-    s_0 = dc_round_share(scenario.seed, t, k)
+    static = {i: static_share(seed, i, k) for i in order}
+    s_0 = s_running = dc_round_share(seed, t, k)
 
     active: list[int] = []
     reports: dict[int, MaskedReport] = {}
+    holder, pos = DC, -1
+    while pos < n:
+        if holder != DC:
+            active.append(holder)
+            m = scenario.measurements[holder]
+            share = baseline_round_share(seed, holder, t, k)
+            hashes = homomorphic_hash(m, group), homomorphic_hash(share, group)
+            report = MaskedReport(t, holder, (m + share + static[holder]) % k, *hashes)
+            # No retry and no ack for the report: if the concentrator link
+            # is down the report is silently gone.
+            if net.send(holder, DC, report) is DeliveryStatus.DELIVERED:
+                reports[holder] = report
+            s_running = (s_running + share) % k
 
-    def result(status, aggregate=None, reason="", share_check=None, report_checks=None):
-        return BaselineResult(
-            status=status,
-            aggregate=aggregate,
-            active=tuple(active),
-            trace=tuple(net.trace),
-            reason=reason,
-            share_check=share_check,
-            report_checks=dict(report_checks or {}),
-        )
-
-    # The concentrator hunts for a first responsive meter down the list.
-    pos = None
-    for idx, i in enumerate(order):
-        if net.send(DC, i, ShareHandoff(t, s_0)) is DeliveryStatus.DELIVERED:
-            if net.send(i, DC, Ack()) is not DeliveryStatus.DELIVERED:
-                raise AssertionError("ack lost on a live link")
-            pos = idx
-            break
-    if pos is None:
-        return result(BaselineStatus.STUCK, reason="no meter answered the opening share")
-
-    s_running = s_0
-    s_final = None
-    while s_final is None:
-        i = order[pos]
-        active.append(i)
-        masked = (scenario.measurements[i] + round_shares[i] + params.static_shares[i]) % k
-        report = MaskedReport(
-            t,
-            i,
-            masked,
-            homomorphic_hash(scenario.measurements[i], group),
-            homomorphic_hash(round_shares[i], group),
-        )
-        # No retry and no ack for the report: if the concentrator link is
-        # down the report is silently gone.
-        if net.send(i, DC, report) is DeliveryStatus.DELIVERED:
-            reports[i] = report
-
-        s_running = (s_running + round_shares[i]) % k
+        # Forward search: the list positions after the holder's, then, for a
+        # meter, the concentrator at position n. Past that nobody holds an
+        # instruction for the holder.
         handoff = ShareHandoff(t, s_running)
-
-        # Forward search: positions after mine, then the concentrator. Past
-        # that the list is exhausted and nobody holds an instruction for me.
-        found = None
-        for nxt in range(pos + 1, n + 1):
-            target = DC if nxt == n else order[nxt]
-            if net.send(i, target, handoff) is DeliveryStatus.DELIVERED:
-                if net.send(target, i, Ack()) is not DeliveryStatus.DELIVERED:
+        for pos in range(pos + 1, n + (holder != DC)):
+            target = order[pos] if pos < n else DC
+            if net.send(holder, target, handoff) is DeliveryStatus.DELIVERED:
+                if net.send(target, holder, Ack()) is not DeliveryStatus.DELIVERED:
                     raise AssertionError("ack lost on a live link")
-                found = nxt
                 break
-        if found is None:
-            return result(
-                BaselineStatus.STUCK,
-                reason=f"SM{i} holds the share sum but ran out of parties to hand it to",
-            )
-        if found == n:
-            s_final = s_running
         else:
-            pos = found
+            if holder == DC:
+                reason = "no meter answered the opening share"
+            else:
+                reason = f"SM{holder} holds the share sum but ran out of parties to hand it to"
+            return BaselineResult(
+                BaselineStatus.STUCK, None, tuple(active), tuple(net.trace), reason
+            )
+        holder = target
 
     # Aggregation at the concentrator, gated by the two hash checks.
     share_product = homomorphic_hash(s_0, group)
     for r in reports.values():
         share_product = (share_product * r.h_share) % group.p
-    share_check = homomorphic_hash(s_final, group) == share_product
+    share_check = homomorphic_hash(s_running, group) == share_product
 
     report_checks = {
         i: homomorphic_hash(r.masked, group)
-        == (r.h_measurement * r.h_share * homomorphic_hash(params.static_shares[i], group))
-        % group.p
+        == (r.h_measurement * r.h_share * homomorphic_hash(static[i], group)) % group.p
         for i, r in sorted(reports.items())
     }
 
     if not share_check or not all(report_checks.values()):
-        return result(
+        return BaselineResult(
             BaselineStatus.DETECTED_INCONSISTENCY,
-            reason="hash checks failed: a reporting gap left the share sum unexplained",
-            share_check=share_check,
-            report_checks=report_checks,
+            None,
+            tuple(active),
+            tuple(net.trace),
+            "hash checks failed: a reporting gap left the share sum unexplained",
+            share_check,
+            report_checks,
         )
 
     aggregate = (
         sum(r.masked for r in reports.values())
-        - (s_final - s_0)
-        - sum(params.static_shares[i] for i in reports)
+        - (s_running - s_0)
+        - sum(static[i] for i in reports)
     ) % k
-    return result(
+    return BaselineResult(
         BaselineStatus.COMPLETED,
-        aggregate=aggregate,
+        aggregate,
+        tuple(active),
+        tuple(net.trace),
         share_check=share_check,
         report_checks=report_checks,
     )
@@ -279,30 +235,16 @@ def run_baseline_round(scenario: Scenario) -> BaselineResult:
 def eavesdropper_view(trace: Sequence[TraceRecord], i: int, k: int) -> int:
     """What a passive listener parked next to meter i learns in one round:
     masked report minus the share delta, which collapses to m + static."""
-    s_in = next(
-        (
-            r.message.share
-            for r in trace
-            if r.message.kind == KIND_SHARE_HANDOFF and r.receiver == i and r.delivered
-        ),
-        None,
-    )
-    s_out = next(
-        (
-            r.message.share
-            for r in trace
-            if r.message.kind == KIND_SHARE_HANDOFF and r.sender == i
-        ),
-        None,
-    )
-    report = next(
-        (
-            r.message.masked
-            for r in trace
-            if r.message.kind == KIND_MASKED_REPORT and r.sender == i
-        ),
-        None,
-    )
+    s_in = s_out = report = None
+    for r in reversed(trace):  # backwards, so the first record of each kind wins
+        msg = r.message
+        if msg.kind == KIND_SHARE_HANDOFF:
+            if r.receiver == i and r.delivered:
+                s_in = msg.share
+            if r.sender == i:
+                s_out = msg.share
+        elif msg.kind == KIND_MASKED_REPORT and r.sender == i:
+            report = msg.masked
     if s_in is None or s_out is None or report is None:
         raise ScenarioError(f"meter {i} was not activated in this trace")
     return (report - (s_out - s_in)) % k

@@ -10,7 +10,7 @@ from ftagg.baseline import (
     HASH_PRIME,
     BaselineStatus,
     HashGroup,
-    derive_baseline_params,
+    baseline_modulus,
     dc_round_share,
     baseline_round_share,
     eavesdropper_delta,
@@ -160,8 +160,7 @@ def test_baseline_is_deterministic():
 
 def test_paillier_scenarios_fall_back_to_a_wide_modulus():
     s = make_scenario(3, backend=PaillierSpec(key_bits=128))
-    params = derive_baseline_params(s)
-    assert params.k == 1 << 64
+    assert baseline_modulus(s) == 1 << 64
     result = run_baseline_round(s)
     assert result.status is BaselineStatus.COMPLETED
     assert result.aggregate == sum(s.measurements.values())
@@ -180,7 +179,7 @@ def test_paillier_sum_at_the_wide_modulus_is_refused():
     )
     for s in (big, at_k):
         with pytest.raises(ModulusTooSmall):
-            derive_baseline_params(s)
+            baseline_modulus(s)
         with pytest.raises(ModulusTooSmall):
             run_baseline_round(s)
 
@@ -204,11 +203,11 @@ def test_share_derivations_are_domain_separated():
 
 def test_eavesdropper_view_exposes_measurement_plus_static():
     s = make_scenario(3, measurements={1: 11, 2: 22, 3: 33})
-    params = derive_baseline_params(s)
+    k = baseline_modulus(s)
     result = run_baseline_round(s)
     for i in (1, 2, 3):
-        view = eavesdropper_view(result.trace, i, params.k)
-        assert view == (s.measurements[i] + params.static_shares[i]) % params.k
+        view = eavesdropper_view(result.trace, i, k)
+        assert view == (s.measurements[i] + static_share(s.seed, i, k)) % k
 
 
 def test_eavesdropper_delta_leaks_measurement_changes_exactly():
