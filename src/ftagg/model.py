@@ -318,6 +318,27 @@ class RoundOutcome:
     trace: tuple[TraceRecord, ...]
 
 
+def _check_undirected(adj: Sequence[int], what: str) -> None:
+    """Raise unless adjacency rows that fit in len(adj) bits are symmetric
+    and have no self-loop. The rows, last first, are written as one string
+    whose char r*W + c is bit W-1-c of row W-1-r; that string equals its
+    transpose, joined from W slices, iff the graph is undirected, and its
+    diagonal slice holds the self-loops."""
+    width = len(adj)
+    row_bits = f"0{width}b"
+    bits = "".join([format(row, row_bits) for row in reversed(adj)])
+    loops = bits[:: width + 1]
+    if "1" in loops:
+        raise ScenarioError(f"self-loop at {party_name(width - 1 - loops.index('1'))}")
+    transposed = "".join([bits[c::width] for c in range(width)])
+    if transposed != bits:
+        x = next(x for x, (a, b) in enumerate(zip(bits, transposed)) if a != b)
+        a, b = sorted(width - 1 - y for y in divmod(x, width))
+        raise ScenarioError(
+            f"{what} has the link ({party_name(a)},{party_name(b)}) in one direction only"
+        )
+
+
 def validate_scenario(s: Scenario) -> Scenario:
     """Check every scenario invariant; returns the scenario unchanged.
 
@@ -350,6 +371,8 @@ def validate_scenario(s: Scenario) -> Scenario:
             raise WorkingEdgeNotInGraph(
                 f"working edge ({party_name(v)},{party_name(u)}) not in topology"
             )
+    _check_undirected(g.edges, "edges")
+    _check_undirected(g.working, "working_edges")
 
     if not 1 <= s.n_min <= s.n_sm:
         raise NMinOutOfRange(f"n_min={s.n_min} outside 1..{s.n_sm}")

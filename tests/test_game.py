@@ -110,6 +110,24 @@ def test_working_edges_outside_graph_abort():
     assert "invalid submission" in run_trial(setup).abort_reason
 
 
+@pytest.mark.parametrize(
+    "row, bit, hint",
+    [(2, 1, "one direction"), (4, 4, "self-loop")],
+    ids=["one-way-link", "self-loop"],
+)
+def test_directed_graph_aborts(row, bit, hint):
+    # SM2's row loses SM1 while SM1's keeps SM2: the walk would hand the
+    # share from SM1 to SM2 and then ack over a dead link. A self-loop bit
+    # is dropped by the scenario text, so it would change no digest.
+    edges, working = list(full_mesh(4).edges), list(full_mesh(4).working)
+    working[row] ^= 1 << bit
+    edges[row] |= working[row]
+    setup = setup_4sm(graph=FailureGraph(tuple(edges), tuple(working)))
+    assert play_game(setup, coin) is None
+    reason = run_trial(setup).abort_reason
+    assert "invalid submission" in reason and hint in reason
+
+
 def test_disconnected_challenged_meter_aborts():
     working = mesh_4sm(working_off=[(0, 1), (1, 2), (1, 3), (1, 4)])
     setup = setup_4sm(graph=working)

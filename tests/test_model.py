@@ -61,6 +61,48 @@ def test_self_loop_rejected():
         FailureGraph.build(2, [(1, 1)], [])
 
 
+def _mesh3_with(edges, working) -> Scenario:
+    return Scenario(
+        n_sm=3,
+        graph=FailureGraph(tuple(edges), tuple(working)),
+        sending_list=(1, 2, 3),
+        n_min=1,
+        round=0,
+        measurements={1: 1, 2: 2, 3: 3},
+        backend=MaskingSpec(),
+        seed=1,
+    )
+
+
+@pytest.mark.parametrize("v, u", [(1, 2), (2, 1), (DC, 3), (3, DC)])
+@pytest.mark.parametrize("array", ["edges", "working_edges"])
+def test_one_way_link_rejected(array, v, u):
+    # Row v keeps its bit for u, row u loses its bit for v. In the topology
+    # the link is also taken out of the working set, so only the one-way
+    # bit is wrong.
+    edges, working = list(full_mesh(3).edges), list(full_mesh(3).working)
+    working[u] &= ~(1 << v)
+    if array == "edges":
+        edges[u] &= ~(1 << v)
+        working[v] &= ~(1 << u)
+    link = ",".join(party_name(p) for p in sorted((v, u)))
+    with pytest.raises(ScenarioError, match=rf"{array} has the link \({link}\) in one direction"):
+        validate_scenario(_mesh3_with(edges, working))
+
+
+@pytest.mark.parametrize("v", [DC, 1, 3])
+def test_self_loop_bit_rejected(v):
+    # scenario_to_json writes no self-loop, so two scenarios differing only
+    # in this bit would share one digest.
+    edges, working = list(full_mesh(3).edges), list(full_mesh(3).working)
+    edges[v] |= 1 << v
+    with pytest.raises(ScenarioError, match=f"self-loop at {party_name(v)}"):
+        validate_scenario(_mesh3_with(edges, working))
+    working[v] |= 1 << v
+    with pytest.raises(ScenarioError, match=f"self-loop at {party_name(v)}"):
+        validate_scenario(_mesh3_with(edges, working))
+
+
 def test_link_on_golden_ring4():
     g = golden_ring4().graph
     assert link_on(g, 1, DC) is True
