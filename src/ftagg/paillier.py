@@ -2,17 +2,13 @@
 
 Keygen is fully deterministic for a fixed seed so traces and tests reproduce
 bit-identically. Its Miller-Rabin test draws 40 random bases per candidate. A
-candidate that passes the first one is settled by a proof where one is known,
-in three tiers:
+candidate that passes the first one is settled in two tiers:
 
 - below 2^64 (key_bits <= 128), by the Baillie-PSW test: a strong test to
   base 2 and a strong Lucas test with Selfridge's parameters (Baillie &
   Wagstaff, "Lucas pseudoprimes", Math. Comp. 1980; Pomerance, Selfridge &
   Wagstaff, "The pseudoprimes to 25*10^9", Math. Comp. 1980). No composite
   below 2^64 passes both, by Feitsma's list of the base-2 pseudoprimes there;
-- below PSI_12 = 318665857834031151167461 (about 2^78, so key_bits <= 156),
-  by strong tests to the 12 prime bases 2..37 (Sorenson & Webster, "Strong
-  pseudoprimes to twelve prime bases", Math. Comp. 2017);
 - above, by the other 39 random rounds.
 
 A proven prime's other 39 bases are drawn but not tried, so every key is the
@@ -85,11 +81,6 @@ def _wheel() -> bytes:
 _COPRIME_TO_WHEEL = _wheel()
 
 MR_ROUNDS = 40
-
-# Sorenson & Webster: every composite below PSI_12 fails a strong test to one
-# of the first 12 prime bases (PSI_12 itself passes all 12).
-PSI_12 = 318665857834031151167461
-_PSI_12_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _strong_probe(a: int, d: int, r: int, n: int) -> bool:
@@ -178,10 +169,10 @@ def _draw_bases(n: int, count: int, rng: random.Random) -> None:
 def is_probable_prime(n: int, rng: random.Random) -> bool:
     """Miller-Rabin with MR_ROUNDS random bases drawn from rng.
 
-    Once n passes its first round, Baillie-PSW decides it below 2^64 and the
-    12 fixed bases below PSI_12. A proven prime would pass every later round,
-    so those bases are only drawn, which leaves the result and rng's state as
-    the full loop leaves them; a composite goes on with the full loop.
+    Once n passes its first round, Baillie-PSW decides it below 2^64. A
+    proven prime would pass every later round, so those bases are only drawn,
+    which leaves the result and rng's state as the full loop leaves them; a
+    composite goes on with the full loop.
     """
     if n <= 1000:
         return n in _SMALL_PRIMES
@@ -191,11 +182,7 @@ def is_probable_prime(n: int, rng: random.Random) -> bool:
     d = (n - 1) >> r
     if not _strong_probe(rng.randrange(2, n - 1), d, r, n):
         return False
-    if n < 1 << 64:
-        proven = _strong_probe(2, d, r, n) and _strong_lucas(n)
-    else:
-        proven = n < PSI_12 and all(_strong_probe(a, d, r, n) for a in _PSI_12_BASES)
-    if proven:
+    if n < 1 << 64 and _strong_probe(2, d, r, n) and _strong_lucas(n):
         _draw_bases(n, MR_ROUNDS - 1, rng)
         return True
     return all(_strong_probe(rng.randrange(2, n - 1), d, r, n) for _ in range(MR_ROUNDS - 1))
