@@ -108,7 +108,7 @@ def full_mesh(n_sm: int) -> FailureGraph:
 def graph_from_names(n_sm: int, edges: Sequence, working: Sequence) -> FailureGraph:
     """The graph of two arrays of [name, name] pairs, as scenario files give
     them."""
-    table = {name: (v, 1 << v) for name, v in party_indices(n_sm).items()}
+    table = _name_order(n_sm + 1)[4]
     arrays = (("edges", edges), ("working_edges", working))
     adjs = [_named_adjacency(n_sm, table, raw, what) for what, raw in arrays]
     # A malformed entry in either array is reported before any self-loop,
@@ -440,15 +440,19 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 @lru_cache(maxsize=64)
-def _name_order(width: int) -> tuple[tuple, tuple, tuple, itemgetter]:
+def _name_order(width: int) -> tuple[tuple, tuple, tuple, itemgetter, dict]:
     """For parties 0..width-1: their names, the parties in name order, the
-    names in that order, and a getter that takes a row's bit-string bytes in
-    that order (byte width-1-b of the string is bit b). Needs width >= 2, as
-    itemgetter of a single index returns no tuple."""
+    names in that order, a getter that takes a row's bit-string bytes in
+    that order (byte width-1-b of the string is bit b), and a table from
+    each name to its party and the party's bit, which callers only read.
+    The getter needs width >= 2, as itemgetter of a single index returns no
+    tuple."""
     names = tuple(party_name(v) for v in range(width))
     by_name = tuple(sorted(range(width), key=names.__getitem__))
     sorted_names = tuple(names[v] for v in by_name)
-    return names, by_name, sorted_names, itemgetter(*(width - 1 - b for b in by_name))
+    table = {name: (v, 1 << v) for name, v in party_indices(width - 1).items()}
+    getter = itemgetter(*(width - 1 - b for b in by_name))
+    return names, by_name, sorted_names, getter, table
 
 
 def _edge_text(adj: Sequence[int]) -> str:
@@ -458,7 +462,7 @@ def _edge_text(adj: Sequence[int]) -> str:
     width = len(adj)
     if width < 2:
         return "[]"
-    names, by_name, sorted_names, in_name_order = _name_order(width)
+    names, by_name, sorted_names, in_name_order, _ = _name_order(width)
     parties = (1 << width) - 1
     bit_string = f"0{width}b"
     rows = []
