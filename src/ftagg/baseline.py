@@ -59,15 +59,10 @@ def homomorphic_hash(x: int, group: HashGroup) -> int:
     return pow(group.g, x % group.k, group.p)
 
 
-def _h64(data: bytes, key: bytes, person: bytes) -> int:
-    return int.from_bytes(
-        hashlib.blake2b(data, key=key, person=person, digest_size=8).digest(), "big"
-    )
-
-
 def _residue(seed: int, tag: bytes, parts: Iterable[int], k: int) -> int:
     data = b"".join(x.to_bytes(8, "big") for x in parts)
-    return _h64(data, seed.to_bytes(8, "big"), tag) % k
+    digest = hashlib.blake2b(data, key=seed.to_bytes(8, "big"), person=tag, digest_size=8)
+    return int.from_bytes(digest.digest(), "big") % k
 
 
 def static_share(seed: int, i: int, k: int) -> int:
@@ -251,10 +246,7 @@ def eavesdropper_view(trace: Sequence[TraceRecord], i: int, k: int) -> int:
 
 
 def eavesdropper_delta(
-    trace_a: Sequence[TraceRecord],
-    trace_b: Sequence[TraceRecord],
-    i: int,
-    k: int,
+    trace_a: Sequence[TraceRecord], trace_b: Sequence[TraceRecord], i: int, k: int
 ) -> int:
     """Difference of two rounds' views of meter i; the static share cancels
     and the raw measurement delta falls out."""
