@@ -108,7 +108,7 @@ def full_mesh(n_sm: int) -> FailureGraph:
 def graph_from_names(n_sm: int, edges: Sequence, working: Sequence) -> FailureGraph:
     """The graph of two arrays of [name, name] pairs, as scenario files give
     them."""
-    table = _name_order(n_sm + 1)[4]
+    *_, table = _name_order(n_sm + 1)
     arrays = (("edges", edges), ("working_edges", working))
     adjs = [_named_adjacency(n_sm, table, raw, what) for what, raw in arrays]
     # A malformed entry in either array is reported before any self-loop,
@@ -332,8 +332,8 @@ def _check_undirected(adj: Sequence[int], what: str) -> None:
         raise ScenarioError(f"self-loop at {party_name(width - 1 - loops.index('1'))}")
     transposed = "".join([bits[c::width] for c in range(width)])
     if transposed != bits:
-        x = next(x for x, (a, b) in enumerate(zip(bits, transposed)) if a != b)
-        a, b = sorted(width - 1 - y for y in divmod(x, width))
+        at = next(i for i, (a, b) in enumerate(zip(bits, transposed)) if a != b)
+        a, b = sorted(width - 1 - rc for rc in divmod(at, width))
         raise ScenarioError(
             f"{what} has the link ({party_name(a)},{party_name(b)}) in one direction only"
         )
