@@ -32,8 +32,8 @@ from ftagg.protocol import make_backend, run_round
 from test_small_scope import rounds as small_scope_rounds
 
 # sha256 of `_baseline_fingerprint` over every small-scope round at n <= 3 and
-# over 500 random draws of both backends, recorded from the engine's earlier
-# form (an opening search, then a walk), so a rewrite keeps every field.
+# over 500 random draws of both backends: a change to the engine must keep
+# every result field, message and trace byte.
 SMALL_SCOPE_PIN = "1c22e4122a04910a4774b2a5548900437e1d57a197ac5aed132f451af2c7615b"
 RANDOM_DRAWS_PIN = "a1272f889db22fdce36b1f43de22242cdba1426766294c570354a5d45afe741c"
 

@@ -98,9 +98,6 @@ def test_self_loop_bit_rejected(v):
     edges[v] |= 1 << v
     with pytest.raises(ScenarioError, match=f"self-loop at {party_name(v)}"):
         validate_scenario(_mesh3_with(edges, working))
-    working[v] |= 1 << v
-    with pytest.raises(ScenarioError, match=f"self-loop at {party_name(v)}"):
-        validate_scenario(_mesh3_with(edges, working))
 
 
 def test_link_on_golden_ring4():
