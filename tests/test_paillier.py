@@ -220,6 +220,19 @@ def test_keygen_bytes_pinned(bits, digest):
     assert _keygen_digest(bits) == digest
 
 
+@pytest.mark.parametrize(
+    "bits, seeds, digest",
+    [
+        (1024, range(8), "261846dd176720622c01d5a3130b986f9d903aa35815371fa08232b89dd39e16"),
+        (1536, range(2), "5c51c65167139fe6c222d5b510203cbba1915b3f759ea52212e0c5e709933bbc"),
+        # The he-2048 benchmark key.
+        (2048, [0x2048], "85e89b9568bcd67993d0d3e4f274917ceeae7e66c1ea9acedd6ca18a25fcfd8c"),
+    ],
+)
+def test_large_keygen_bytes_pinned(bits, seeds, digest):
+    assert _keygen_digest(bits, seeds) == digest
+
+
 _REFERENCE_SMALL_PRIMES = list(sympy.primerange(1000))
 
 
