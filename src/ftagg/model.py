@@ -109,20 +109,15 @@ def graph_from_names(n_sm: int, edges: Sequence, working: Sequence) -> FailureGr
     """The graph of two arrays of [name, name] pairs, as scenario files give
     them."""
     *_, table = _name_order(n_sm + 1)
-    arrays = (("edges", edges), ("working_edges", working))
-    adjs = [_named_adjacency(n_sm, table, raw, what) for what, raw in arrays]
-    # A malformed entry in either array is reported before any self-loop,
-    # and a self-loop by its first occurrence in the file.
-    for (_, raw), adj in zip(arrays, adjs):
-        if any(row >> v & 1 for v, row in enumerate(adj)):
-            loop = next(a for a, b in raw if a == b)
-            raise ScenarioError(f"self-loop at {loop}")
-    return FailureGraph(*adjs)
+    return FailureGraph(
+        _named_adjacency(n_sm, table, edges, "edges"),
+        _named_adjacency(n_sm, table, working, "working_edges"),
+    )
 
 
 def _named_adjacency(n_sm: int, table: dict, raw: object, what: str) -> tuple[int, ...]:
     """`_adjacency` over name pairs in one pass, without building int pairs;
-    a self-loop sets its party's own bit."""
+    a self-loop sets its party's own bit, which `validate_scenario` rejects."""
     if not isinstance(raw, (list, tuple)) or not all(
         issubclass(kind, (list, tuple)) for kind in set(map(type, raw))
     ):
@@ -319,17 +314,13 @@ class RoundOutcome:
 
 
 def _check_undirected(adj: Sequence[int], what: str) -> None:
-    """Raise unless adjacency rows that fit in len(adj) bits are symmetric
-    and have no self-loop. The rows, last first, are written as one string
-    whose char r*W + c is bit W-1-c of row W-1-r; that string equals its
-    transpose, joined from W slices, iff the graph is undirected, and its
-    diagonal slice holds the self-loops."""
+    """Raise unless adjacency rows that fit in len(adj) bits are symmetric.
+    The rows, last first, are written as one string whose char r*W + c is
+    bit W-1-c of row W-1-r; that string equals its transpose, joined from W
+    slices, iff the graph is undirected."""
     width = len(adj)
     row_bits = f"0{width}b"
     bits = "".join([format(row, row_bits) for row in reversed(adj)])
-    loops = bits[:: width + 1]
-    if "1" in loops:
-        raise ScenarioError(f"self-loop at {party_name(width - 1 - loops.index('1'))}")
     transposed = "".join([bits[c::width] for c in range(width)])
     if transposed != bits:
         at = next(i for i, (a, b) in enumerate(zip(bits, transposed)) if a != b)
@@ -363,9 +354,14 @@ def validate_scenario(s: Scenario) -> Scenario:
     if len(g.edges) != s.n_sm + 1 or len(g.working) != s.n_sm + 1:
         raise UnknownParty("graph must contain DC and every meter")
     parties = (1 << (s.n_sm + 1)) - 1
-    for v, (links, on) in enumerate(zip(g.edges, g.working)):
+    for v, links in enumerate(g.edges):
         if links & ~parties:
             raise UnknownParty(f"a link of {party_name(v)} references an unknown party")
+    for adj in (g.edges, g.working):
+        loop = next((v for v, row in enumerate(adj) if row >> v & 1), None)
+        if loop is not None:
+            raise ScenarioError(f"self-loop at {party_name(loop)}")
+    for v, (links, on) in enumerate(zip(g.edges, g.working)):
         if on & ~links:
             u = (on & ~links).bit_length() - 1
             raise WorkingEdgeNotInGraph(

@@ -35,6 +35,7 @@ import functools
 import hashlib
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -174,13 +175,23 @@ def is_probable_prime(n: int, rng: random.Random) -> bool:
     which leaves the result and rng's state as the full loop leaves them; a
     composite goes on with the full loop.
     """
+    return _is_probable_prime(n, rng, 0)
+
+
+def _is_probable_prime(n: int, rng: random.Random, factor: int) -> bool:
+    """is_probable_prime for an n of which factor is a prime factor in
+    (1000, 2^18], or 0 if none is known. Such an n is rejected right after
+    its first draw unless that base is a Fermat liar mod factor."""
     if n <= 1000:
         return n in _SMALL_PRIMES
     if not _COPRIME_TO_WHEEL[n % _WHEEL] or math.gcd(n, _SMALL_PRIMORIAL) != 1:
         return False
+    a = rng.randrange(2, n - 1)
+    if factor and pow(a, n - 1, factor) != 1:
+        return False
     r = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> r
-    if not _strong_probe(rng.randrange(2, n - 1), d, r, n):
+    if not _strong_probe(a, d, r, n):
         return False
     if n < 1 << 64 and _strong_probe(2, d, r, n) and _strong_lucas(n):
         _draw_bases(n, MR_ROUNDS - 1, rng)
@@ -188,11 +199,44 @@ def is_probable_prime(n: int, rng: random.Random) -> bool:
     return all(_strong_probe(rng.randrange(2, n - 1), d, r, n) for _ in range(MR_ROUNDS - 1))
 
 
+# Candidates of this many bits and more are sieved, a window of
+# _SIEVE_WINDOW odd numbers at a time, by the primes in (1000, 2^18].
+_SIEVE_FROM_BITS = 512
+_SIEVE_WINDOW = 1024
+_SIEVE_LIMIT = 1 << 18
+
+
+@functools.cache
+def _sieve_primes() -> array:
+    """The primes in (1000, _SIEVE_LIMIT], built on first use: only keys of
+    1024 bits and more pay for them."""
+    return array("L", [p for p in _small_primes(_SIEVE_LIMIT) if p > 1000])
+
+
+def _window_factors(first: int) -> list[int]:
+    """Entry i is a prime in (1000, _SIEVE_LIMIT] that divides first + 2i,
+    or 0 if none does; first is odd."""
+    factors = [0] * _SIEVE_WINDOW
+    for f in _sieve_primes():
+        # first + 2i = 0 (mod f) at i = -first * 2^-1 (mod f).
+        i = (f - first % f) * (f + 1 >> 1) % f
+        while i < _SIEVE_WINDOW:
+            factors[i] = f
+            i += f
+    return factors
+
+
 def _next_prime(start: int, rng: random.Random) -> int:
     candidate = start | 1
-    while not is_probable_prime(candidate, rng):
-        candidate += 2
-    return candidate
+    if candidate.bit_length() < _SIEVE_FROM_BITS:
+        while not _is_probable_prime(candidate, rng, 0):
+            candidate += 2
+        return candidate
+    while True:
+        for factor in _window_factors(candidate):
+            if _is_probable_prime(candidate, rng, factor):
+                return candidate
+            candidate += 2
 
 
 def _random_prime(bits: int, rng: random.Random) -> int:

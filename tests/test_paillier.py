@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
@@ -13,6 +17,7 @@ from ftagg.paillier import (
     MalformedCiphertext,
     PaillierBackend,
     PlaintextOutOfRange,
+    _next_prime,
     _strong_lucas,
     add_encrypted,
     decrypt_aggregate,
@@ -440,6 +445,89 @@ def test_miller_rabin_strong_lucas_pseudoprime_passing_first_round_matches_refer
             fast, ref = _FirstDrawFixed(liar, seed), _FirstDrawFixed(liar, seed)
             assert is_probable_prime(n, fast) is _reference_is_probable_prime(n, ref) is False
             assert fast.getstate() == ref.getstate(), (n, seed)
+
+
+# --- Pins that let the window sieve of large candidates prove it finds the
+# prime, and leaves the rng state, of the plain loop. ---
+
+
+def _reference_next_prime(start, rng):
+    candidate = start | 1
+    while not _reference_is_probable_prime(candidate, rng):
+        candidate += 2
+    return candidate
+
+
+def _assert_next_prime_matches_reference(start, fast, ref):
+    assert _next_prime(start, fast) == _reference_next_prime(start, ref)
+    assert fast.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("bits, seed", [(512, 0), (512, 1), (512, 2), (1024, 0)])
+def test_sieved_next_prime_matches_reference_loop_draw_for_draw(bits, seed):
+    start = random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
+    _assert_next_prime_matches_reference(start, random.Random(seed), random.Random(seed))
+
+
+def _liar_candidate():
+    """A 512-bit n = f * P with f = 1009 and P prime, both 1 mod 3, and a
+    strong liar a = 1 mod f of n: a is x mod P for an x of order 3, and 3
+    divides the odd part of n - 1, so a^d = 1 mod n."""
+    f = 1009
+    rng = random.Random(1009)
+    while True:
+        P = sympy.nextprime(rng.getrandbits(502) | 1 << 501)
+        n = f * P
+        if P % 3 == 1 and n.bit_length() == 512:
+            break
+    x = next(x for g in range(2, 100) if (x := pow(g, (P - 1) // 3, P)) != 1)
+    return n, f, (1 + f * ((x - 1) * pow(f, -1, P) % P)) % n
+
+
+@pytest.mark.parametrize("strong_liar", [True, False], ids=["strong-liar", "fermat-liar-mod-f"])
+def test_sieved_candidate_whose_first_base_lies_mod_its_factor_runs_the_full_probe(strong_liar):
+    # The window marks f at n. A first base that is 1 mod f passes the Fermat
+    # check mod f, so the full probe must decide; as a strong liar of n, it
+    # sends the probe on to the random rounds.
+    n, f, liar = _liar_candidate()
+    a = liar if strong_liar else 1 + f * random.Random(n).randrange(2, n // f)
+    assert pow(a, n - 1, f) == 1 and 1 < a < n - 1
+    assert mr(n, [a]) is strong_liar and not sympy.isprime(n)
+    for seed in range(3):
+        fast, ref = _FirstDrawFixed(a, seed), _FirstDrawFixed(a, seed)
+        _assert_next_prime_matches_reference(n, fast, ref)
+
+
+# Its next prime is 2140 past it, beyond the first window of 1024 odd candidates.
+PAST_FIRST_WINDOW = int(
+    "f4f1c07c98951a1818efb3221745c94334b083cc79223b46b54bbaa5ce2847ab"
+    "1d33533d756115166b655261e495224821a9e7c7997f7d32d2e56489347b832b", 16
+)
+
+
+def test_sieved_next_prime_past_the_first_window_matches_reference():
+    assert PAST_FIRST_WINDOW.bit_length() == 512
+    assert sympy.nextprime(PAST_FIRST_WINDOW) - PAST_FIRST_WINDOW == 2140 > 2 * 1024
+    _assert_next_prime_matches_reference(PAST_FIRST_WINDOW, random.Random(7), random.Random(7))
+
+
+def test_small_keygen_leaves_the_sieve_table_unbuilt():
+    # Building the table costs milliseconds, which keys below 1024 bits
+    # would pay for nothing.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = (
+        "import ftagg\n"
+        "from ftagg.paillier import _sieve_primes, keygen\n"
+        "keygen(256, 1)\n"
+        "print(_sieve_primes.cache_info().currsize)\n"
+        "keygen(1024, 1)\n"
+        "print(_sieve_primes.cache_info().currsize)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout
+    assert out.split() == ["0", "1"]
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256, 2048])
