@@ -16,6 +16,15 @@ one the full loop gives. Before any of this, a wheel over 3 * 5 * 7 * 11 * 13
 and one gcd with the product of the primes below 1000 reject the candidates
 with a small factor, with no draw, as the full loop's trial division does.
 
+Candidates of 512 bits and more (keys of 1024 bits and more) are also
+sieved, a window of 1024 odd candidates at a time, by the primes in
+(1000, 2^18]. A candidate marked with such a factor f still draws its first
+base a, and is rejected at once if a^(n-1) mod f != 1. This is exact: a
+strong liar a of n has a^(n-1) = 1 mod n, so mod every factor of n, and the
+full loop would reject n at that base too. Otherwise the full probe runs on
+the same a. The table of about 23,000 primes is built on first use, so
+smaller keys never pay for it.
+
 The private key is lambda = phi(n), mu = phi(n)^-1 mod n and the primes p, q.
 Decryption computes L(c^lambda mod n^2) * mu mod n the CRT way: mod p^2 and
 q^2 with exponents p - 1 and q - 1, joined mod n (Paillier, EUROCRYPT 1999,
@@ -33,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import random
 from array import array
@@ -54,16 +64,17 @@ class MalformedCiphertext(ValueError):
     pass
 
 
-def _small_primes(limit: int = 1000) -> list[int]:
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, int(limit**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, v in enumerate(sieve) if v]
+def _prime_flags(limit: int) -> bytearray:
+    """Byte i is 1 iff i is a prime, for i up to limit."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
+    for i in range(2, math.isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    return flags
 
 
-_SMALL_PRIMES = frozenset(_small_primes())
+_SMALL_PRIMES = frozenset(itertools.compress(range(1001), _prime_flags(1000)))
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 _WHEEL = 3 * 5 * 7 * 11 * 13
@@ -208,9 +219,12 @@ _SIEVE_LIMIT = 1 << 18
 
 @functools.cache
 def _sieve_primes() -> array:
-    """The primes in (1000, _SIEVE_LIMIT], built on first use: only keys of
-    1024 bits and more pay for them."""
-    return array("L", [p for p in _small_primes(_SIEVE_LIMIT) if p > 1000])
+    """The primes in (1000, _SIEVE_LIMIT], built on first use and with no
+    list on the way, so that only keys of 1024 bits and more pay for them,
+    in time and in peak memory."""
+    flags = _prime_flags(_SIEVE_LIMIT)
+    flags[:1001] = bytes(1001)
+    return array("L", itertools.compress(range(_SIEVE_LIMIT + 1), flags))
 
 
 def _window_factors(first: int) -> list[int]:
