@@ -354,13 +354,13 @@ def validate_scenario(s: Scenario) -> Scenario:
     if len(g.edges) != s.n_sm + 1 or len(g.working) != s.n_sm + 1:
         raise UnknownParty("graph must contain DC and every meter")
     parties = (1 << (s.n_sm + 1)) - 1
-    for v, links in enumerate(g.edges):
+    for v, (links, on) in enumerate(zip(g.edges, g.working)):
         if links & ~parties:
             raise UnknownParty(f"a link of {party_name(v)} references an unknown party")
-    for adj in (g.edges, g.working):
-        loop = next((v for v, row in enumerate(adj) if row >> v & 1), None)
-        if loop is not None:
-            raise ScenarioError(f"self-loop at {party_name(loop)}")
+        if (links | on) >> v & 1:
+            raise ScenarioError(f"self-loop at {party_name(v)}")
+    # A self-loop in working alone would otherwise read as a working edge
+    # outside the topology.
     for v, (links, on) in enumerate(zip(g.edges, g.working)):
         if on & ~links:
             u = (on & ~links).bit_length() - 1
