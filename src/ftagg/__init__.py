@@ -5,22 +5,15 @@ from .model import (
     Activation,
     AckS,
     BackendSpec,
-    DuplicateSmInList,
     EndOfRound,
     FailureGraph,
     InitialData,
     MaskingSpec,
-    MeasurementOutOfRange,
-    MissingMeasurement,
-    ModulusTooSmall,
-    NMinOutOfRange,
     PaillierSpec,
     RoundOutcome,
     Scenario,
     ScenarioError,
     TraceRecord,
-    UnknownParty,
-    WorkingEdgeNotInGraph,
     link_on,
     party_name,
     scenario_digest,

@@ -22,7 +22,6 @@ from .model import (
     KIND_MASKED_REPORT,
     KIND_SHARE_HANDOFF,
     MaskingSpec,
-    ModulusTooSmall,
     Scenario,
     ScenarioError,
     TraceRecord,
@@ -85,7 +84,7 @@ def baseline_modulus(scenario: Scenario) -> int:
     k = scenario.backend.k if isinstance(scenario.backend, MaskingSpec) else 1 << 64
     total = sum(scenario.measurements.values())
     if total >= k:
-        raise ModulusTooSmall(
+        raise ScenarioError(
             f"sum of measurements {total} must stay below the baseline modulus {k}"
         )
     return k

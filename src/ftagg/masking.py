@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .model import MAX_K_BITS, MeasurementOutOfRange, Scenario, ScenarioError
+from .model import MAX_K_BITS, Scenario, ScenarioError
 
 KEY_BYTES = 16
 
@@ -54,7 +54,7 @@ def prf(key: bytes, t: int, k: int) -> int:
 
 def mask(m: int, s: int, p: int, k: int) -> int:
     if not 0 <= m < k:
-        raise MeasurementOutOfRange(f"measurement {m} outside [0, {k})")
+        raise ScenarioError(f"measurement {m} outside [0, {k})")
     return (m + s + p) % k
 
 

@@ -19,38 +19,6 @@ class ScenarioError(ValueError):
     """A scenario violates one of its type invariants."""
 
 
-class DuplicateSmInList(ScenarioError):
-    pass
-
-
-class IncompleteSendingList(ScenarioError):
-    pass
-
-
-class WorkingEdgeNotInGraph(ScenarioError):
-    pass
-
-
-class ModulusTooSmall(ScenarioError):
-    pass
-
-
-class NMinOutOfRange(ScenarioError):
-    pass
-
-
-class UnknownParty(ScenarioError):
-    pass
-
-
-class MissingMeasurement(ScenarioError):
-    pass
-
-
-class MeasurementOutOfRange(ScenarioError):
-    pass
-
-
 # A party is an int: 0 is the concentrator, i >= 1 is meter SMi. Names exist
 # only where scenarios, traces and game views meet the outside world.
 DC = 0
@@ -70,8 +38,9 @@ def party_indices(n_sm: int) -> dict[str, int]:
 @dataclass(frozen=True)
 class FailureGraph:
     """Undirected link graph over parties 0..n_sm, one adjacency int per
-    party: bit u of `edges[v]` is set iff the v-u link exists in the topology,
-    and of `working[v]` iff it is on for the current round."""
+    party. Each link is stored once, in the row of its lower party: for
+    v < u, bit u of `edges[v]` is set iff the v-u link exists in the
+    topology, and of `working[v]` iff it is on for the current round."""
 
     edges: tuple[int, ...]
     working: tuple[int, ...]
@@ -82,55 +51,28 @@ class FailureGraph:
         edges: Iterable[tuple[int, int]],
         working: Iterable[tuple[int, int]],
     ) -> "FailureGraph":
-        return FailureGraph(_adjacency(n_sm, edges), _adjacency(n_sm, working))
+        table = {v: (v, 1 << v) for v in range(n_sm + 1)}
+        return FailureGraph(
+            _adjacency(n_sm, table, edges, "edges"),
+            _adjacency(n_sm, table, working, "working_edges"),
+        )
 
 
-def _adjacency(n_sm: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    bit = [1 << v for v in range(n_sm + 1)]
-    adj = [0] * (n_sm + 1)
-    for a, b in pairs:
-        if not (0 <= a <= n_sm and 0 <= b <= n_sm):
-            raise UnknownParty(f"link ({a},{b}) references a party outside 0..{n_sm}")
-        if a == b:
-            raise ScenarioError(f"self-loop at {party_name(a)}")
-        adj[a] |= bit[b]
-        adj[b] |= bit[a]
-    return tuple(adj)
-
-
-def full_mesh(n_sm: int) -> FailureGraph:
-    """DC and n_sm meters with every link present and on."""
-    everyone = (1 << (n_sm + 1)) - 1
-    adj = tuple(everyone ^ (1 << v) for v in range(n_sm + 1))
-    return FailureGraph(adj, adj)
-
-
-def graph_from_names(n_sm: int, edges: Sequence, working: Sequence) -> FailureGraph:
-    """The graph of two arrays of [name, name] pairs, as scenario files give
-    them."""
-    *_, table = _name_order(n_sm + 1)
-    return FailureGraph(
-        _named_adjacency(n_sm, table, edges, "edges"),
-        _named_adjacency(n_sm, table, working, "working_edges"),
-    )
-
-
-def _named_adjacency(n_sm: int, table: dict, raw: object, what: str) -> tuple[int, ...]:
-    """`_adjacency` over name pairs in one pass, without building int pairs;
-    a self-loop sets its party's own bit, which `validate_scenario` rejects."""
-    if not isinstance(raw, (list, tuple)) or not all(
-        issubclass(kind, (list, tuple)) for kind in set(map(type, raw))
-    ):
-        raise ScenarioError(f"{what} must be an array of [name, name] pairs")
+def _adjacency(n_sm: int, table: dict, pairs: Iterable, what: str) -> tuple[int, ...]:
+    """The rows of the links in `pairs`, whose ends are keys of `table`
+    (each mapped to its party and the party's bit), in one pass. A
+    self-loop sets its party's own bit, which `validate_scenario` rejects."""
     adj = [0] * (n_sm + 1)
     try:
-        for a, b in raw:
+        for a, b in pairs:
             va, bit_a = table[a]
             vb, bit_b = table[b]
-            adj[va] |= bit_b
-            adj[vb] |= bit_a
+            if va < vb:
+                adj[va] |= bit_b
+            else:
+                adj[vb] |= bit_a
     except KeyError as exc:
-        raise UnknownParty(
+        raise ScenarioError(
             f"{what} names {exc.args[0]!r}, not one of DC, SM1..SM{n_sm}"
         ) from None
     except (TypeError, ValueError):
@@ -138,11 +80,35 @@ def _named_adjacency(n_sm: int, table: dict, raw: object, what: str) -> tuple[in
     return tuple(adj)
 
 
+def full_mesh(n_sm: int) -> FailureGraph:
+    """DC and n_sm meters with every link present and on."""
+    everyone = (1 << (n_sm + 1)) - 1
+    adj = tuple(everyone ^ ((2 << v) - 1) for v in range(n_sm + 1))
+    return FailureGraph(adj, adj)
+
+
+def graph_from_names(n_sm: int, edges: Sequence, working: Sequence) -> FailureGraph:
+    """The graph of two arrays of [name, name] pairs, as scenario files give
+    them."""
+    *_, table = _name_order(n_sm + 1)
+    for raw, what in ((edges, "edges"), (working, "working_edges")):
+        if not isinstance(raw, (list, tuple)) or not all(
+            issubclass(kind, (list, tuple)) for kind in set(map(type, raw))
+        ):
+            raise ScenarioError(f"{what} must be an array of [name, name] pairs")
+    return FailureGraph(
+        _adjacency(n_sm, table, edges, "edges"),
+        _adjacency(n_sm, table, working, "working_edges"),
+    )
+
+
 def link_on(g: FailureGraph, a: int, b: int) -> bool:
     """True iff the undirected link between a and b is on this round."""
     n = len(g.working)
     if not (0 <= a < n and 0 <= b < n):
-        raise UnknownParty(f"link ({a},{b}) references a party outside 0..{n - 1}")
+        raise ScenarioError(f"link ({a},{b}) references a party outside 0..{n - 1}")
+    if a > b:
+        a, b = b, a
     return g.working[a] >> b & 1 == 1
 
 
@@ -313,27 +279,10 @@ class RoundOutcome:
     trace: tuple[TraceRecord, ...]
 
 
-def _check_undirected(adj: Sequence[int], what: str) -> None:
-    """Raise unless adjacency rows that fit in len(adj) bits are symmetric.
-    The rows, last first, are written as one string whose char r*W + c is
-    bit W-1-c of row W-1-r; that string equals its transpose, joined from W
-    slices, iff the graph is undirected."""
-    width = len(adj)
-    row_bits = f"0{width}b"
-    bits = "".join([format(row, row_bits) for row in reversed(adj)])
-    transposed = "".join([bits[c::width] for c in range(width)])
-    if transposed != bits:
-        at = next(i for i, (a, b) in enumerate(zip(bits, transposed)) if a != b)
-        a, b = sorted(width - 1 - rc for rc in divmod(at, width))
-        raise ScenarioError(
-            f"{what} has the link ({party_name(a)},{party_name(b)}) in one direction only"
-        )
-
-
 def validate_scenario(s: Scenario) -> Scenario:
     """Check every scenario invariant; returns the scenario unchanged.
 
-    Idempotent; raises a ScenarioError subclass naming the violated invariant.
+    Idempotent; raises a ScenarioError naming the violated invariant.
     """
     if s.n_sm < 1:
         raise ScenarioError(f"need at least one meter, got n_sm={s.n_sm}")
@@ -342,52 +291,59 @@ def validate_scenario(s: Scenario) -> Scenario:
     seen = set()
     for i in s.sending_list:
         if i not in range(1, s.n_sm + 1):
-            raise UnknownParty(f"sending list names unknown meter {i}")
+            raise ScenarioError(f"sending list names unknown meter {i}")
         if i in seen:
-            raise DuplicateSmInList(f"meter {i} appears twice in the sending list")
+            raise ScenarioError(f"meter {i} appears twice in the sending list")
         seen.add(i)
     if len(seen) != s.n_sm:
         missing = sorted(set(sms) - seen)
-        raise IncompleteSendingList(f"sending list omits meters {missing}")
+        raise ScenarioError(f"sending list omits meters {missing}")
 
     g = s.graph
     if len(g.edges) != s.n_sm + 1 or len(g.working) != s.n_sm + 1:
-        raise UnknownParty("graph must contain DC and every meter")
+        raise ScenarioError("graph must contain DC and every meter")
     parties = (1 << (s.n_sm + 1)) - 1
+    # One pass per row. A bit at or below the row's own party in working
+    # alone would otherwise read as a working edge outside the topology, so
+    # those come first.
     for v, (links, on) in enumerate(zip(g.edges, g.working)):
         if links & ~parties:
-            raise UnknownParty(f"a link of {party_name(v)} references an unknown party")
+            raise ScenarioError(f"a link of {party_name(v)} references an unknown party")
         if (links | on) >> v & 1:
             raise ScenarioError(f"self-loop at {party_name(v)}")
-    # A self-loop in working alone would otherwise read as a working edge
-    # outside the topology.
-    for v, (links, on) in enumerate(zip(g.edges, g.working)):
+        lower = (1 << v) - 1
+        for row, what in ((links, "edges"), (on, "working_edges")):
+            below = row & lower
+            if below:
+                u = below.bit_length() - 1
+                raise ScenarioError(
+                    f"{what} holds the link ({party_name(u)},{party_name(v)}) in the"
+                    f" row of {party_name(v)}, not of its lower party"
+                )
         if on & ~links:
             u = (on & ~links).bit_length() - 1
-            raise WorkingEdgeNotInGraph(
+            raise ScenarioError(
                 f"working edge ({party_name(v)},{party_name(u)}) not in topology"
             )
-    _check_undirected(g.edges, "edges")
-    _check_undirected(g.working, "working_edges")
 
     if not 1 <= s.n_min <= s.n_sm:
-        raise NMinOutOfRange(f"n_min={s.n_min} outside 1..{s.n_sm}")
+        raise ScenarioError(f"n_min={s.n_min} outside 1..{s.n_sm}")
 
     for i in s.measurements:
         if i not in seen:
-            raise UnknownParty(f"measurement for unknown meter {i}")
+            raise ScenarioError(f"measurement for unknown meter {i}")
     for i in sms:
         if i not in s.measurements:
-            raise MissingMeasurement(f"no measurement for meter {i}")
+            raise ScenarioError(f"no measurement for meter {i}")
         if s.measurements[i] < 0:
-            raise MeasurementOutOfRange(f"measurement of meter {i} is negative")
+            raise ScenarioError(f"measurement of meter {i} is negative")
 
     total = sum(s.measurements.values())
     if isinstance(s.backend, MaskingSpec):
         if not 1 <= s.backend.k_bits <= MAX_K_BITS:
             raise ScenarioError(f"k_bits must be in 1..{MAX_K_BITS}, got {s.backend.k_bits}")
         if total >= s.backend.k:
-            raise ModulusTooSmall(
+            raise ScenarioError(
                 f"sum of measurements {total} must stay below the modulus {s.backend.k}"
             )
     else:
@@ -395,13 +351,13 @@ def validate_scenario(s: Scenario) -> Scenario:
         # and every sum below that bound decrypts to itself.
         check_key_bits(s.backend.key_bits)
         if total >= 1 << (s.backend.key_bits - 1):
-            raise ModulusTooSmall(
+            raise ScenarioError(
                 f"sum of measurements {total} must stay below 2^{s.backend.key_bits - 1}"
             )
 
     for i in s.sm_online:
         if i not in seen:
-            raise UnknownParty(f"online flag for unknown meter {i}")
+            raise ScenarioError(f"online flag for unknown meter {i}")
 
     if not 0 <= s.seed < 1 << 64:
         raise ScenarioError("seed must fit in 64 bits")
@@ -411,7 +367,7 @@ def validate_scenario(s: Scenario) -> Scenario:
     if s.prf_keys is not None:
         for i, key in s.prf_keys.items():
             if i not in seen:
-                raise UnknownParty(f"pinned key for unknown meter {i}")
+                raise ScenarioError(f"pinned key for unknown meter {i}")
             if len(key) != 16:
                 raise ScenarioError(f"pinned key for meter {i} must be 16 bytes")
 
@@ -454,18 +410,16 @@ def _name_order(width: int) -> tuple[tuple, tuple, tuple, itemgetter, dict]:
 def _edge_text(adj: Sequence[int]) -> str:
     """Compact JSON array of every link once as [lower-index name,
     higher-index name], sorted as name pairs. Joined as text from each
-    party's adjacency bits, without a list per link."""
+    party's row of links to the parties above it, without a list per link."""
     width = len(adj)
     if width < 2:
         return "[]"
     names, by_name, sorted_names, in_name_order, _ = _name_order(width)
-    parties = (1 << width) - 1
     bit_string = f"0{width}b"
     rows = []
     for a in by_name:
-        above_a = adj[a] >> (a + 1) << (a + 1) & parties
-        if above_a:
-            row = format(above_a, bit_string).encode().translate(_BIT_BYTES)
+        if adj[a]:
+            row = format(adj[a], bit_string).encode().translate(_BIT_BYTES)
             head = '["' + names[a] + '","'
             bs = compress(sorted_names, in_name_order(row))
             rows.append(head + ('"],' + head).join(bs) + '"]')
@@ -528,7 +482,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     if n_sm < 1:
         raise ScenarioError(f"need at least one meter, got n_sm={n_sm}")
     if n_sm > len(sending_list):
-        raise IncompleteSendingList(
+        raise ScenarioError(
             f"sending list names {len(sending_list)} meters but n_sm is {n_sm}"
         )
 

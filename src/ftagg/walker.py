@@ -31,7 +31,7 @@ def reachable_active(scenario: Scenario) -> list[int]:
     walk = [resp[0]]
     cur = resp[0]
     for j in resp[1:]:
-        if scenario.online(j) and link_on(scenario.graph, cur, j):
+        if link_on(scenario.graph, cur, j):
             walk.append(j)
             cur = j
     return walk

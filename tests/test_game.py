@@ -112,13 +112,13 @@ def test_working_edges_outside_graph_abort():
 
 @pytest.mark.parametrize(
     "row, bit, hint",
-    [(2, 1, "one direction"), (4, 4, "self-loop")],
+    [(2, 1, "not of its lower party"), (4, 4, "self-loop")],
     ids=["one-way-link", "self-loop"],
 )
 def test_directed_graph_aborts(row, bit, hint):
-    # SM2's row loses SM1 while SM1's keeps SM2: the walk would hand the
-    # share from SM1 to SM2 and then ack over a dead link. A self-loop bit
-    # is dropped by the scenario text, so it would change no digest.
+    # SM2's row gets a bit for SM1, below its own party. The scenario text
+    # reads a link from its lower party's row only, so this bit, like a
+    # self-loop bit, would change no digest.
     edges, working = list(full_mesh(4).edges), list(full_mesh(4).working)
     working[row] ^= 1 << bit
     edges[row] |= working[row]

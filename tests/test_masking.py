@@ -10,7 +10,7 @@ from ftagg.masking import (
     prf,
     round_share,
 )
-from ftagg.model import MaskingSpec, MeasurementOutOfRange, ScenarioError
+from ftagg.model import MaskingSpec, ScenarioError
 
 # chi2.ppf(0.999, 2**16 - 1): fail only if the PRF is grossly non-uniform.
 CHI2_CRIT_K16 = 66659.47714863172
@@ -31,7 +31,7 @@ def test_mask_known_values(m, s, p, k, expected):
 
 @pytest.mark.parametrize("m", [-1, 16, 100])
 def test_mask_rejects_out_of_range(m):
-    with pytest.raises(MeasurementOutOfRange):
+    with pytest.raises(ScenarioError, match=rf"measurement {m} outside \[0, 16\)"):
         mask(m, 0, 0, 16)
 
 

@@ -10,7 +10,6 @@ from ftagg.model import (
     AckS,
     InitialData,
     ScenarioError,
-    UnknownParty,
     full_mesh,
     trace_record_to_dict,
     trace_to_jsonl,
@@ -91,7 +90,7 @@ def test_self_send_rejected():
 
 def test_unknown_party_rejected():
     net = SimNetwork.for_scenario(golden_ring4())
-    with pytest.raises(UnknownParty):
+    with pytest.raises(ScenarioError, match=r"link \(9,0\) references a party outside 0..4"):
         net.send(9, DC, msg(9))
 
 
@@ -103,7 +102,7 @@ def test_dc_must_stay_online():
 
 @pytest.mark.parametrize("party", [-1, 3, 9])
 def test_online_key_outside_the_parties_rejected(party):
-    with pytest.raises(UnknownParty, match=f"online names party {party},"):
+    with pytest.raises(ScenarioError, match=f"online names party {party},"):
         SimNetwork(full_mesh(2), online={party: False})
 
 

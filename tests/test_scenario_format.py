@@ -18,7 +18,6 @@ from ftagg.model import (
     PaillierSpec,
     Scenario,
     ScenarioError,
-    UnknownParty,
     full_mesh,
     graph_from_names,
     party_name,
@@ -144,7 +143,7 @@ ENTRIES = "{} entries must be arrays of two party names"
         (["DC", "SM1", "SM2"], ScenarioError, ENTRIES),
         ("ab", ScenarioError, ARRAY),
         (["DC", ["SM1"]], ScenarioError, ENTRIES),
-        (["DC", "SM9"], UnknownParty, "{} names 'SM9', not one of DC, SM1..SM3"),
+        (["DC", "SM9"], ScenarioError, "{} names 'SM9', not one of DC, SM1..SM3"),
     ],
 )
 def test_malformed_edge_entry_error(field, entry, kind, message):
