@@ -35,27 +35,18 @@ HASH_PRIME = 0xB2604907F0978EEF97384D38052DC75B0A3562D6CFD51F8F0000000000000001
 HASH_BASE = 0x19C01B3BCB4DEF52DC59FB07D27D85912D80B62309315781089197DF8F22FDCA
 HASH_BASE_ORDER = 1 << 64
 
-@dataclass(frozen=True)
-class HashGroup:
-    """Multiplicative group for H(x) = g^x mod p with g of exact order k.
 
-    Using an order-k base makes the hash well defined on Z_k residues:
-    H(a) * H(b) = H(a + b mod k) with no exponent-range caveat.
-    """
-
-    p: int
-    g: int
-    k: int
-
-    @staticmethod
-    def from_modulus(k: int) -> "HashGroup":
-        if k < 2 or (k & (k - 1)) != 0 or k > HASH_BASE_ORDER:
-            raise ScenarioError(f"hash group needs a power-of-two modulus up to 2^64, got {k}")
-        return HashGroup(HASH_PRIME, pow(HASH_BASE, HASH_BASE_ORDER // k, HASH_PRIME), k)
+def hash_base(k: int) -> int:
+    """The base g of H(x) = g^x mod HASH_PRIME for masking modulus k: an
+    element of exact order k, so that H is well defined on Z_k residues and
+    H(a) * H(b) = H(a + b mod k) with no exponent-range caveat."""
+    if k < 2 or (k & (k - 1)) != 0 or k > HASH_BASE_ORDER:
+        raise ScenarioError(f"hash group needs a power-of-two modulus up to 2^64, got {k}")
+    return pow(HASH_BASE, HASH_BASE_ORDER // k, HASH_PRIME)
 
 
-def homomorphic_hash(x: int, group: HashGroup) -> int:
-    return pow(group.g, x % group.k, group.p)
+def homomorphic_hash(x: int, g: int) -> int:
+    return pow(g, x, HASH_PRIME)
 
 
 def _residue(seed: int, tag: bytes, parts: Iterable[int], k: int) -> int:
@@ -145,7 +136,7 @@ def run_baseline_round(scenario: Scenario) -> BaselineResult:
     position only rises, so a round sends at most 3n+2 records.
     """
     k = baseline_modulus(scenario)
-    group = HashGroup.from_modulus(k)
+    g = hash_base(k)
     net = SimNetwork.for_scenario(scenario)
     seed, t, order = scenario.seed, scenario.round, scenario.sending_list
     n = len(order)
@@ -160,7 +151,7 @@ def run_baseline_round(scenario: Scenario) -> BaselineResult:
             active.append(holder)
             m = scenario.measurements[holder]
             share = baseline_round_share(seed, holder, t, k)
-            hashes = homomorphic_hash(m, group), homomorphic_hash(share, group)
+            hashes = homomorphic_hash(m, g), homomorphic_hash(share, g)
             report = MaskedReport(t, holder, (m + share + static[holder]) % k, *hashes)
             # No retry and no ack for the report: if the concentrator link
             # is down the report is silently gone.
@@ -189,14 +180,14 @@ def run_baseline_round(scenario: Scenario) -> BaselineResult:
         holder = target
 
     # Aggregation at the concentrator, gated by the two hash checks.
-    share_product = homomorphic_hash(s_0, group)
+    share_product = homomorphic_hash(s_0, g)
     for r in reports.values():
-        share_product = (share_product * r.h_share) % group.p
-    share_check = homomorphic_hash(s_running, group) == share_product
+        share_product = (share_product * r.h_share) % HASH_PRIME
+    share_check = homomorphic_hash(s_running, g) == share_product
 
     report_checks = {
-        i: homomorphic_hash(r.masked, group)
-        == (r.h_measurement * r.h_share * homomorphic_hash(static[i], group)) % group.p
+        i: homomorphic_hash(r.masked, g)
+        == (r.h_measurement * r.h_share * homomorphic_hash(static[i], g)) % HASH_PRIME
         for i, r in sorted(reports.items())
     }
 

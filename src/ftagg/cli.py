@@ -21,6 +21,7 @@ from .model import (
     PaillierSpec,
     Scenario,
     ScenarioError,
+    check_keys,
     load_json,
     scenario_digest,
     scenario_from_json,
@@ -180,6 +181,7 @@ def _cmd_game(args: argparse.Namespace) -> dict:
     trials = _require(config, "trials", int)
     seed = _require(config, "seed", int)
     n_sm = _require(config, "n_sm", int, default=5)
+    check_keys(config, {"family", "strategy", "trials", "seed", "n_sm"}, "game config")
     return asdict(empirical_unlinkability(family, trials, seed, strategy=strategy, n_sm=n_sm))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Container, Iterable, Mapping, Optional, Sequence
 
 
 class ScenarioError(ValueError):
@@ -26,13 +26,6 @@ DC = 0
 
 def party_name(p: int) -> str:
     return f"SM{p}" if p else "DC"
-
-
-def party_indices(n_sm: int) -> dict[str, int]:
-    """Name-to-party table of a scenario with n_sm meters."""
-    names = {f"SM{i}": i for i in range(1, n_sm + 1)}
-    names["DC"] = DC
-    return names
 
 
 @dataclass(frozen=True)
@@ -382,10 +375,13 @@ def _backend_from_dict(d: dict) -> BackendSpec:
     if not isinstance(d, dict) or "type" not in d:
         raise ScenarioError("backend must be an object with a 'type' field")
     if d["type"] == "masking":
-        return MaskingSpec(k_bits=_int(d.get("k_bits", 64), "k_bits"))
-    if d["type"] == "paillier":
-        return PaillierSpec(key_bits=_int(d.get("key_bits", 256), "key_bits"))
-    raise ScenarioError(f"unknown backend type {d['type']!r}")
+        spec = MaskingSpec
+    elif d["type"] == "paillier":
+        spec = PaillierSpec
+    else:
+        raise ScenarioError(f"unknown backend type {d['type']!r}")
+    check_keys(d, {"type", *spec.__dataclass_fields__}, f"{spec.type} backend")
+    return spec(**{key: _int(value, key) for key, value in d.items() if key != "type"})
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -402,7 +398,7 @@ def _name_order(width: int) -> tuple[tuple, tuple, tuple, itemgetter, dict]:
     names = tuple(party_name(v) for v in range(width))
     by_name = tuple(sorted(range(width), key=names.__getitem__))
     sorted_names = tuple(names[v] for v in by_name)
-    table = {name: (v, 1 << v) for name, v in party_indices(width - 1).items()}
+    table = {name: (v, 1 << v) for v, name in enumerate(names)}
     getter = itemgetter(*(width - 1 - b for b in by_name))
     return names, by_name, sorted_names, getter, table
 
@@ -424,6 +420,14 @@ def _edge_text(adj: Sequence[int]) -> str:
             bs = compress(sorted_names, in_name_order(row))
             rows.append(head + ('"],' + head).join(bs) + '"]')
     return "[" + ",".join(rows) + "]"
+
+
+def check_keys(d: dict, known: Container[str], what: str) -> None:
+    """Refuse a key outside `known`, so that a misspelt optional key cannot
+    silently leave its default in place."""
+    for key in d:
+        if key not in known:
+            raise ScenarioError(f"{what} has unknown key {key!r}")
 
 
 def _object(value: object, what: str) -> dict:
@@ -477,6 +481,9 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise ScenarioError(f"scenario file missing key {exc.args[0]!r}") from None
     except TypeError as exc:
         raise ScenarioError(f"malformed scenario field: {exc}") from None
+    known = {"n_sm", "edges", "working_edges", "sending_list", "n_min", "round",
+             "measurements", "backend", "seed", "sm_online", "prf_keys"}
+    check_keys(d, known, "scenario file")
     # A valid n_sm is positive and equals the sending list's length; checked
     # here already so that no out-of-range n_sm can size the party tables below.
     if n_sm < 1:

@@ -51,18 +51,6 @@ from typing import Iterator, Sequence
 from .model import Scenario, check_key_bits
 
 
-class PlaintextOutOfRange(ValueError):
-    pass
-
-
-class BadRandomness(ValueError):
-    pass
-
-
-class MalformedCiphertext(ValueError):
-    pass
-
-
 def _prime_flags(limit: int) -> bytearray:
     """Byte i is 1 iff i is a prime, for i up to limit."""
     flags = bytearray([1]) * (limit + 1)
@@ -177,21 +165,16 @@ def _draw_bases(n: int, count: int, rng: random.Random) -> None:
             pass
 
 
-def is_probable_prime(n: int, rng: random.Random) -> bool:
-    """Miller-Rabin with MR_ROUNDS random bases drawn from rng.
+def is_probable_prime(n: int, rng: random.Random, factor: int) -> bool:
+    """Miller-Rabin with MR_ROUNDS random bases drawn from rng; factor is a
+    prime factor of n in (1000, 2^18], or 0 if none is known.
 
-    Once n passes its first round, Baillie-PSW decides it below 2^64. A
-    proven prime would pass every later round, so those bases are only drawn,
-    which leaves the result and rng's state as the full loop leaves them; a
-    composite goes on with the full loop.
+    An n with such a factor is rejected right after its first draw unless
+    that base is a Fermat liar mod factor. Once n passes its first round,
+    Baillie-PSW decides it below 2^64. A proven prime would pass every later
+    round, so those bases are only drawn, which leaves the result and rng's
+    state as the full loop leaves them; a composite goes on with the full loop.
     """
-    return _is_probable_prime(n, rng, 0)
-
-
-def _is_probable_prime(n: int, rng: random.Random, factor: int) -> bool:
-    """is_probable_prime for an n of which factor is a prime factor in
-    (1000, 2^18], or 0 if none is known. Such an n is rejected right after
-    its first draw unless that base is a Fermat liar mod factor."""
     if n <= 1000:
         return n in _SMALL_PRIMES
     if not _COPRIME_TO_WHEEL[n % _WHEEL] or math.gcd(n, _SMALL_PRIMORIAL) != 1:
@@ -244,12 +227,12 @@ def _window_factors(first: int) -> list[int]:
 def _next_prime(start: int, rng: random.Random) -> int:
     candidate = start | 1
     if candidate.bit_length() < _SIEVE_FROM_BITS:
-        while not _is_probable_prime(candidate, rng, 0):
+        while not is_probable_prime(candidate, rng, 0):
             candidate += 2
         return candidate
     while True:
         for factor in _window_factors(candidate):
-            if _is_probable_prime(candidate, rng, factor):
+            if is_probable_prime(candidate, rng, factor):
                 return candidate
             candidate += 2
 
@@ -262,13 +245,12 @@ def _random_prime(bits: int, rng: random.Random) -> int:
 
 @dataclass(frozen=True)
 class PaillierKeys:
-    """Public n and g = n + 1; private lam, mu, the primes p > q and the CRT
-    constants hp = ((p-1)q)^-1 mod p, hq = ((q-1)p)^-1 mod q,
-    q_inv = q^-1 mod p and q_sq_inv = (q^2)^-1 mod p^2. Build one with
-    keys_from_primes."""
+    """Public n, with g = n + 1 left implicit; private lam, mu, the primes
+    p > q and the CRT constants hp = ((p-1)q)^-1 mod p, hq = ((q-1)p)^-1
+    mod q, q_inv = q^-1 mod p and q_sq_inv = (q^2)^-1 mod p^2. Build one
+    with keys_from_primes."""
 
     n: int
-    g: int
     lam: int
     mu: int
     bits: int
@@ -295,7 +277,7 @@ def keys_from_primes(p: int, q: int, bits: int) -> PaillierKeys:
     n = p * q
     phi = (p - 1) * (q - 1)
     return PaillierKeys(
-        n=n, g=n + 1, lam=phi, mu=pow(phi, -1, n), bits=bits, p=p, q=q,
+        n=n, lam=phi, mu=pow(phi, -1, n), bits=bits, p=p, q=q,
         hp=pow((p - 1) * q, -1, p), hq=pow((q - 1) * p, -1, q), q_inv=pow(q, -1, p),
         q_sq_inv=pow(q * q, -1, p * p),
     )
@@ -341,9 +323,9 @@ def encrypt(keys: PaillierKeys, m: int, r: int) -> Ciphertext:
     """
     n = keys.n
     if not 0 <= m < n:
-        raise PlaintextOutOfRange(f"plaintext {m} outside [0, {n})")
+        raise ValueError(f"plaintext {m} outside [0, {n})")
     if not 1 <= r < n or math.gcd(r, n) != 1:
-        raise BadRandomness("randomness must be a unit of Z_n")
+        raise ValueError("randomness must be a unit of Z_n")
     p, q = keys.p, keys.q
     p_sq, q_sq, n_sq = p * p, q * q, keys.n_sq
     r_p = pow(pow(r, q % (p - 1), p), p, p_sq)
@@ -354,7 +336,7 @@ def encrypt(keys: PaillierKeys, m: int, r: int) -> Ciphertext:
 
 def add_encrypted(s_running: Ciphertext, c: Ciphertext) -> Ciphertext:
     if s_running.n_sq != c.n_sq:
-        raise MalformedCiphertext("ciphertexts under different moduli")
+        raise ValueError("ciphertexts under different moduli")
     return Ciphertext((s_running.value * c.value) % s_running.n_sq, s_running.n_sq)
 
 
@@ -364,10 +346,10 @@ def decrypt_aggregate(keys: PaillierKeys, s_final: Ciphertext) -> int:
     the CRT."""
     n_sq = keys.n_sq
     if s_final.n_sq != n_sq:
-        raise MalformedCiphertext("ciphertext under a different modulus")
+        raise ValueError("ciphertext under a different modulus")
     v = s_final.value
     if not 0 <= v < n_sq or math.gcd(v, n_sq) != 1:
-        raise MalformedCiphertext("ciphertext value is not a unit of Z_{n^2}")
+        raise ValueError("ciphertext value is not a unit of Z_{n^2}")
     p, q = keys.p, keys.q
     a_p = (pow(v, p - 1, p * p) - 1) // p * keys.hp % p
     a_q = (pow(v, q - 1, q * q) - 1) // q * keys.hq % q

@@ -9,12 +9,12 @@ from ftagg.baseline import (
     HASH_BASE_ORDER,
     HASH_PRIME,
     BaselineStatus,
-    HashGroup,
     baseline_modulus,
     dc_round_share,
     baseline_round_share,
     eavesdropper_delta,
     eavesdropper_view,
+    hash_base,
     homomorphic_hash,
     run_baseline_round,
     static_share,
@@ -48,39 +48,40 @@ def test_group_constants_hold():
 def test_derived_bases_have_exact_order():
     for k_bits in (1, 8, 16, 32, 64):
         k = 1 << k_bits
-        group = HashGroup.from_modulus(k)
-        assert pow(group.g, k, group.p) == 1
+        g = hash_base(k)
+        assert pow(g, k, HASH_PRIME) == 1
         if k > 2:
-            assert pow(group.g, k // 2, group.p) != 1
+            assert pow(g, k // 2, HASH_PRIME) != 1
 
 
 @pytest.mark.parametrize("bad", [0, 1, 3, 12, 1 << 65])
 def test_group_rejects_bad_moduli(bad):
     with pytest.raises(ScenarioError):
-        HashGroup.from_modulus(bad)
+        hash_base(bad)
 
 
 def test_hash_identity_and_addition_law():
-    group = HashGroup.from_modulus(1 << 64)
-    assert homomorphic_hash(0, group) == 1
+    k = 1 << 64
+    g = hash_base(k)
+    assert homomorphic_hash(0, g) == 1
     rng = random.Random(4)
     for _ in range(100):
-        a, b = rng.randrange(group.k), rng.randrange(group.k)
-        lhs = homomorphic_hash(a, group) * homomorphic_hash(b, group) % group.p
-        assert lhs == homomorphic_hash(a + b, group)
-        assert lhs == homomorphic_hash((a + b) % group.k, group)
+        a, b = rng.randrange(k), rng.randrange(k)
+        lhs = homomorphic_hash(a, g) * homomorphic_hash(b, g) % HASH_PRIME
+        assert lhs == homomorphic_hash(a + b, g)
+        assert lhs == homomorphic_hash((a + b) % k, g)
 
 
 def test_hash_matches_share_sum_on_honest_run():
     k = 1 << 32
-    group = HashGroup.from_modulus(k)
+    g = hash_base(k)
     rng = random.Random(8)
     shares = [rng.randrange(k) for _ in range(6)]
     total = sum(shares) % k
     prod = 1
     for s in shares:
-        prod = prod * homomorphic_hash(s, group) % group.p
-    assert homomorphic_hash(total, group) == prod
+        prod = prod * homomorphic_hash(s, g) % HASH_PRIME
+    assert homomorphic_hash(total, g) == prod
 
 
 def test_full_mesh_completes_with_plain_sum():

@@ -55,6 +55,17 @@ def test_backend_override(capsys):
     assert swapped["scenario_digest"] != base["scenario_digest"]
 
 
+def test_masking_override_of_a_paillier_scenario(capsys):
+    base = run_report(capsys, "run", str(SCENARIOS / "paillier_mesh4.json"))
+    swapped = run_report(
+        capsys, "run", str(SCENARIOS / "paillier_mesh4.json"), "--backend", "masking"
+    )
+    assert base["backend"]["type"] == "paillier"
+    assert swapped["backend"] == {"type": "masking", "k_bits": 64}
+    assert swapped["aggregate"] == base["aggregate"]
+    assert swapped["active"] == base["active"]
+
+
 def test_seed_override_changes_digest_not_sum(capsys):
     base = run_report(capsys, "run", str(SCENARIOS / "ring4.json"))
     reseeded = run_report(
@@ -167,6 +178,9 @@ def test_game_breach_config_wins_every_trial(capsys):
         {"family": "masking-concentrator", "trials": 1, "seed": 1, "n_sm": MAX_GAME_N_SM + 1},
         # Refused before the first trial; the run would take minutes.
         {"family": "masking-concentrator", "trials": MAX_GAME_WORK // 5 + 1, "seed": 1},
+        {"family": "masking-breach", "trials": 0, "seed": 1},
+        # A misspelt key used to be ignored, so the file's 200 trials ran.
+        {**json.loads((SCENARIOS / "game_coinflip.json").read_text()), "trails": 5},
     ],
 )
 def test_bad_game_configs_exit_two(capsys, tmp_path, config):
@@ -175,6 +189,30 @@ def test_bad_game_configs_exit_two(capsys, tmp_path, config):
     code, _, err = run_cli(capsys, "game", str(path))
     assert code == EXIT_INVALID
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "command, path, key",
+    [
+        ("run", SCENARIOS / "ring4.json", ["sm_onlne"]),
+        ("baseline", SCENARIOS / "ring4.json", ["backend", "kbits"]),
+        ("run", SCENARIOS / "paillier_mesh4.json", ["backend", "k_bits"]),
+        ("game", SCENARIOS / "game_coinflip.json", ["trails"]),
+    ],
+    ids=["scenario", "masking-backend", "paillier-backend", "game-config"],
+)
+def test_unknown_key_exits_two_and_is_named(capsys, tmp_path, command, path, key):
+    doc = json.loads(path.read_text())
+    *parents, last = key
+    node = doc
+    for field in parents:
+        node = node[field]
+    node[last] = 5
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == EXIT_INVALID, out
+    assert f"unknown key {last!r}" in err
 
 
 def test_unparseable_json_exits_two(capsys, tmp_path):
@@ -271,6 +309,13 @@ def test_paillier_sum_just_below_half_the_key_runs(capsys, tmp_path):
         {"prf_keys": {"01": "00" * 16}},
         {"n_sm": 0},
         {"n_sm": -(1 << 64)},
+        # A misspelt key used to be ignored: meter 1 stayed online, and
+        # masking ran at k_bits 64, where "k_bits": 8 refuses the sum 409.
+        {"sm_onlne": {"1": False}},
+        {
+            "backend": {"type": "masking", "kbits": 8},
+            "measurements": {"1": 200, "2": 100, "3": 100, "4": 9},
+        },
     ],
 )
 def test_malformed_scenario_fields_exit_two(capsys, tmp_path, changes):

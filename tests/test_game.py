@@ -102,6 +102,8 @@ def test_malformed_submissions_abort(overrides, hint):
     setup = setup_4sm(**overrides)
     assert play_game(setup, coin) is None
     assert hint in run_trial(setup).abort_reason
+    with pytest.raises(SetupViolation, match="challenger aborted"):
+        attack_dc_plus_neighbor(setup)
 
 
 def test_working_edges_outside_graph_abort():
@@ -333,6 +335,22 @@ def test_wilson_interval_matches_hand_computation():
     assert wilson_interval(0, 0) == (0.0, 1.0)
     assert wilson_interval(100, 100)[1] == 1.0
     assert wilson_interval(0, 100)[0] == 0.0
+
+
+def test_sum_only_reads_the_pair_sum():
+    sum_only = STRATEGIES["sum-only"]
+    # Without the aggregate it has nothing to read and guesses 0.
+    assert sum_only(run_trial(setup_4sm(corrupted_dc=False)).view) == 0
+    # A masking view reduces the pair sum modulo k; the sum sits at the
+    # largest value validation admits.
+    view = run_trial(setup_4sm(measurements={2: 7, 4: (1 << 64) - 22})).view
+    assert view.modulus == 1 << 64 and view.aggregate == (1 << 64) - 1
+    assert sum_only(view) == (5 + 9) & 1
+
+
+def test_zero_trials_refused():
+    with pytest.raises(ScenarioError, match="at least one trial is required"):
+        empirical_unlinkability("masking-breach", 0, seed=1)
 
 
 def test_coin_flip_family_is_near_half():

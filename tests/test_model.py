@@ -14,19 +14,19 @@ from ftagg.model import (
     full_mesh,
     graph_from_names,
     link_on,
-    party_indices,
     party_name,
     scenario_digest,
     scenario_from_json,
     scenario_to_json,
     validate_scenario,
 )
+from ftagg.model import _name_order
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 
 def test_party_names_roundtrip():
-    names = party_indices(12)
+    names = {name: v for name, (v, _) in _name_order(13)[-1].items()}
     assert names["DC"] == DC
     assert names["SM7"] == 7
     assert party_name(12) == "SM12"
@@ -132,6 +132,22 @@ def test_self_loop_bit_rejected(v):
     edges[v] |= 1 << v
     with pytest.raises(ScenarioError, match=f"self-loop at {party_name(v)}"):
         validate_scenario(_mesh3_with(edges, working))
+
+
+@pytest.mark.parametrize("v", [DC, 3])
+def test_link_to_a_party_past_the_last_meter_rejected(v):
+    edges, working = list(full_mesh(3).edges), list(full_mesh(3).working)
+    edges[v] |= 1 << 4
+    pattern = f"a link of {party_name(v)} references an unknown party"
+    with pytest.raises(ScenarioError, match=pattern):
+        validate_scenario(_mesh3_with(edges, working))
+
+
+def test_no_meter_rejected():
+    one = make_scenario(1, n_min=1)
+    empty = replace(one, n_sm=0, graph=full_mesh(0), sending_list=(), measurements={})
+    with pytest.raises(ScenarioError, match="need at least one meter, got n_sm=0"):
+        validate_scenario(empty)
 
 
 def test_link_on_golden_ring4():
@@ -294,6 +310,8 @@ def test_pinned_keys_roundtrip_and_validation():
     )
     with pytest.raises(ScenarioError):
         validate_scenario(short)
+    with pytest.raises(ScenarioError, match="pinned key for unknown meter 3"):
+        validate_scenario(replace(pinned, prf_keys={1: bytes(16), 3: bytes(16)}))
 
 
 def test_graph_must_cover_every_party():

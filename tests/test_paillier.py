@@ -12,11 +12,8 @@ from sympy.ntheory.primetest import is_strong_lucas_prp, mr
 from conftest import make_scenario
 from ftagg.model import PaillierSpec
 from ftagg.paillier import (
-    BadRandomness,
     Ciphertext,
-    MalformedCiphertext,
     PaillierBackend,
-    PlaintextOutOfRange,
     _next_prime,
     _strong_lucas,
     add_encrypted,
@@ -33,7 +30,7 @@ from ftagg.paillier import (
 def tiny_keys():
     # p = 5, q = 7 worked out by hand: n = 35, phi = 24.
     keys = keys_from_primes(5, 7, bits=6)
-    assert (keys.n, keys.g, keys.lam, keys.mu) == (35, 36, 24, pow(24, -1, 35))
+    assert (keys.n, keys.lam, keys.mu) == (35, 24, pow(24, -1, 35))
     return keys
 
 
@@ -66,31 +63,32 @@ def test_tiny_key_homomorphic_addition():
 def test_encrypt_rejects_bad_plaintext():
     keys = tiny_keys()
     for m in (-1, 35, 100):
-        with pytest.raises(PlaintextOutOfRange):
+        with pytest.raises(ValueError, match=rf"plaintext {m} outside \[0, 35\)"):
             encrypt(keys, m, 2)
 
 
 def test_encrypt_rejects_bad_randomness():
     keys = tiny_keys()
     for r in (0, 5, 7, 35, 70):
-        with pytest.raises(BadRandomness):
+        with pytest.raises(ValueError, match="randomness must be a unit of Z_n"):
             encrypt(keys, 1, r)
 
 
 def test_add_rejects_mismatched_moduli():
     a = encrypt(tiny_keys(), 1, 2)
     b = Ciphertext(a.value, a.n_sq + 1)
-    with pytest.raises(MalformedCiphertext):
+    with pytest.raises(ValueError, match="ciphertexts under different moduli"):
         add_encrypted(a, b)
 
 
 def test_decrypt_rejects_malformed_ciphertext():
     keys = tiny_keys()
-    with pytest.raises(MalformedCiphertext):
+    not_a_unit = r"ciphertext value is not a unit of Z_\{n\^2\}"
+    with pytest.raises(ValueError, match=not_a_unit):
         decrypt_aggregate(keys, Ciphertext(35, keys.n_sq))  # gcd(35, n^2) = 35
-    with pytest.raises(MalformedCiphertext):
+    with pytest.raises(ValueError, match="ciphertext under a different modulus"):
         decrypt_aggregate(keys, Ciphertext(2, keys.n_sq + 1))
-    with pytest.raises(MalformedCiphertext):
+    with pytest.raises(ValueError, match=not_a_unit):
         decrypt_aggregate(keys, Ciphertext(35 * 35 + 2, keys.n_sq))
 
 
@@ -115,7 +113,6 @@ def test_keygen_factors_are_prime():
 def test_keygen_invariants(bits):
     keys = keygen(bits, 11)
     assert keys.n.bit_length() == bits
-    assert keys.g == keys.n + 1
     assert math.gcd(keys.n, keys.lam) == 1
     assert keys.mu * keys.lam % keys.n == 1
 
@@ -169,11 +166,11 @@ def test_randomness_stream_deterministic_and_fresh_per_round():
 def test_miller_rabin_agrees_with_sympy():
     rng = random.Random(0)
     for n in range(2, 2000):
-        assert is_probable_prime(n, rng) == sympy.isprime(n), n
+        assert is_probable_prime(n, rng, 0) == sympy.isprime(n), n
     for carmichael in (561, 1105, 1729, 41041, 825265):
-        assert not is_probable_prime(carmichael, rng)
+        assert not is_probable_prime(carmichael, rng, 0)
     for pseudoprime in PSI + CHERNICK[:30]:
-        assert not is_probable_prime(pseudoprime, rng), pseudoprime
+        assert not is_probable_prime(pseudoprime, rng, 0), pseudoprime
 
 
 def test_backend_fold_and_finalize():
@@ -207,7 +204,7 @@ def _keygen_digest(bits, seeds=range(40)):
     h = hashlib.sha256()
     for seed in seeds:
         k = keygen(bits, seed)
-        h.update(f"{k.bits} {seed} {k.n} {k.g} {k.lam} {k.mu}\n".encode())
+        h.update(f"{k.bits} {seed} {k.n} {k.n + 1} {k.lam} {k.mu}\n".encode())
     return h.hexdigest()
 
 
@@ -359,7 +356,7 @@ def test_wheel_cases_reach_both_sides_of_the_wheel():
 def test_miller_rabin_matches_reference_loop_draw_for_draw():
     for case, n in enumerate(_primality_cases()):
         fast, ref = random.Random(case), random.Random(case)
-        assert is_probable_prime(n, fast) == _reference_is_probable_prime(n, ref), n
+        assert is_probable_prime(n, fast, 0) == _reference_is_probable_prime(n, ref), n
         assert fast.getstate() == ref.getstate(), n
 
 
@@ -383,7 +380,7 @@ def test_strong_lucas_rejects_squares_of_primes():
 
 def test_is_probable_prime_takes_no_rounds_option():
     with pytest.raises(TypeError):
-        is_probable_prime(1009 * 1013, random.Random(0), rounds=0)
+        is_probable_prime(1009 * 1013, random.Random(0), 0, rounds=0)
 
 
 def _lambda_mu_decrypt(keys, c):
@@ -414,7 +411,7 @@ def test_miller_rabin_composite_passing_first_round_matches_reference():
         for seed in range(300):
             liar_first += _reference_is_probable_prime(n, random.Random(seed), rounds=1)
             fast, ref = random.Random(seed), random.Random(seed)
-            assert is_probable_prime(n, fast) == _reference_is_probable_prime(n, ref), (n, seed)
+            assert is_probable_prime(n, fast, 0) == _reference_is_probable_prime(n, ref), (n, seed)
             assert fast.getstate() == ref.getstate(), (n, seed)
     assert liar_first > 0
 
@@ -443,7 +440,7 @@ def test_miller_rabin_strong_lucas_pseudoprime_passing_first_round_matches_refer
         assert is_strong_lucas_prp(n) and mr(n, [liar]) and not mr(n, [2])
         for seed in range(20):
             fast, ref = _FirstDrawFixed(liar, seed), _FirstDrawFixed(liar, seed)
-            assert is_probable_prime(n, fast) is _reference_is_probable_prime(n, ref) is False
+            assert is_probable_prime(n, fast, 0) is _reference_is_probable_prime(n, ref) is False
             assert fast.getstate() == ref.getstate(), (n, seed)
 
 

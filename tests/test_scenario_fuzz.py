@@ -3,15 +3,23 @@
 
 Each example applies a few random edits to a file's JSON (replace a value,
 delete or add a key or item, duplicate an item, add a key that spells an
-existing one differently) and runs the CLI in process. Every scenario must
-either exit 2 with an error or exit 0 with the aggregate the reference walker
-predicts, and a scenario that runs must keep every meter key, value and link
-the file gave it. Every game config must exit 0 or 2, never with a traceback.
+existing one differently, add a misspelt key to the file or its backend) and
+runs the CLI in process. Every scenario must either exit 2 with an error or
+exit 0 with the aggregate the reference walker predicts, and a scenario that
+runs must keep every meter key, value and link the file gave it. Every game
+config must exit 0 or 2, never with a traceback. A file with a key that no
+scenario, backend or game config knows must exit 2.
+
+Run as a script, each fuzz test draws ten times its Tier-1 examples:
+
+    PYTHONPATH=src python tests/test_scenario_fuzz.py
 """
 
 import contextlib
 import io
 import json
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -61,6 +69,24 @@ game_texts = st.sampled_from(
 game_values = values_of(game_ints, game_texts)
 
 
+# The keys each object may hold; a backend's depend on its type.
+SCENARIO_KEYS = {"n_sm", "edges", "working_edges", "sending_list", "n_min", "round",
+                 "measurements", "backend", "seed", "sm_online", "prf_keys"}
+BACKEND_KEYS = {"masking": {"type", "k_bits"}, "paillier": {"type", "key_bits"}}
+GAME_KEYS = {"family", "strategy", "trials", "seed", "n_sm"}
+misspelt = st.sampled_from(["sm_onlne", "kbits", "keybits", "trails", "Seed", "n_sm "])
+
+
+def has_unknown_key(doc: dict, known: set) -> bool:
+    """True iff doc, or a backend object of a known type in it, holds a key
+    outside its known set."""
+    backend = doc.get("backend")
+    if isinstance(backend, dict) and backend.get("type") in BACKEND_KEYS:
+        if not backend.keys() <= BACKEND_KEYS[backend["type"]]:
+            return True
+    return not doc.keys() <= known
+
+
 def aliases(key: str) -> list[str]:
     """Other spellings that int() reads as the same number."""
     arabic = key.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
@@ -88,7 +114,7 @@ def mutated(draw, names=SHIPPED, values=json_values, texts=texts):
         if not doc:
             break
         parent, key = draw(location(doc))
-        op = draw(st.sampled_from(["replace", "delete", "add", "duplicate", "alias"]))
+        op = draw(st.sampled_from(["replace", "delete", "add", "duplicate", "alias", "misspell"]))
         if op == "replace":
             parent[key] = draw(values)
         elif op == "delete":
@@ -101,6 +127,10 @@ def mutated(draw, names=SHIPPED, values=json_values, texts=texts):
             parent.insert(key, json.loads(json.dumps(parent[key])))
         elif op == "alias" and isinstance(parent, dict):
             parent[draw(st.sampled_from(aliases(key)))] = draw(st.just(parent[key]) | values)
+        elif op == "misspell":
+            backend = doc.get("backend")
+            target = draw(st.sampled_from([doc, backend] if isinstance(backend, dict) else [doc]))
+            target[draw(misspelt)] = draw(values)
     return name, doc
 
 
@@ -135,6 +165,7 @@ def test_mutated_scenarios_run_right_or_exit_two(scratch, case):
     report = run_cli(scratch, "run", name, text)
     if report is None:
         return
+    assert not has_unknown_key(doc, SCENARIO_KEYS), text
     s = validate_scenario(scenario_from_json(text))
     assert report["aggregate"] == predict_aggregate(s), (name, text)
     # Nothing the file says was dropped or merged while parsing.
@@ -160,6 +191,7 @@ def test_mutated_scenarios_baseline_right_or_exit_two(scratch, case):
     text = json.dumps(doc)
     report = run_cli(scratch, "baseline", name, text)
     if report is not None:
+        assert not has_unknown_key(doc, SCENARIO_KEYS), text
         s = validate_scenario(scenario_from_json(text))
         assert report["protocol"]["aggregate"] == predict_aggregate(s), (name, text)
 
@@ -172,4 +204,23 @@ def test_mutated_scenarios_baseline_right_or_exit_two(scratch, case):
 @given(case=mutated(GAMES, game_values, game_texts))
 def test_mutated_game_configs_exit_zero_or_two(scratch, case):
     name, doc = case
-    run_cli(scratch, "game", name, json.dumps(doc))
+    text = json.dumps(doc)
+    if run_cli(scratch, "game", name, text) is not None:
+        assert not has_unknown_key(doc, GAME_KEYS), text
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        games = mutated(GAMES, game_values, game_texts)
+        for test, cases, examples in [
+            (test_mutated_scenarios_run_right_or_exit_two, mutated(), 3000),
+            (test_mutated_scenarios_baseline_right_or_exit_two, mutated(), 1500),
+            (test_mutated_game_configs_exit_zero_or_two, games, 1500),
+        ]:
+            t0 = time.perf_counter()
+            inner = test.hypothesis.inner_test
+            wide = settings(max_examples=examples, deadline=None, database=None,
+                            suppress_health_check=[HealthCheck.too_slow])
+            given(case=cases)(wide(lambda case: inner(path, case)))()
+            print(f"{test.__name__}: {examples} examples, {time.perf_counter() - t0:.1f}s")
