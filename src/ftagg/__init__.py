@@ -45,7 +45,7 @@ from .game import (
 )
 from .masking import MaskingBackend
 from .netsim import DeliveryStatus, SimNetwork
-from .paillier import Ciphertext, PaillierBackend, PaillierKeys, keygen
+from .paillier import PaillierBackend, PaillierKeys, keygen
 from .protocol import (
     MalformedTrace,
     classify_steps,

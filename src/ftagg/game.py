@@ -39,7 +39,6 @@ from .model import (
     validate_scenario,
 )
 from .netsim import SimNetwork
-from .paillier import Ciphertext, decrypt_aggregate, keys_from_totient
 from .protocol import make_backend, run_round
 from .walker import predict_aggregate, reachable_active
 
@@ -151,10 +150,7 @@ def _build_view(setup: GameSetup, backend, outcome: RoundOutcome, nonce: int) ->
         if r.delivered and r.receiver in corrupted:
             m = trace_record_to_dict(r)
             del m["delivered"]
-            m["body"] = {
-                name: v.value if isinstance(v, Ciphertext) else v
-                for name, v in vars(r.message).items()
-            }
+            m["body"] = dict(vars(r.message))
             messages.append(m)
 
     secrets: dict[str, object] = {}
@@ -256,7 +252,8 @@ def recover_measurement(view: AdversaryView) -> int:
     to a corrupted meter as the round's first contributor: that share is the
     concentrator's opener plus the meter's own fold. Under masking the
     report, minus that share's delta over the opener, minus the PRF value,
-    is the measurement; under Paillier the share decrypts to it."""
+    is the measurement; under Paillier the share decrypts to it by
+    L(c^lam mod n^2) * mu mod n, from the key in the view."""
     if not view.corrupted_dc:
         raise SetupViolation("recovery needs the concentrator's keys")
     i_star = view.challenged[0]
@@ -272,8 +269,8 @@ def recover_measurement(view: AdversaryView) -> int:
     share = handoffs[0]
     if view.backend_name == "paillier":
         sk = view.secrets["he_secret_key"]
-        keys = keys_from_totient(sk["n"], sk["lam"], sk["bits"])
-        return decrypt_aggregate(keys, Ciphertext(share, keys.n_sq))
+        n = sk["n"]
+        return (pow(share, sk["lam"], n * n) - 1) // n * sk["mu"] % n
     # Its report reached the corrupted concentrator, since it contributed.
     (report,) = [m["body"]["data"] for m in sent if m["kind"] == KIND_INITIAL_DATA]
     k = view.modulus
@@ -295,8 +292,6 @@ def strategy_sum_only(view: AdversaryView) -> int:
     if view.aggregate is None:
         return 0
     pair_sum = view.aggregate - sum(view.mlist.values())
-    if view.modulus is not None:
-        pair_sum %= view.modulus
     return pair_sum & 1
 
 

@@ -25,10 +25,12 @@ full loop would reject n at that base too. Otherwise the full probe runs on
 the same a. The table of about 23,000 primes is built on first use, so
 smaller keys never pay for it.
 
-The private key is lambda = phi(n), mu = phi(n)^-1 mod n and the primes p, q.
-Decryption computes L(c^lambda mod n^2) * mu mod n the CRT way: mod p^2 and
-q^2 with exponents p - 1 and q - 1, joined mod n (Paillier, EUROCRYPT 1999,
-section 7).
+A ciphertext is a plain int, a unit of Z_(n^2): every holder of one also
+holds its key, so the backend folds a share into the running one by a
+product mod n^2. The private key is lambda = phi(n), mu = phi(n)^-1 mod n
+and the primes p, q. Decryption computes L(c^lambda mod n^2) * mu mod n the
+CRT way: mod p^2 and q^2 with exponents p - 1 and q - 1, joined mod n
+(Paillier, EUROCRYPT 1999, section 7).
 
 Encryption computes its randomizer r^n mod n^2 from p and q as well: as
 x^p mod p^2 depends only on x mod p, r^n mod p^2 = (r^(q mod (p-1)) mod p)^p
@@ -266,12 +268,6 @@ class PaillierKeys:
         return self.n * self.n
 
 
-@dataclass(frozen=True)
-class Ciphertext:
-    value: int
-    n_sq: int
-
-
 def keys_from_primes(p: int, q: int, bits: int) -> PaillierKeys:
     p, q = max(p, q), min(p, q)
     n = p * q
@@ -281,18 +277,6 @@ def keys_from_primes(p: int, q: int, bits: int) -> PaillierKeys:
         hp=pow((p - 1) * q, -1, p), hq=pow((q - 1) * p, -1, q), q_inv=pow(q, -1, p),
         q_sq_inv=pow(q * q, -1, p * p),
     )
-
-
-def keys_from_totient(n: int, phi: int, bits: int) -> PaillierKeys:
-    """The key of n = pq rebuilt from phi = (p-1)(q-1): p + q = n - phi + 1,
-    so p and q are the roots of x^2 - (n - phi + 1)x + n."""
-    s = n - phi + 1
-    disc = s * s - 4 * n
-    root = math.isqrt(max(disc, 0))
-    p, q = (s + root) // 2, (s - root) // 2
-    if root * root != disc or q < 2:
-        raise ValueError("phi is not the totient of a product of two primes")
-    return keys_from_primes(p, q, bits)
 
 
 @functools.lru_cache(maxsize=256)
@@ -313,7 +297,7 @@ def keygen(bits: int, seed: int) -> PaillierKeys:
         return keys_from_primes(p, q, bits)
 
 
-def encrypt(keys: PaillierKeys, m: int, r: int) -> Ciphertext:
+def encrypt(keys: PaillierKeys, m: int, r: int) -> int:
     """c = g^m * r^n mod n^2, with g = n + 1 so g^m = 1 + m*n.
 
     r^n mod n^2 is joined by the CRT from r^n mod p^2 = (r^(q mod (p-1))
@@ -331,28 +315,19 @@ def encrypt(keys: PaillierKeys, m: int, r: int) -> Ciphertext:
     r_p = pow(pow(r, q % (p - 1), p), p, p_sq)
     r_q = pow(pow(r, p % (q - 1), q), q, q_sq)
     r_n = r_q + q_sq * ((r_p - r_q) * keys.q_sq_inv % p_sq)
-    return Ciphertext((1 + m * n) * r_n % n_sq, n_sq)
+    return (1 + m * n) * r_n % n_sq
 
 
-def add_encrypted(s_running: Ciphertext, c: Ciphertext) -> Ciphertext:
-    if s_running.n_sq != c.n_sq:
-        raise ValueError("ciphertexts under different moduli")
-    return Ciphertext((s_running.value * c.value) % s_running.n_sq, s_running.n_sq)
-
-
-def decrypt_aggregate(keys: PaillierKeys, s_final: Ciphertext) -> int:
+def decrypt_aggregate(keys: PaillierKeys, c: int) -> int:
     """A = L(c^lambda mod n^2) * mu mod n, with L(x) = (x - 1) / n, computed as
     A mod p = L_p(c^(p-1) mod p^2) * hp mod p (likewise mod q) and joined by
     the CRT."""
     n_sq = keys.n_sq
-    if s_final.n_sq != n_sq:
-        raise ValueError("ciphertext under a different modulus")
-    v = s_final.value
-    if not 0 <= v < n_sq or math.gcd(v, n_sq) != 1:
+    if not 0 <= c < n_sq or math.gcd(c, n_sq) != 1:
         raise ValueError("ciphertext value is not a unit of Z_{n^2}")
     p, q = keys.p, keys.q
-    a_p = (pow(v, p - 1, p * p) - 1) // p * keys.hp % p
-    a_q = (pow(v, q - 1, q * q) - 1) // q * keys.hq % q
+    a_p = (pow(c, p - 1, p * p) - 1) // p * keys.hp % p
+    a_q = (pow(c, q - 1, q * q) - 1) // q * keys.hq % q
     return a_q + q * ((a_p - a_q) * keys.q_inv % p)
 
 
@@ -382,12 +357,12 @@ class PaillierBackend:
         # The opening message only marks the meter reachable; no data rides it.
         return None
 
-    def init_share(self) -> Ciphertext:
+    def init_share(self) -> int:
         return encrypt(self.keys, 0, next(self._rand))
 
-    def fold_measurement(self, s_running: Ciphertext, i: int) -> Ciphertext:
+    def fold_measurement(self, s_running: int, i: int) -> int:
         c = encrypt(self.keys, self._measurements[i], next(self._rand))
-        return add_encrypted(s_running, c)
+        return s_running * c % self.keys.n_sq
 
     def finalize(self, s_final, l_act, collected, opening) -> int:
         # The opener is an encryption of zero, already folded into s_final.

@@ -341,8 +341,8 @@ def test_sum_only_reads_the_pair_sum():
     sum_only = STRATEGIES["sum-only"]
     # Without the aggregate it has nothing to read and guesses 0.
     assert sum_only(run_trial(setup_4sm(corrupted_dc=False)).view) == 0
-    # A masking view reduces the pair sum modulo k; the sum sits at the
-    # largest value validation admits.
+    # Validation keeps a masking sum below k, so the aggregate minus the known
+    # measurements is the pair sum itself, even at the largest valid sum.
     view = run_trial(setup_4sm(measurements={2: 7, 4: (1 << 64) - 22})).view
     assert view.modulus == 1 << 64 and view.aggregate == (1 << 64) - 1
     assert sum_only(view) == (5 + 9) & 1
@@ -457,7 +457,7 @@ def ind_cpa_experiment(
         m0, m1 = choose(rng, keys.n)
         b = rng.getrandbits(1)
         c = encrypt(keys, m1 if b else m0, next(stream))
-        if (int(distinguish(c.value, keys.n, m0, m1)) & 1) == b:
+        if (int(distinguish(c, keys.n, m0, m1)) & 1) == b:
             wins += 1
     lo, hi = wilson_interval(wins, trials)
     return GameStats(

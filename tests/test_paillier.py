@@ -12,17 +12,14 @@ from sympy.ntheory.primetest import is_strong_lucas_prp, mr
 from conftest import make_scenario
 from ftagg.model import PaillierSpec
 from ftagg.paillier import (
-    Ciphertext,
     PaillierBackend,
     _next_prime,
     _strong_lucas,
-    add_encrypted,
     decrypt_aggregate,
     encrypt,
     is_probable_prime,
     keygen,
     keys_from_primes,
-    keys_from_totient,
     randomness_stream,
 )
 
@@ -40,7 +37,7 @@ def test_tiny_key_encrypt_matches_direct_formula():
     for m in range(35):
         for r in (2, 3, 4, 6, 8):
             direct = (pow(36, m, n_sq) * pow(r, 35, n_sq)) % n_sq
-            assert encrypt(keys, m, r).value == direct
+            assert encrypt(keys, m, r) == direct
 
 
 def test_tiny_key_decrypt_matches_direct_formula():
@@ -48,7 +45,7 @@ def test_tiny_key_decrypt_matches_direct_formula():
     n, n_sq = 35, 35 * 35
     for m in range(35):
         c = encrypt(keys, m, 13)
-        x = pow(c.value, 24, n_sq)
+        x = pow(c, 24, n_sq)
         direct = ((x - 1) // n) * pow(24, -1, n) % n
         assert decrypt_aggregate(keys, c) == direct == m
 
@@ -56,7 +53,7 @@ def test_tiny_key_decrypt_matches_direct_formula():
 def test_tiny_key_homomorphic_addition():
     keys = tiny_keys()
     for a, b in [(0, 0), (1, 2), (17, 17), (30, 4)]:
-        c = add_encrypted(encrypt(keys, a, 2), encrypt(keys, b, 3))
+        c = encrypt(keys, a, 2) * encrypt(keys, b, 3) % keys.n_sq
         assert decrypt_aggregate(keys, c) == (a + b) % 35
 
 
@@ -74,22 +71,13 @@ def test_encrypt_rejects_bad_randomness():
             encrypt(keys, 1, r)
 
 
-def test_add_rejects_mismatched_moduli():
-    a = encrypt(tiny_keys(), 1, 2)
-    b = Ciphertext(a.value, a.n_sq + 1)
-    with pytest.raises(ValueError, match="ciphertexts under different moduli"):
-        add_encrypted(a, b)
-
-
 def test_decrypt_rejects_malformed_ciphertext():
     keys = tiny_keys()
     not_a_unit = r"ciphertext value is not a unit of Z_\{n\^2\}"
     with pytest.raises(ValueError, match=not_a_unit):
-        decrypt_aggregate(keys, Ciphertext(35, keys.n_sq))  # gcd(35, n^2) = 35
-    with pytest.raises(ValueError, match="ciphertext under a different modulus"):
-        decrypt_aggregate(keys, Ciphertext(2, keys.n_sq + 1))
+        decrypt_aggregate(keys, 35)  # gcd(35, n^2) = 35
     with pytest.raises(ValueError, match=not_a_unit):
-        decrypt_aggregate(keys, Ciphertext(35 * 35 + 2, keys.n_sq))
+        decrypt_aggregate(keys, 35 * 35 + 2)
 
 
 def test_keygen_deterministic():
@@ -134,20 +122,20 @@ def test_homomorphic_fold_matches_plain_sum():
         values = [rng.randrange(1000) for _ in range(rng.randint(1, 8))]
         acc = encrypt(keys, 0, next(stream))
         for v in values:
-            acc = add_encrypted(acc, encrypt(keys, v, next(stream)))
+            acc = acc * encrypt(keys, v, next(stream)) % keys.n_sq
         assert decrypt_aggregate(keys, acc) == sum(values)
 
 
 def test_adding_zero_preserves_plaintext():
     keys = keygen(128, 5)
     stream = randomness_stream(keys, 5, 0)
-    c = add_encrypted(encrypt(keys, 77, next(stream)), encrypt(keys, 0, next(stream)))
+    c = encrypt(keys, 77, next(stream)) * encrypt(keys, 0, next(stream)) % keys.n_sq
     assert decrypt_aggregate(keys, c) == 77
 
 
 def test_encryption_is_randomized():
     keys = keygen(128, 2)
-    assert encrypt(keys, 9, 2).value != encrypt(keys, 9, 3).value
+    assert encrypt(keys, 9, 2) != encrypt(keys, 9, 3)
 
 
 def test_randomness_stream_deterministic_and_fresh_per_round():
@@ -385,7 +373,7 @@ def test_is_probable_prime_takes_no_rounds_option():
 
 def _lambda_mu_decrypt(keys, c):
     n, n_sq = keys.n, keys.n_sq
-    return ((pow(c.value, keys.lam, n_sq) - 1) // n) * keys.mu % n
+    return ((pow(c, keys.lam, n_sq) - 1) // n) * keys.mu % n
 
 
 @pytest.mark.parametrize("bits, samples", [(64, 200), (128, 100), (256, 50), (2048, 1)])
@@ -399,7 +387,7 @@ def test_decrypt_matches_lambda_mu_formula(bits, samples):
         assert decrypt_aggregate(keys, c) == _lambda_mu_decrypt(keys, c) == m
     acc = encrypt(keys, 0, next(stream))
     for m in edge:
-        acc = add_encrypted(acc, encrypt(keys, m, next(stream)))
+        acc = acc * encrypt(keys, m, next(stream)) % keys.n_sq
     assert decrypt_aggregate(keys, acc) == _lambda_mu_decrypt(keys, acc) == sum(edge) % keys.n
 
 
@@ -531,17 +519,9 @@ def test_small_keygen_leaves_the_sieve_table_unbuilt():
 def test_keys_rebuilt_from_totient_equal_keygen(bits):
     keys = keygen(bits, 5)
     assert keys.p * keys.q == keys.n and keys.p > keys.q
-    assert keys_from_totient(keys.n, keys.lam, bits) == keys
     assert keys_from_primes(keys.q, keys.p, bits) == keys
     p_sq = keys.p * keys.p
     assert keys.q_sq_inv * keys.q * keys.q % p_sq == 1 and 0 < keys.q_sq_inv < p_sq
-
-
-def test_keys_from_totient_rejects_a_wrong_totient():
-    keys = keygen(128, 5)
-    for phi in (keys.lam + 2, keys.lam - 2, keys.n, 0):
-        with pytest.raises(ValueError):
-            keys_from_totient(keys.n, phi, 128)
 
 
 # --- Pins that let the CRT randomizer prove it gives pow(r, n, n^2) exactly. ---
@@ -560,7 +540,7 @@ def test_randomizer_equals_plain_pow_for_every_unit(p, q):
     n, n_sq = keys.n, keys.n_sq
     for r in range(1, n):
         if math.gcd(r, n) == 1:
-            assert encrypt(keys, 0, r).value == pow(r, n, n_sq), r
+            assert encrypt(keys, 0, r) == pow(r, n, n_sq), r
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256, 1024])
@@ -571,4 +551,4 @@ def test_randomizer_equals_plain_pow_on_stream_draws(bits):
     stream = randomness_stream(keys, 13, 0)
     for _ in range(200):
         r, m = next(stream), rng.randrange(n)
-        assert encrypt(keys, m, r).value == (1 + m * n) * pow(r, n, n_sq) % n_sq
+        assert encrypt(keys, m, r) == (1 + m * n) * pow(r, n, n_sq) % n_sq

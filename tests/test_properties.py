@@ -16,7 +16,7 @@ from ftagg.model import (
     validate_scenario,
 )
 from ftagg.netsim import SimNetwork
-from ftagg.paillier import add_encrypted, decrypt_aggregate, encrypt, keygen, randomness_stream
+from ftagg.paillier import decrypt_aggregate, encrypt, keygen, randomness_stream
 from ftagg.protocol import classify_steps, make_backend, proof_case_histogram, run_round
 from ftagg.walker import predict_aggregate, reachable_active
 from hypothesis import given, settings
@@ -120,7 +120,8 @@ def test_paillier_roundtrip_and_sum_law(m, a, b):
     n = KEYS_128.n
     units = randomness_stream(KEYS_128, seed=(m ^ a ^ b) & ((1 << 64) - 1), t=0)
     assert decrypt_aggregate(KEYS_128, encrypt(KEYS_128, m % n, next(units))) == m % n
-    total = add_encrypted(
-        encrypt(KEYS_128, a % n, next(units)), encrypt(KEYS_128, b % n, next(units))
+    total = (
+        encrypt(KEYS_128, a % n, next(units)) * encrypt(KEYS_128, b % n, next(units))
+        % KEYS_128.n_sq
     )
     assert decrypt_aggregate(KEYS_128, total) == (a + b) % n

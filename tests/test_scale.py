@@ -5,10 +5,12 @@ size where the activation chain is hundreds of hops long. Full meshes check
 the scenario digest against its plain `json.dumps` reference at that size.
 Sparse graphs (the ring the sending list implies, alone and with random
 chords) run under masking-64 and Paillier-128 with the sum of the
-measurements within n of the backend's bound. On each sparse round the trace
-and the clock stay within their proven bounds, and wherever the baseline
-completes with at least n_min contributors the protocol returns the same sum
-from the same contributors, so no round aggregates in the baseline alone.
+measurements within n of the backend's bound, and under Paillier-128 again
+with the sum within n of 2^64, the baseline's modulus, so that the baseline
+runs beside Paillier rounds too. On each sparse round the trace and the
+clock stay within their proven bounds, and wherever the baseline completes
+with at least n_min contributors the protocol returns the same sum from the
+same contributors, so no round aggregates in the baseline alone.
 
 Run as a script for the wide draw: more seeds, and up to 1000 meters on the
 sparse graphs.
@@ -28,7 +30,13 @@ from ftagg.protocol import make_backend, run_round
 from ftagg.walker import predict_aggregate, reachable_active
 
 N_SM = 300
-BACKENDS = {"masking-64": MaskingSpec(k_bits=64), "paillier-128": PaillierSpec(key_bits=128)}
+# Each backend with the bound its sums lie within n of: its own, or 2^64,
+# below which the baseline, which masks modulo 2^64, runs too.
+BACKENDS = {
+    "masking-64": (MaskingSpec(k_bits=64), 1 << 64),
+    "paillier-128": (PaillierSpec(key_bits=128), 1 << 127),
+    "paillier-128-below-2^64": (PaillierSpec(key_bits=128), 1 << 64),
+}
 # Per sparse test: its seed and the share of links that are off.
 DRAWS = [(1, 0.0), (2, 0.01), (3, 0.1)]
 
@@ -59,16 +67,15 @@ def test_engine_matches_walker_at_300_meters(seed, p_fail):
         assert list(outcome.active) == order
 
 
-def sparse_scenario(n, chords, backend, seed, p_fail):
+def sparse_scenario(n, chords, backend, bound, seed, p_fail):
     """The ring a shuffled sending list implies (every DC link and the link
     between each pair of list neighbours) plus `chords` links between random
     meters, each link off with probability p_fail. The measurements sum to
-    within n of the backend's bound."""
+    within n of bound."""
     rng = random.Random(seed)
     order = rng.sample(range(1, n + 1), n)
     edges = [(DC, i) for i in order] + list(zip(order, order[1:]))
     edges += [tuple(rng.sample(order, 2)) for _ in range(chords)]
-    bound = backend.k if isinstance(backend, MaskingSpec) else 1 << (backend.key_bits - 1)
     total = bound - 1 - rng.randrange(n)
     cuts = sorted(rng.randrange(total + 1) for _ in range(n - 1))
     return make_scenario(
@@ -111,25 +118,27 @@ def check_round(s):
 
 @pytest.mark.parametrize("seed, p_fail", DRAWS)
 @pytest.mark.parametrize("chords", [0, N_SM // 10], ids=["ring", "ring-with-chords"])
-@pytest.mark.parametrize("backend", BACKENDS.values(), ids=BACKENDS.keys())
-def test_sparse_graphs_at_300_meters(backend, chords, seed, p_fail):
-    s = sparse_scenario(N_SM, chords, backend, seed, p_fail)
-    aggregated, _ = check_round(s)
+@pytest.mark.parametrize("backend, bound", BACKENDS.values(), ids=BACKENDS.keys())
+def test_sparse_graphs_at_300_meters(backend, bound, chords, seed, p_fail):
+    s = sparse_scenario(N_SM, chords, backend, bound, seed, p_fail)
+    aggregated, in_baseline = check_round(s)
     if p_fail == 0.0:
         assert aggregated
+    assert (in_baseline is None) == (bound > 1 << 64)
 
 
 if __name__ == "__main__":
     for n in (300, 600, 1000):
-        for name, backend in BACKENDS.items():
+        for name, (backend, bound) in BACKENDS.items():
             for chords in (0, n // 10, n):
                 t0 = time.perf_counter()
                 protocol = both = skipped = 0
                 for seed in range(1, 21):
                     p_fail = (0.0, 0.001, 0.01, 0.1)[seed % 4]
                     aggregated, in_baseline = check_round(
-                        sparse_scenario(n, chords, backend, seed, p_fail)
+                        sparse_scenario(n, chords, backend, bound, seed, p_fail)
                     )
+                    assert (in_baseline is None) == (bound > 1 << 64)
                     protocol += aggregated
                     both += bool(in_baseline)
                     skipped += in_baseline is None

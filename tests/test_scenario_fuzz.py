@@ -1,14 +1,17 @@
 """Mutation fuzz of the shipped scenario files through `ftagg run` and
 `ftagg baseline`, and of the shipped game configs through `ftagg game`.
 
-Each example applies a few random edits to a file's JSON (replace a value,
-delete or add a key or item, duplicate an item, add a key that spells an
-existing one differently, add a misspelt key to the file or its backend) and
-runs the CLI in process. Every scenario must either exit 2 with an error or
-exit 0 with the aggregate the reference walker predicts, and a scenario that
-runs must keep every meter key, value and link the file gave it. Every game
-config must exit 0 or 2, never with a traceback. A file with a key that no
-scenario, backend or game config knows must exit 2.
+Each example applies a few random edits to a file's JSON and runs the CLI in
+process. Half the edits nudge a value within its type (an int by at most 3,
+kept >= 0; a bool flipped; a party name swapped for another), so that many
+examples still reach a round; the others replace a value, delete or add a key
+or item, duplicate an item, add a key that spells an existing one
+differently, or add a misspelt key to the file or its backend. Every
+scenario must either exit 2 with an error or exit 0 with the aggregate the
+reference walker predicts, and a scenario that runs must keep every meter
+key, value and link the file gave it. Every game config must exit 0 or 2,
+never with a traceback. A file with a key that no scenario, backend or game
+config knows must exit 2.
 
 Run as a script, each fuzz test draws ten times its Tier-1 examples:
 
@@ -25,7 +28,7 @@ from pathlib import Path
 import pytest
 from ftagg.cli import EXIT_INVALID, EXIT_OK, main
 from ftagg.game import MAX_GAME_N_SM, MAX_GAME_WORK
-from ftagg.model import scenario_from_json, scenario_to_json, validate_scenario
+from ftagg.model import party_name, scenario_from_json, scenario_to_json, validate_scenario
 from ftagg.walker import predict_aggregate
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -107,6 +110,23 @@ def location(draw, doc):
 
 
 @st.composite
+def nudged(draw, value, doc):
+    """value moved within its type: an int by at most 3 and kept >= 0, a bool
+    flipped, a party name swapped for another of the file; else unchanged."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return max(0, value + draw(st.integers(min_value=-3, max_value=3)))
+    n_sm = doc.get("n_sm")
+    # An earlier edit may have made n_sm anything; a huge one gets no name table.
+    if isinstance(value, str) and type(n_sm) is int and 1 <= n_sm <= 1000:
+        names = [party_name(p) for p in range(n_sm + 1)]
+        if value in names:
+            return draw(st.sampled_from([x for x in names if x != value]))
+    return value
+
+
+@st.composite
 def mutated(draw, names=SHIPPED, values=json_values, texts=texts):
     name = draw(st.sampled_from(names))
     doc = json.loads((SCENARIOS / f"{name}.json").read_text())
@@ -114,6 +134,9 @@ def mutated(draw, names=SHIPPED, values=json_values, texts=texts):
         if not doc:
             break
         parent, key = draw(location(doc))
+        if draw(st.booleans()):
+            parent[key] = draw(nudged(parent[key], doc))
+            continue
         op = draw(st.sampled_from(["replace", "delete", "add", "duplicate", "alias", "misspell"]))
         if op == "replace":
             parent[key] = draw(values)
