@@ -80,18 +80,29 @@ def full_mesh(n_sm: int) -> FailureGraph:
     return FailureGraph(adj, adj)
 
 
+class _Rows(tuple):
+    """A link array of a scenario text already turned into its rows."""
+
+
+def _is_pair_array(raw: object) -> bool:
+    return isinstance(raw, (list, tuple)) and all(
+        issubclass(kind, (list, tuple)) for kind in set(map(type, raw))
+    )
+
+
 def graph_from_names(n_sm: int, edges: Sequence, working: Sequence) -> FailureGraph:
     """The graph of two arrays of [name, name] pairs, as scenario files give
-    them."""
+    them. Either may instead be the `_Rows` that `_link_rows` made of it."""
     *_, table = _name_order(n_sm + 1)
-    for raw, what in ((edges, "edges"), (working, "working_edges")):
-        if not isinstance(raw, (list, tuple)) or not all(
-            issubclass(kind, (list, tuple)) for kind in set(map(type, raw))
-        ):
+    arrays = ((edges, "edges"), (working, "working_edges"))
+    for raw, what in arrays:
+        if not isinstance(raw, _Rows) and not _is_pair_array(raw):
             raise ScenarioError(f"{what} must be an array of [name, name] pairs")
     return FailureGraph(
-        _adjacency(n_sm, table, edges, "edges"),
-        _adjacency(n_sm, table, working, "working_edges"),
+        *(
+            tuple(raw) if isinstance(raw, _Rows) else _adjacency(n_sm, table, raw, what)
+            for raw, what in arrays
+        )
     )
 
 
@@ -550,11 +561,74 @@ def load_json(text: str) -> object:
     return json.loads(text, object_pairs_hook=_unique_keys)
 
 
+# Texts of at least this many characters are read by `_load_by_value`.
+# Below it, its per-value loop costs more than the memory it saves.
+_BY_VALUE_FROM_CHARS = 1 << 16
+
+_DECODE = json.JSONDecoder(object_pairs_hook=_unique_keys).raw_decode
+_SKIP_SPACE = json.decoder.WHITESPACE.match
+
+
+def _link_rows(n_sm: int, raw: object, what: str) -> object:
+    """raw as `_Rows` where it is a valid link array over parties 0..n_sm,
+    else raw itself, so that `graph_from_names` raises its error in turn."""
+    if _is_pair_array(raw):
+        try:
+            return _Rows(_adjacency(n_sm, _name_order(n_sm + 1)[-1], raw, what))
+        except ScenarioError:
+            pass
+    return raw
+
+
+def _load_by_value(text: str) -> Optional[dict]:
+    """`load_json(text)` for a text whose top level is an object, parsed one
+    top-level value at a time. Each link array becomes its rows once it and
+    a plausible n_sm have both been read, so that its lists are freed before
+    the next value is parsed. None where the text holds anything this loop
+    does not expect (another top level, a repeated top-level key, a bad
+    separator, trailing data, or any error of the decoder); `load_json` then
+    parses the whole text and raises exactly its own error."""
+    d: dict = {}
+    pending = []
+    n_sm = None
+    try:
+        i = _SKIP_SPACE(text).end()
+        if text[i : i + 1] != "{":
+            return None
+        sep = ","
+        while sep == ",":
+            key, i = _DECODE(text, _SKIP_SPACE(text, i + 1).end())
+            if type(key) is not str or key in d:
+                return None
+            i = _SKIP_SPACE(text, i).end()
+            if text[i : i + 1] != ":":
+                return None
+            d[key], i = _DECODE(text, _SKIP_SPACE(text, i + 1).end())
+            if key in ("edges", "working_edges"):
+                pending.append(key)
+            # A valid n_sm is below the text's length, so no larger one,
+            # which validation would reject, sizes a name table here.
+            elif key == "n_sm" and type(d[key]) is int and 1 <= d[key] < len(text):
+                n_sm = d[key]
+            if n_sm is not None:
+                for what in pending:
+                    d[what] = _link_rows(n_sm, d[what], what)
+                pending.clear()
+            i = _SKIP_SPACE(text, i).end()
+            sep = text[i : i + 1]
+        if sep != "}" or _SKIP_SPACE(text, i + 1).end() != len(text):
+            return None
+    except (ValueError, RecursionError):
+        return None
+    return d
+
+
 def scenario_from_json(text: str) -> Scenario:
     # A 400-meter mesh parses into ~150k small lists, enough to start
     # several full collections that find nothing to free.
     with _gc_paused():
-        return scenario_from_dict(load_json(text))
+        d = _load_by_value(text) if len(text) >= _BY_VALUE_FROM_CHARS else None
+        return scenario_from_dict(load_json(text) if d is None else d)
 
 
 # Stands in for both edge arrays in `scenario_to_json`'s json.dumps. Every

@@ -6,7 +6,9 @@ import hashlib
 import itertools
 import json
 import random
+from unittest import mock
 
+from ftagg import model
 from ftagg.masking import MaskingBackend
 from ftagg.model import (
     DC,
@@ -15,7 +17,10 @@ from ftagg.model import (
     PaillierSpec,
     Scenario,
     full_mesh,
+    load_json,
     party_name,
+    scenario_from_dict,
+    scenario_from_json,
     validate_scenario,
 )
 
@@ -56,6 +61,25 @@ def reference_digest(s: Scenario) -> str:
         d["prf_keys"] = {str(i): key.hex() for i, key in s.prf_keys.items()}
     canonical = json.dumps(d, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _scenario_or_error(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # the error's type and message are the result
+        return type(exc), str(exc)
+
+
+def assert_parsed_alike(text: str) -> None:
+    """`scenario_from_json` with every text read value by value gives what
+    `scenario_from_dict(load_json(text))` gives: the same scenario, or an
+    error of the same type and message."""
+    with mock.patch.object(model, "_BY_VALUE_FROM_CHARS", 0):
+        by_value = _scenario_or_error(scenario_from_json, text)
+    whole = _scenario_or_error(lambda t: scenario_from_dict(load_json(t)), text)
+    assert by_value == whole, text[:2000]
+    if isinstance(by_value, Scenario):
+        assert type(by_value.graph.edges) is type(by_value.graph.working) is tuple
 
 
 def make_scenario(

@@ -10,21 +10,36 @@ with the sum within n of 2^64, the baseline's modulus, so that the baseline
 runs beside Paillier rounds too. On each sparse round the trace and the
 clock stay within their proven bounds, and wherever the baseline completes
 with at least n_min contributors the protocol returns the same sum from the
-same contributors, so no round aggregates in the baseline alone.
+same contributors, so no round aggregates in the baseline alone. Full
+meshes with 30 % of their links off, with and without offline meters, run
+the same checks; they are built as JSON text, so that they also go through
+the value-by-value parse of large scenario files.
 
-Run as a script for the wide draw: more seeds, and up to 1000 meters on the
-sparse graphs.
+Run as a script for the wide draw: more seeds, up to 1000 meters on the
+sparse graphs and up to 600 on the meshes with links off.
 
     PYTHONPATH=src python tests/test_scale.py
 """
 
+import itertools
+import json
 import random
 import time
 
 import pytest
 from conftest import full_edges, make_scenario, reference_digest
+from ftagg import model
 from ftagg.baseline import BaselineStatus, baseline_modulus, run_baseline_round
-from ftagg.model import DC, MaskingSpec, PaillierSpec, ScenarioError, scenario_digest
+from ftagg.model import (
+    DC,
+    MaskingSpec,
+    PaillierSpec,
+    ScenarioError,
+    party_name,
+    scenario_digest,
+    scenario_from_json,
+    validate_scenario,
+)
 from ftagg.netsim import SimNetwork
 from ftagg.protocol import make_backend, run_round
 from ftagg.walker import predict_aggregate, reachable_active
@@ -67,6 +82,13 @@ def test_engine_matches_walker_at_300_meters(seed, p_fail):
         assert list(outcome.active) == order
 
 
+def measurements_near(rng, n, bound):
+    """Measurements of meters 1..n that sum to within n of bound."""
+    total = bound - 1 - rng.randrange(n)
+    cuts = sorted(rng.randrange(total + 1) for _ in range(n - 1))
+    return {i: b - a for i, (a, b) in enumerate(zip([0] + cuts, cuts + [total]), 1)}
+
+
 def sparse_scenario(n, chords, backend, bound, seed, p_fail):
     """The ring a shuffled sending list implies (every DC link and the link
     between each pair of list neighbours) plus `chords` links between random
@@ -76,19 +98,39 @@ def sparse_scenario(n, chords, backend, bound, seed, p_fail):
     order = rng.sample(range(1, n + 1), n)
     edges = [(DC, i) for i in order] + list(zip(order, order[1:]))
     edges += [tuple(rng.sample(order, 2)) for _ in range(chords)]
-    total = bound - 1 - rng.randrange(n)
-    cuts = sorted(rng.randrange(total + 1) for _ in range(n - 1))
+    measurements = measurements_near(rng, n, bound)
     return make_scenario(
         n,
         edges=edges,
         working=[e for e in edges if rng.random() >= p_fail],
         order=order,
         n_min=rng.randint(1, 10),
-        measurements={i: b - a for i, (a, b) in enumerate(zip([0] + cuts, cuts + [total]), 1)},
+        measurements=measurements,
         backend=backend,
         seed=seed,
         round_index=seed,
     )
+
+
+def mesh_text(n, p_off, offline, backend, bound, seed):
+    """Scenario JSON of the full mesh over DC and n meters, each link off
+    with probability p_off and `offline` random meters offline, with a
+    shuffled sending list and measurements that sum to within n of bound."""
+    rng = random.Random(seed)
+    order = rng.sample(range(1, n + 1), n)
+    links = [list(pair) for pair in itertools.combinations(map(party_name, range(n + 1)), 2)]
+    return json.dumps({
+        "n_sm": n,
+        "edges": links,
+        "working_edges": [link for link in links if rng.random() >= p_off],
+        "sending_list": order,
+        "n_min": rng.randint(1, n // 2),
+        "round": seed,
+        "measurements": {str(i): m for i, m in measurements_near(rng, n, bound).items()},
+        "backend": {"type": backend.type, **vars(backend)},
+        "seed": seed,
+        "sm_online": {str(i): False for i in rng.sample(order, offline)},
+    })
 
 
 def check_round(s):
@@ -127,6 +169,22 @@ def test_sparse_graphs_at_300_meters(backend, bound, chords, seed, p_fail):
     assert (in_baseline is None) == (bound > 1 << 64)
 
 
+# Per mesh topology: the share of links that are off, and the share of
+# meters that are offline. The baseline completes only on the third.
+MESHES = {"links-off": (0.3, 0), "links-off-and-offline": (0.3, 0.1), "offline": (0.0, 0.1)}
+
+
+@pytest.mark.parametrize("p_off, offline", MESHES.values(), ids=MESHES.keys())
+@pytest.mark.parametrize("name", ["masking-64", "paillier-128-below-2^64"])
+def test_meshes_at_300_meters(name, p_off, offline):
+    backend, bound = BACKENDS[name]
+    text = mesh_text(N_SM, p_off, int(offline * N_SM), backend, bound, 4)
+    assert len(text) >= model._BY_VALUE_FROM_CHARS
+    aggregated, in_baseline = check_round(validate_scenario(scenario_from_json(text)))
+    assert aggregated
+    assert in_baseline == (p_off == 0.0)
+
+
 if __name__ == "__main__":
     for n in (300, 600, 1000):
         for name, (backend, bound) in BACKENDS.items():
@@ -145,5 +203,25 @@ if __name__ == "__main__":
                 print(
                     f"n={n} {name} ring with {chords} chords: 20 rounds, aggregated by "
                     f"the protocol {protocol}, by both engines {both}, baseline skipped "
+                    f"{skipped}, {time.perf_counter() - t0:.1f}s"
+                )
+    for n, seeds in ((300, 20), (600, 5)):
+        for name, (backend, bound) in BACKENDS.items():
+            for topology, (p_off, offline) in MESHES.items():
+                t0 = time.perf_counter()
+                protocol = both = skipped = 0
+                for seed in range(1, seeds + 1):
+                    text = mesh_text(n, p_off, int(offline * n), backend, bound, seed)
+                    assert len(text) >= model._BY_VALUE_FROM_CHARS
+                    aggregated, in_baseline = check_round(
+                        validate_scenario(scenario_from_json(text))
+                    )
+                    assert (in_baseline is None) == (bound > 1 << 64)
+                    protocol += aggregated
+                    both += bool(in_baseline)
+                    skipped += in_baseline is None
+                print(
+                    f"n={n} {name} mesh, {topology}: {seeds} rounds, aggregated by the "
+                    f"protocol {protocol}, by both engines {both}, baseline skipped "
                     f"{skipped}, {time.perf_counter() - t0:.1f}s"
                 )

@@ -1,6 +1,9 @@
 """Oracles for the scenario file format: the digest against a canonical dict
 built in the tests from the `Scenario` alone, `graph_from_names` against
-`FailureGraph.build`, and the exact error of each malformed edge entry.
+`FailureGraph.build`, the exact error of each malformed edge entry, and the
+value-by-value parse of large texts against `load_json`'s whole-text parse:
+the same scenario or error on every shipped file and crafted text, in at
+most 0.6 times the memory on a 300-meter mesh.
 
 Graphs go up to 150 meters so that names sort as SM1 < SM10 < SM100 < SM11,
 which is not index order.
@@ -9,9 +12,12 @@ which is not index order.
 import itertools
 import json
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
-from conftest import reference_digest
+from conftest import assert_parsed_alike, reference_digest
+from ftagg import model
 from ftagg.model import (
     FailureGraph,
     MaskingSpec,
@@ -20,8 +26,10 @@ from ftagg.model import (
     ScenarioError,
     full_mesh,
     graph_from_names,
+    load_json,
     party_name,
     scenario_digest,
+    scenario_from_dict,
     scenario_from_json,
     scenario_to_json,
     validate_scenario,
@@ -179,3 +187,157 @@ def test_edges_must_be_an_array(raw):
         graph_from_names(3, raw, [])
     assert type(info.value) is ScenarioError
     assert str(info.value) == ARRAY.format("edges")
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+BASE = {
+    "n_sm": 3,
+    "edges": [["DC", "SM1"], ["DC", "SM2"], ["SM3", "DC"], ["SM1", "SM2"], ["SM2", "SM3"]],
+    "working_edges": [["DC", "SM1"], ["SM1", "SM2"], ["SM3", "SM2"]],
+    "sending_list": [1, 2, 3],
+    "n_min": 2,
+    "round": 0,
+    "measurements": {"1": 5, "2": 8, "3": 13},
+    "backend": {"type": "masking", "k_bits": 64},
+    "seed": 11,
+}
+# Where n_sm stands among the two link arrays: before both (as perfbench's
+# meshes have it), between them (the canonical order), and after both.
+ORDERS = {
+    "n_sm-first": ["n_sm", "edges", "working_edges"],
+    "canonical": sorted(BASE),
+    "arrays-first": ["edges", "working_edges", "n_sm"],
+}
+
+
+def text_of(order="n_sm-first", **changes):
+    doc = {key: BASE[key] for key in ORDERS[order]} | BASE | changes
+    return json.dumps({key: value for key, value in doc.items() if value is not None})
+
+
+def spaced(text: str) -> str:
+    """text with whitespace of every kind JSON allows around every token."""
+    doc = json.loads(text)
+    return " \r\n\t" + json.dumps(doc, indent="\t ", separators=(" \r,\n", " \t:\r ")) + "\n "
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_regular_texts_are_read_value_by_value(order):
+    for text in (text_of(order), spaced(text_of(order))):
+        d = model._load_by_value(text)
+        assert list(d) == list(load_json(text))
+        assert isinstance(d["edges"], model._Rows) and isinstance(d["working_edges"], model._Rows)
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_files_parse_alike_value_by_value(path):
+    text = path.read_text()
+    assert_parsed_alike(text)
+    if not path.stem.startswith("game_"):
+        assert isinstance(model._load_by_value(text)["edges"], model._Rows)
+
+
+def duplicated(text: str, key: str, value: str) -> str:
+    """text with `"key": value` added again at the top level."""
+    return text[:-1] + f', "{key}": {value}}}'
+
+
+CRAFTED = {
+    **{f"order-{order}": text_of(order) for order in ORDERS},
+    **{f"spaced-{order}": spaced(text_of(order)) for order in ORDERS},
+    "n_sm-missing": text_of(n_sm=None),
+    "n_sm-missing-arrays-first": text_of("arrays-first", n_sm=None),
+    "n_sm-true": text_of(n_sm=True),
+    "n_sm-false-canonical": text_of("canonical", n_sm=False),
+    "n_sm-zero": text_of(n_sm=0),
+    "n_sm-negative": text_of("arrays-first", n_sm=-3),
+    "n_sm-float": text_of(n_sm=3.0),
+    "n_sm-string": text_of("canonical", n_sm="3"),
+    "n_sm-below-names": text_of(n_sm=2),
+    "n_sm-above-sending-list": text_of(n_sm=4),
+    "n_sm-huge": text_of(n_sm=10**6),
+    "n_sm-huge-arrays-first": text_of("arrays-first", n_sm=10**30),
+    "n_sm-last-of-all": json.dumps({k: v for k, v in BASE.items() if k != "n_sm"} | {"n_sm": 3}),
+    "duplicate-seed": duplicated(text_of(), "seed", "12"),
+    "duplicate-n_sm": duplicated(text_of("arrays-first"), "n_sm", "3"),
+    "duplicate-edges": duplicated(text_of(), "edges", "[]"),
+    "duplicate-working-edges-canonical": duplicated(text_of("canonical"), "working_edges", "[]"),
+    "duplicate-in-measurements": text_of().replace('"1": 5', '"1": 5, "1": 6'),
+    "duplicate-in-backend": text_of().replace('"k_bits": 64', '"k_bits": 64, "k_bits": 8'),
+    "duplicate-in-an-edge-entry": text_of(edges=[["DC", "SM1"]]).replace(
+        '["DC", "SM1"]', '{"DC": 1, "DC": 2}'
+    ),
+    "duplicate-nested-after-duplicate-top": duplicated(
+        text_of().replace('"1": 5', '"1": 5, "1": 6'), "seed", "1"
+    ),
+    "trailing-word": text_of() + " x",
+    "trailing-object": text_of() + "{}",
+    "trailing-comma": text_of() + ",",
+    "trailing-space": text_of() + " \n",
+    "comma-before-close": text_of()[:-1] + ",}",
+    "missing-colon": text_of().replace('"n_sm": 3', '"n_sm" 33'),
+    "semicolon-for-colon": text_of("arrays-first").replace('"n_sm": 3', '"n_sm";3'),
+    "semicolon-separator": text_of().replace('"n_sm": 3,', '"n_sm": 3;'),
+    "number-key": text_of().replace('"n_sm": 3', "3: 3"),
+    "unterminated": text_of()[:-1],
+    "unterminated-in-array": text_of()[: text_of().index("working_edges") + 30],
+    "bom": "\ufeff" + text_of(),
+    "array-top-level": json.dumps([BASE]),
+    "string-top-level": json.dumps(text_of()),
+    "number-top-level": "3",
+    "null-top-level": "null",
+    "empty-object": "{}",
+    "empty-text": "",
+    "only-space": " \n ",
+    "open-brace": "{",
+    "deep-nesting": text_of()[:-1] + ', "x": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    "long-int": text_of()[:-1] + ', "seed": 1' + "0" * 5000 + "}",
+    "nan-seed": text_of().replace('"seed": 11', '"seed": NaN'),
+    "unknown-key": text_of(sm_onlne={}),
+    "self-loop": text_of(working_edges=[["SM2", "SM2"]]),
+    "empty-arrays": text_of(edges=[], working_edges=[]),
+    "numbers-as-names": text_of(edges=[[0, 1]]),
+    "unknown-name-in-edges": text_of(edges=[["DC", "SM9"]]),
+    "unknown-name-in-working-edges": text_of("canonical", working_edges=[["SM1", "SM4"]]),
+    "unknown-name-in-both": text_of(edges=[["SM7", "DC"]], working_edges=[["SM8", "DC"]]),
+    "short-pair-in-edges": text_of("arrays-first", edges=[["DC"]]),
+    "long-pair-in-working-edges": text_of(working_edges=[["DC", "SM1", "SM2"]]),
+    "object-entry-in-edges": text_of(edges=[{"DC": 0, "SM1": 1}]),
+    "string-entry-in-working-edges": text_of("canonical", working_edges=["DC"]),
+    "bad-entries-in-both": text_of(edges=[["DC", "SM9"]], working_edges=[5]),
+    "edges-not-an-array": text_of(edges=5),
+    "working-edges-an-object": text_of("arrays-first", working_edges={"DC": "SM1"}),
+    "unknown-name-and-bad-sending-list": text_of(edges=[["DC", "SM9"]], sending_list=[1, 2]),
+}
+
+
+@pytest.mark.parametrize("text", CRAFTED.values(), ids=CRAFTED.keys())
+def test_crafted_texts_parse_alike_value_by_value(text):
+    assert_parsed_alike(text)
+
+
+def test_value_by_value_parse_holds_one_link_array():
+    n = 300
+    links = [list(pair) for pair in itertools.combinations(map(party_name, range(n + 1)), 2)]
+    text = text_of(
+        n_sm=n,
+        edges=links,
+        working_edges=links,
+        sending_list=list(range(1, n + 1)),
+        measurements={str(i): i for i in range(1, n + 1)},
+    )
+    assert len(text) >= model._BY_VALUE_FROM_CHARS
+
+    def peak(parse):
+        # With the collector paused, as scenario_from_json runs, neither
+        # side spends its time walking the test session's heap.
+        with model._gc_paused():
+            tracemalloc.start()
+            try:
+                parse(text)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    assert peak(scenario_from_json) <= 0.6 * peak(lambda t: scenario_from_dict(load_json(t)))

@@ -11,7 +11,9 @@ scenario must either exit 2 with an error or exit 0 with the aggregate the
 reference walker predicts, and a scenario that runs must keep every meter
 key, value and link the file gave it. Every game config must exit 0 or 2,
 never with a traceback. A file with a key that no scenario, backend or game
-config knows must exit 2.
+config knows must exit 2. Every mutated scenario, written with n_sm before,
+between or after the link arrays, parses value by value to what `load_json`
+gives for the whole text: the same scenario or the same error.
 
 Run as a script, each fuzz test draws ten times its Tier-1 examples:
 
@@ -26,6 +28,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import assert_parsed_alike
 from ftagg.cli import EXIT_INVALID, EXIT_OK, main
 from ftagg.game import MAX_GAME_N_SM, MAX_GAME_WORK
 from ftagg.model import party_name, scenario_from_json, scenario_to_json, validate_scenario
@@ -219,6 +222,26 @@ def test_mutated_scenarios_baseline_right_or_exit_two(scratch, case):
         assert report["protocol"]["aggregate"] == predict_aggregate(s), (name, text)
 
 
+def layouts(doc):
+    """doc as JSON text with its keys in file order, with n_sm first, or
+    reversed, so that n_sm stands before, between or after the link arrays."""
+    first = {"n_sm": doc["n_sm"]} if "n_sm" in doc else {}
+    orders = [doc, first | doc, dict(reversed(doc.items()))]
+    return st.sampled_from(orders).flatmap(
+        lambda d: st.sampled_from([json.dumps(d), json.dumps(d, indent=1)])
+    )
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(text=mutated().flatmap(lambda case: layouts(case[1])))
+def test_mutated_scenarios_parse_alike_value_by_value(text):
+    assert_parsed_alike(text)
+
+
 @settings(
     max_examples=150,
     deadline=None,
@@ -240,10 +263,14 @@ if __name__ == "__main__":
             (test_mutated_scenarios_run_right_or_exit_two, mutated(), 3000),
             (test_mutated_scenarios_baseline_right_or_exit_two, mutated(), 1500),
             (test_mutated_game_configs_exit_zero_or_two, games, 1500),
+            (test_mutated_scenarios_parse_alike_value_by_value, None, 1500),
         ]:
             t0 = time.perf_counter()
             inner = test.hypothesis.inner_test
             wide = settings(max_examples=examples, deadline=None, database=None,
                             suppress_health_check=[HealthCheck.too_slow])
-            given(case=cases)(wide(lambda case: inner(path, case)))()
+            if cases is None:
+                given(text=mutated().flatmap(lambda case: layouts(case[1])))(wide(inner))()
+            else:
+                given(case=cases)(wide(lambda case: inner(path, case)))()
             print(f"{test.__name__}: {examples} examples, {time.perf_counter() - t0:.1f}s")
