@@ -606,9 +606,10 @@ def _load_by_value(text: str) -> Optional[dict]:
             d[key], i = _DECODE(text, _SKIP_SPACE(text, i + 1).end())
             if key in ("edges", "working_edges"):
                 pending.append(key)
-            # A valid n_sm is below the text's length, so no larger one,
-            # which validation would reject, sizes a name table here.
-            elif key == "n_sm" and type(d[key]) is int and 1 <= d[key] < len(text):
+            # A valid scenario spends at least 8 characters per meter (its
+            # sending-list entry and its measurement), so no larger n_sm,
+            # which validation rejects, sizes a name table here.
+            elif key == "n_sm" and type(d[key]) is int and 1 <= d[key] <= len(text) // 8:
                 n_sm = d[key]
             if n_sm is not None:
                 for what in pending:

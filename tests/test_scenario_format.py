@@ -238,6 +238,19 @@ def test_shipped_files_parse_alike_value_by_value(path):
         assert isinstance(model._load_by_value(text)["edges"], model._Rows)
 
 
+def test_no_name_table_for_an_n_sm_no_valid_text_could_have():
+    # A valid scenario spends at least 8 characters per meter, so beyond
+    # len(text) // 8 the arrays stay as read and only scenario_from_dict,
+    # after its checks against the sending list, builds a table.
+    for n_sm, converted in ((1000, True), (1001, False)):
+        text = text_of(n_sm=n_sm)
+        text = text[:-1] + " " * (8000 - len(text)) + "}"
+        d = model._load_by_value(text)
+        assert isinstance(d["edges"], model._Rows) is converted
+        assert isinstance(d["working_edges"], model._Rows) is converted
+        assert_parsed_alike(text)
+
+
 def duplicated(text: str, key: str, value: str) -> str:
     """text with `"key": value` added again at the top level."""
     return text[:-1] + f', "{key}": {value}}}'
@@ -256,6 +269,7 @@ CRAFTED = {
     "n_sm-string": text_of("canonical", n_sm="3"),
     "n_sm-below-names": text_of(n_sm=2),
     "n_sm-above-sending-list": text_of(n_sm=4),
+    "n_sm-above-an-eighth-of-the-text": text_of(n_sm=50),
     "n_sm-huge": text_of(n_sm=10**6),
     "n_sm-huge-arrays-first": text_of("arrays-first", n_sm=10**30),
     "n_sm-last-of-all": json.dumps({k: v for k, v in BASE.items() if k != "n_sm"} | {"n_sm": 3}),
