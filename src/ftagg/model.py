@@ -44,26 +44,27 @@ class FailureGraph:
         edges: Iterable[tuple[int, int]],
         working: Iterable[tuple[int, int]],
     ) -> "FailureGraph":
-        table = {v: (v, 1 << v) for v in range(n_sm + 1)}
-        return FailureGraph(
-            _adjacency(n_sm, table, edges, "edges"),
-            _adjacency(n_sm, table, working, "working_edges"),
+        """The graph of two iterables of (party, party) pairs."""
+        return graph_from_names(
+            n_sm,
+            [tuple(map(party_name, pair)) for pair in edges],
+            [tuple(map(party_name, pair)) for pair in working],
         )
 
 
-def _adjacency(n_sm: int, table: dict, pairs: Iterable, what: str) -> tuple[int, ...]:
-    """The rows of the links in `pairs`, whose ends are keys of `table`
-    (each mapped to its party and the party's bit), in one pass. A
+def _adjacency(n_sm: int, pairs: Iterable, what: str) -> tuple[int, ...]:
+    """The rows of the links in `pairs`, named as parties 0..n_sm, in one
+    pass: each link's higher bit goes into its lower party's row. A
     self-loop sets its party's own bit, which `validate_scenario` rejects."""
+    table = _name_order(n_sm + 1)[-1]
     adj = [0] * (n_sm + 1)
     try:
         for a, b in pairs:
-            va, bit_a = table[a]
-            vb, bit_b = table[b]
+            va, vb = table[a], table[b]
             if va < vb:
-                adj[va] |= bit_b
+                adj[va] |= 1 << vb
             else:
-                adj[vb] |= bit_a
+                adj[vb] |= 1 << va
     except KeyError as exc:
         raise ScenarioError(
             f"{what} names {exc.args[0]!r}, not one of DC, SM1..SM{n_sm}"
@@ -93,14 +94,13 @@ def _is_pair_array(raw: object) -> bool:
 def graph_from_names(n_sm: int, edges: Sequence, working: Sequence) -> FailureGraph:
     """The graph of two arrays of [name, name] pairs, as scenario files give
     them. Either may instead be the `_Rows` that `_link_rows` made of it."""
-    *_, table = _name_order(n_sm + 1)
     arrays = ((edges, "edges"), (working, "working_edges"))
     for raw, what in arrays:
         if not isinstance(raw, _Rows) and not _is_pair_array(raw):
             raise ScenarioError(f"{what} must be an array of [name, name] pairs")
     return FailureGraph(
         *(
-            tuple(raw) if isinstance(raw, _Rows) else _adjacency(n_sm, table, raw, what)
+            tuple(raw) if isinstance(raw, _Rows) else _adjacency(n_sm, raw, what)
             for raw, what in arrays
         )
     )
@@ -403,13 +403,13 @@ def _name_order(width: int) -> tuple[tuple, tuple, tuple, itemgetter, dict]:
     """For parties 0..width-1: their names, the parties in name order, the
     names in that order, a getter that takes a row's bit-string bytes in
     that order (byte width-1-b of the string is bit b), and a table from
-    each name to its party and the party's bit, which callers only read.
-    The getter needs width >= 2, as itemgetter of a single index returns no
-    tuple."""
+    each name to its party, which callers only read. All are linear in
+    width. The getter needs width >= 2, as itemgetter of a single index
+    returns no tuple."""
     names = tuple(party_name(v) for v in range(width))
     by_name = tuple(sorted(range(width), key=names.__getitem__))
     sorted_names = tuple(names[v] for v in by_name)
-    table = {name: (v, 1 << v) for v, name in enumerate(names)}
+    table = {name: v for v, name in enumerate(names)}
     getter = itemgetter(*(width - 1 - b for b in by_name))
     return names, by_name, sorted_names, getter, table
 
@@ -495,8 +495,8 @@ def scenario_from_dict(d: dict) -> Scenario:
     known = {"n_sm", "edges", "working_edges", "sending_list", "n_min", "round",
              "measurements", "backend", "seed", "sm_online", "prf_keys"}
     check_keys(d, known, "scenario file")
-    # A valid n_sm is positive and equals the sending list's length; checked
-    # here already so that no out-of-range n_sm can size the party tables below.
+    # A valid n_sm is positive and equals the sending list's length. Checked
+    # here, so that the rows and the name table below stay linear in the text.
     if n_sm < 1:
         raise ScenarioError(f"need at least one meter, got n_sm={n_sm}")
     if n_sm > len(sending_list):
@@ -574,7 +574,7 @@ def _link_rows(n_sm: int, raw: object, what: str) -> object:
     else raw itself, so that `graph_from_names` raises its error in turn."""
     if _is_pair_array(raw):
         try:
-            return _Rows(_adjacency(n_sm, _name_order(n_sm + 1)[-1], raw, what))
+            return _Rows(_adjacency(n_sm, raw, what))
         except ScenarioError:
             pass
     return raw
@@ -607,8 +607,8 @@ def _load_by_value(text: str) -> Optional[dict]:
             if key in ("edges", "working_edges"):
                 pending.append(key)
             # A valid scenario spends at least 8 characters per meter (its
-            # sending-list entry and its measurement), so no larger n_sm,
-            # which validation rejects, sizes a name table here.
+            # sending-list entry and its measurement), so no larger n_sm, which
+            # validation rejects, sizes the rows or the name table here.
             elif key == "n_sm" and type(d[key]) is int and 1 <= d[key] <= len(text) // 8:
                 n_sm = d[key]
             if n_sm is not None:

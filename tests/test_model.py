@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 
 def test_party_names_roundtrip():
-    names = {name: v for name, (v, _) in _name_order(13)[-1].items()}
+    names = _name_order(13)[-1]
     assert names["DC"] == DC
     assert names["SM7"] == 7
     assert party_name(12) == "SM12"

@@ -3,7 +3,8 @@ built in the tests from the `Scenario` alone, `graph_from_names` against
 `FailureGraph.build`, the exact error of each malformed edge entry, and the
 value-by-value parse of large texts against `load_json`'s whole-text parse:
 the same scenario or error on every shipped file and crafted text, in at
-most 0.6 times the memory on a 300-meter mesh.
+most 0.6 times the memory on a 300-meter mesh, and in memory linear in n_sm
+before any link is read.
 
 Graphs go up to 150 meters so that names sort as SM1 < SM10 < SM100 < SM11,
 which is not index order.
@@ -251,6 +252,39 @@ def test_no_name_table_for_an_n_sm_no_valid_text_could_have():
         assert_parsed_alike(text)
 
 
+def ones_text(n_sm: int) -> str:
+    """A compact text of n_sm meters, about 2 characters each: its sending
+    list repeats meter 1 and its link arrays are empty."""
+    doc = {
+        "n_sm": n_sm, "edges": [], "working_edges": [], "sending_list": [1] * n_sm,
+        "n_min": 1, "round": 0, "measurements": {},
+        "backend": {"type": "masking", "k_bits": 64}, "seed": 0,
+    }
+    return json.dumps(doc, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("n_sm, by_value", [(30_000, False), (60_000, True)])
+def test_name_table_is_linear_in_n_sm(n_sm, by_value):
+    # n_sm equals the sending list's length, so scenario_from_dict sizes the
+    # rows and the name table before any validation; the value-by-value loop
+    # leaves the arrays as read, as n_sm is above an eighth of the text.
+    # Both must stay linear in n_sm.
+    text = ones_text(n_sm)
+    assert (len(text) >= model._BY_VALUE_FROM_CHARS) is by_value
+    model._name_order.cache_clear()
+    tracemalloc.start()
+    try:
+        s = scenario_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        model._name_order.cache_clear()
+    assert peak <= 256 * len(text)
+    with pytest.raises(ScenarioError) as info:
+        validate_scenario(s)
+    assert str(info.value) == "meter 1 appears twice in the sending list"
+
+
 def duplicated(text: str, key: str, value: str) -> str:
     """text with `"key": value` added again at the top level."""
     return text[:-1] + f', "{key}": {value}}}'
@@ -323,6 +357,8 @@ CRAFTED = {
     "edges-not-an-array": text_of(edges=5),
     "working-edges-an-object": text_of("arrays-first", working_edges={"DC": "SM1"}),
     "unknown-name-and-bad-sending-list": text_of(edges=[["DC", "SM9"]], sending_list=[1, 2]),
+    "ones-30000-meters": ones_text(30_000),
+    "ones-60000-meters": ones_text(60_000),
 }
 
 
