@@ -125,6 +125,8 @@ def _check_submission(setup: GameSetup) -> Optional[str]:
         return "challenged meters must be distinct"
     if not (1 <= i_star <= s.n_sm and 1 <= j_star <= s.n_sm):
         return "challenged meters must exist"
+    if not all(1 <= i <= s.n_sm for i in setup.corrupted_sms):
+        return "corrupted meters must exist"
     if i_star in setup.corrupted_sms or j_star in setup.corrupted_sms:
         return "challenged meters must be honest"
     expected = set(range(1, s.n_sm + 1)) - {i_star, j_star}
@@ -150,7 +152,15 @@ def _build_view(setup: GameSetup, backend, outcome: RoundOutcome, nonce: int) ->
         if r.delivered and r.receiver in corrupted:
             m = trace_record_to_dict(r)
             del m["delivered"]
-            m["body"] = dict(vars(r.message))
+            m["body"] = body = dict(vars(r.message))
+            if r.message.kind == KIND_ACTIVATION:
+                # The handoff's two lists, read back from the trace: a
+                # delivered handoff to j offers the candidates from j on,
+                # and carries the contributors before j.
+                j = r.receiver
+                rem = outcome.remaining_at_init
+                body["remaining"] = rem[rem.index(j):]
+                body["active"] = outcome.active[: outcome.active.index(j)]
             messages.append(m)
 
     secrets: dict[str, object] = {}

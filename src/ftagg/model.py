@@ -140,11 +140,13 @@ class InitialData:
 
 @dataclass(frozen=True)
 class Activation:
-    """Handoff carrying the running share and both bookkeeping lists."""
+    """Handoff carrying the running share. The paper's message also carries
+    the candidate and contributor lists, which the trace already fixes: the
+    k-th handoff offers the share to `remaining_at_init[k]`, so its
+    candidates are `remaining_at_init[k:]` and its contributors are the
+    receivers of the delivered handoffs before it."""
 
     share: object
-    remaining: tuple[int, ...]
-    active: tuple[int, ...]
 
     kind = KIND_ACTIVATION
 

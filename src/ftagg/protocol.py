@@ -74,20 +74,21 @@ def run_round(
         if status is DeliveryStatus.DELIVERED:
             collected[i] = payload
 
-    l_rem = [i for i in scenario.sending_list if i in collected]
-    remaining_at_init = tuple(l_rem)
+    remaining_at_init = tuple(i for i in scenario.sending_list if i in collected)
     l_act: list[int] = []
     aggregate = None
-    if len(l_rem) >= n_min:
+    if len(remaining_at_init) >= n_min:
         opening = s_running = backend.init_share()
         # The concentrator is the first holder: it has nothing to fold, and
         # its handoff cannot time out, since the first pick's concentrator
         # link already worked this round.
         holder = DC
-        while l_rem and len(l_rem) + len(l_act) >= n_min:
-            j = l_rem[0]
-            status = net.send(holder, j, Activation(s_running, tuple(l_rem), tuple(l_act)))
-            del l_rem[0]
+        # The k-th handoff offers the share to the k-th candidate; the
+        # candidates left are remaining_at_init[k:].
+        for k, j in enumerate(remaining_at_init):
+            if len(remaining_at_init) - k + len(l_act) < n_min:
+                break
+            status = net.send(holder, j, Activation(s_running))
             if status is DeliveryStatus.DELIVERED:
                 net.send_bundled_ack(j, holder, AckS())
                 s_running = backend.fold_measurement(s_running, j)

@@ -1,9 +1,11 @@
+import itertools
 import json
 import random
 from typing import Callable, Sequence
 
 import pytest
 from conftest import full_edges
+from ftagg import game
 from ftagg.game import (
     FAMILIES,
     MAX_GAME_WORK,
@@ -33,7 +35,10 @@ from ftagg.model import (
 )
 from ftagg.netsim import SimNetwork
 from ftagg.paillier import encrypt, keygen, randomness_stream
-from ftagg.protocol import run_round
+from ftagg.protocol import make_backend, run_round
+from test_scale import BACKENDS, sparse_scenario
+from test_small_scope import SCOPE
+from test_small_scope import rounds as small_scope_rounds
 
 
 def setup_4sm(**overrides) -> GameSetup:
@@ -96,6 +101,16 @@ def test_valid_setup_reaches_a_verdict():
         (dict(backend=PaillierSpec(key_bits=65)), "key_bits"),
         (dict(backend=PaillierSpec(key_bits=4098)), "key_bits"),
         (dict(backend=MaskingSpec(k_bits=129)), "k_bits"),
+        (dict(corrupted_sms=frozenset({0, 2})), "corrupted meters must exist"),
+        (dict(corrupted_sms=frozenset({2, 5})), "corrupted meters must exist"),
+        (
+            dict(corrupted_sms=frozenset({0, 2}), backend=PaillierSpec(key_bits=128)),
+            "corrupted meters must exist",
+        ),
+        (
+            dict(corrupted_sms=frozenset({2, 5}), backend=PaillierSpec(key_bits=128)),
+            "corrupted meters must exist",
+        ),
     ],
 )
 def test_malformed_submissions_abort(overrides, hint):
@@ -322,6 +337,56 @@ def test_view_messages_only_cover_corrupted_receivers():
     trial = run_trial(setup)
     assert trial.view.messages
     assert {m["to"] for m in trial.view.messages} == {"SM2"}
+
+
+def reference_bodies(outcome):
+    """Every delivered handoff's body as an engine that carries both lists
+    builds it: the candidate list drops its head at every offer, and the
+    contributor list gains the receiver of every delivered one."""
+    l_rem, l_act, bodies = list(outcome.remaining_at_init), [], []
+    for r in outcome.trace:
+        if r.message.kind == KIND_ACTIVATION:
+            assert r.receiver == l_rem[0]
+            if r.delivered:
+                body = {"share": r.message.share, "remaining": tuple(l_rem), "active": tuple(l_act)}
+                bodies.append(tuple(body.items()))
+                l_act.append(r.receiver)
+            del l_rem[0]
+    return bodies
+
+
+def view_bodies(s):
+    """The activation bodies of s's round in the view of a coalition of every
+    party, and whether a delivered handoff in it follows a failed one."""
+    backend = make_backend(s)
+    outcome = run_round(s, backend, SimNetwork.for_scenario(s))
+    setup = GameSetup(
+        scenario=s,
+        challenged=(1, 2),
+        m0=0,
+        m1=0,
+        corrupted_dc=True,
+        corrupted_sms=frozenset(range(1, s.n_sm + 1)),
+    )
+    view = game._build_view(setup, backend, outcome, 0)
+    bodies = [tuple(m["body"].items()) for m in view.messages if m["kind"] == KIND_ACTIVATION]
+    assert bodies == reference_bodies(outcome)
+    handoffs = [r.delivered for r in outcome.trace if r.message.kind == KIND_ACTIVATION]
+    return any(not a and b for a, b in zip(handoffs, handoffs[1:]))
+
+
+def test_view_bodies_equal_both_lists_carried_on_every_small_round():
+    small = [s for n, all_online, _ in SCOPE if n <= 3 for s in small_scope_rounds(n, all_online)]
+    assert len(small) == 1604
+    assert any([view_bodies(s) for s in small])
+
+
+@pytest.mark.parametrize("name", ["masking-64", "paillier-128"])
+def test_view_bodies_equal_both_lists_carried_on_sparse_graphs_with_failures(name):
+    backend, bound = BACKENDS[name]
+    draws = itertools.product((30, 300), (1, 2, 3, 4))
+    followed = [view_bodies(sparse_scenario(300, c, backend, bound, seed, 0.1)) for c, seed in draws]
+    assert any(followed)
 
 
 def test_wilson_interval_matches_hand_computation():

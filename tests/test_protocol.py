@@ -263,13 +263,10 @@ def test_invariants_on_random_scenarios():
             assert labels[-1] in (C1, C3_1)
         assert all(l in (C1, C2, C3_1, C3_2) for l in labels)
 
-        # The candidate list only ever shrinks along the chain.
-        rem_sizes = [
-            len(r.message.remaining)
-            for r in outcome.trace
-            if r.message.kind == KIND_ACTIVATION and r.delivered
-        ]
-        assert rem_sizes == sorted(rem_sizes, reverse=True)
+        # The k-th handoff offers the share to the k-th candidate, the rule
+        # that fixes each handoff's candidate and contributor lists.
+        receivers = [r.receiver for r in outcome.trace if r.message.kind == KIND_ACTIVATION]
+        assert receivers == list(outcome.remaining_at_init[: len(receivers)])
 
         # Quorum rule: an aggregate exists iff enough meters contributed.
         if outcome.aggregate is not None:
@@ -316,15 +313,15 @@ def base_outcome(trace):
 
 
 def test_classify_rejects_lost_opening_handoff():
-    trace = [fake_record(5, DC, 1, Activation(0, (1,), ()), False)]
+    trace = [fake_record(5, DC, 1, Activation(0), False)]
     with pytest.raises(MalformedTrace):
         classify_steps(base_outcome(trace))
 
 
 def test_classify_rejects_dangling_failed_handoff():
     trace = [
-        fake_record(1, DC, 1, Activation(0, (1, 2), ()), True),
-        fake_record(6, 1, 2, Activation(0, (2,), (1,)), False),
+        fake_record(1, DC, 1, Activation(0), True),
+        fake_record(6, 1, 2, Activation(0), False),
     ]
     with pytest.raises(MalformedTrace):
         classify_steps(base_outcome(trace))
@@ -332,8 +329,8 @@ def test_classify_rejects_dangling_failed_handoff():
 
 def test_classify_rejects_foreign_follow_up():
     trace = [
-        fake_record(1, DC, 1, Activation(0, (1, 2, 3), ()), True),
-        fake_record(6, 1, 2, Activation(0, (2, 3), (1,)), False),
+        fake_record(1, DC, 1, Activation(0), True),
+        fake_record(6, 1, 2, Activation(0), False),
         fake_record(7, 3, DC, EndOfRound(0, None, ()), True),
     ]
     with pytest.raises(MalformedTrace):
