@@ -83,8 +83,6 @@ def run_round(
         # its handoff cannot time out, since the first pick's concentrator
         # link already worked this round.
         holder = DC
-        # The k-th handoff offers the share to the k-th candidate; the
-        # candidates left are remaining_at_init[k:].
         for k, j in enumerate(remaining_at_init):
             if len(remaining_at_init) - k + len(l_act) < n_min:
                 break
