@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Mapping, Optional
 
-from .masking import MaskingBackend, prf
+from .masking import prf
 from .model import (
     DC,
     KIND_ACTIVATION,
@@ -35,7 +35,6 @@ from .model import (
     ScenarioError,
     full_mesh,
     party_name,
-    trace_record_to_dict,
     validate_scenario,
 )
 from .netsim import SimNetwork
@@ -144,51 +143,30 @@ def _measurements(setup: GameSetup, bit: int) -> dict[int, int]:
 
 
 def _build_view(setup: GameSetup, backend, outcome: RoundOutcome, nonce: int) -> AdversaryView:
+    """The round's data flow as the coalition saw it; the backend's
+    `coalition_view` adds what the coalition holds beyond its messages."""
     corrupted = set(setup.corrupted_sms)
     if setup.corrupted_dc:
         corrupted.add(DC)
+    rem = outcome.remaining_at_init
     messages = []
     for r in outcome.trace:
         if r.delivered and r.receiver in corrupted:
-            m = trace_record_to_dict(r)
-            del m["delivered"]
-            m["body"] = body = dict(vars(r.message))
+            body = dict(vars(r.message))
             if r.message.kind == KIND_ACTIVATION:
                 # The handoff's two lists, read back from the trace: a
                 # delivered handoff to j offers the candidates from j on,
                 # and carries the contributors before j.
                 j = r.receiver
-                rem = outcome.remaining_at_init
                 body["remaining"] = rem[rem.index(j):]
                 body["active"] = outcome.active[: outcome.active.index(j)]
-            messages.append(m)
-
-    secrets: dict[str, object] = {}
-    modulus = None
-    public_n = None
-    if isinstance(backend, MaskingBackend):
-        modulus = backend.k
-        if setup.corrupted_dc:
-            # The concentrator pre-shares every PRF key at enrollment and
-            # owns the round-opening share.
-            secrets["dc_share"] = backend.s_0
-            secrets["prf_keys"] = {i: key.hex() for i, key in backend.prf_keys.items()}
-        if setup.corrupted_sms:
-            secrets["sm_prf_keys"] = {
-                i: backend.prf_keys[i].hex() for i in sorted(setup.corrupted_sms)
-            }
-            secrets["sm_round_shares"] = {
-                i: backend.shares[i] for i in sorted(setup.corrupted_sms)
-            }
-    else:
-        public_n = backend.keys.n
-        if setup.corrupted_dc:
-            secrets["he_secret_key"] = {
-                "lam": backend.keys.lam,
-                "mu": backend.keys.mu,
-                "n": backend.keys.n,
-                "bits": backend.keys.bits,
-            }
+            messages.append({
+                "tick": r.tick,
+                "from": party_name(r.sender),
+                "to": party_name(r.receiver),
+                "kind": r.message.kind,
+                "body": body,
+            })
 
     return AdversaryView(
         n_sm=setup.scenario.n_sm,
@@ -201,11 +179,9 @@ def _build_view(setup: GameSetup, backend, outcome: RoundOutcome, nonce: int) ->
         mlist=dict(setup.scenario.measurements),
         corrupted_dc=setup.corrupted_dc,
         corrupted_sms=tuple(sorted(setup.corrupted_sms)),
-        modulus=modulus,
-        public_n=public_n,
         messages=tuple(messages),
-        secrets=secrets,
         aggregate=outcome.aggregate if setup.corrupted_dc else None,
+        **backend.coalition_view(setup.corrupted_dc, setup.corrupted_sms),
     )
 
 

@@ -63,8 +63,7 @@ class MaskingBackend:
 
     Set-up derives every meter's PRF key (a pinned key wins), its round
     share and its PRF value for the round, and the concentrator's opener
-    s_0. The privacy game's view builder reads `prf_keys`, `shares` and
-    `s_0`.
+    s_0. `coalition_view` is what a coalition holds beyond its messages.
     """
 
     name = "masking"
@@ -96,3 +95,16 @@ class MaskingBackend:
         """The plain sum over l_act: every round share and PRF value cancels."""
         unmasked = sum(collected[i] - self._prfs[i] for i in l_act)
         return (opening - s_final + unmasked) % self.k
+
+    def coalition_view(self, corrupted_dc: bool, corrupted_sms) -> dict:
+        """The modulus and the corrupted parties' secrets. The concentrator
+        pre-shares every PRF key at enrollment and owns the opener s_0."""
+        secrets: dict[str, object] = {}
+        if corrupted_dc:
+            secrets["dc_share"] = self.s_0
+            secrets["prf_keys"] = {i: key.hex() for i, key in self.prf_keys.items()}
+        if corrupted_sms:
+            sms = sorted(corrupted_sms)
+            secrets["sm_prf_keys"] = {i: self.prf_keys[i].hex() for i in sms}
+            secrets["sm_round_shares"] = {i: self.shares[i] for i in sms}
+        return {"modulus": self.k, "public_n": None, "secrets": secrets}

@@ -178,18 +178,8 @@ class TraceRecord:
     delivered: bool
 
 
-def trace_record_to_dict(r: TraceRecord) -> dict:
-    return {
-        "tick": r.tick,
-        "from": party_name(r.sender),
-        "to": party_name(r.receiver),
-        "kind": r.message.kind,
-        "delivered": r.delivered,
-    }
-
-
-# json.dumps(trace_record_to_dict(r)) + "\n" for every record: names and
-# kinds are plain ASCII that JSON writes unescaped.
+# One JSON object per record, with the keys in this order; names and kinds
+# are plain ASCII that JSON writes unescaped.
 _TRACE_LINE = '{"tick": %d, "from": "%s", "to": "%s", "kind": "%s", "delivered": %s}\n'
 
 

@@ -367,3 +367,13 @@ class PaillierBackend:
     def finalize(self, s_final, l_act, collected, opening) -> int:
         # The opener is an encryption of zero, already folded into s_final.
         return decrypt_aggregate(self.keys, s_final)
+
+    def coalition_view(self, corrupted_dc: bool, corrupted_sms) -> dict:
+        """The public n; the private key only with the concentrator."""
+        keys = self.keys
+        secrets = {}
+        if corrupted_dc:
+            secrets["he_secret_key"] = {
+                "lam": keys.lam, "mu": keys.mu, "n": keys.n, "bits": keys.bits
+            }
+        return {"modulus": None, "public_n": keys.n, "secrets": secrets}

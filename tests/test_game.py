@@ -339,6 +339,52 @@ def test_view_messages_only_cover_corrupted_receivers():
     assert {m["to"] for m in trial.view.messages} == {"SM2"}
 
 
+class PlainSumBackend:
+    """A third scheme: plain integer sums, and a coalition view of its own."""
+
+    name = "plain"
+
+    def __init__(self, scenario):
+        self._measurements = dict(scenario.measurements)
+
+    def initial_payload(self, i, t):
+        return None
+
+    def init_share(self):
+        return 0
+
+    def fold_measurement(self, s_running, i):
+        return s_running + self._measurements[i]
+
+    def finalize(self, s_final, l_act, collected, opening):
+        return s_final
+
+    def coalition_view(self, corrupted_dc, corrupted_sms):
+        secrets = {"plain": (corrupted_dc, tuple(sorted(corrupted_sms)))}
+        return {"modulus": None, "public_n": None, "secrets": secrets}
+
+
+def test_a_third_backend_goes_through_the_view():
+    setup = setup_4sm(graph=mesh_4sm(working_off=[(2, 3)]), corrupted_sms=frozenset({2}))
+    s = Scenario(**{**vars(setup.scenario), "measurements": {1: 5, 2: 7, 3: 9, 4: 11}})
+
+    def view(backend):
+        outcome = run_round(s, backend, SimNetwork.for_scenario(s))
+        return outcome, game._build_view(setup, backend, outcome, 0)
+
+    outcome, plain = view(PlainSumBackend(s))
+    _, masked = view(MaskingBackend(s))
+    assert outcome.aggregate == 5 + 7 + 11
+    assert (plain.backend_name, plain.modulus, plain.public_n) == ("plain", None, None)
+    assert plain.secrets == {"plain": (True, (2,))}
+
+    def flow(v):
+        return [(m["kind"], m["from"], m["to"]) for m in v.messages]
+
+    assert flow(plain) == flow(masked)
+    assert ("activation", "SM1", "SM2") in flow(plain)
+
+
 def reference_bodies(outcome):
     """Every delivered handoff's body as an engine that carries both lists
     builds it: the candidate list drops its head at every offer, and the
