@@ -17,8 +17,7 @@ from typing import Optional, Sequence
 from .baseline import run_baseline_round
 from .game import FAMILIES, STRATEGIES, empirical_unlinkability
 from .model import (
-    MaskingSpec,
-    PaillierSpec,
+    SPECS,
     Scenario,
     ScenarioError,
     check_keys,
@@ -48,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("path", help="scenario JSON file")
         p.add_argument(
             "--backend",
-            choices=["masking", "paillier"],
+            choices=list(SPECS),
             help="override the scenario's computation backend",
         )
         p.add_argument("--seed", type=int, help="override the scenario seed")
@@ -78,10 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_scenario(args: argparse.Namespace) -> Scenario:
     with open(args.path, encoding="utf-8") as fh:
         scenario = scenario_from_json(fh.read())
-    if args.backend == "masking":
-        scenario = replace(scenario, backend=MaskingSpec())
-    elif args.backend == "paillier":
-        scenario = replace(scenario, backend=PaillierSpec())
+    if args.backend is not None:
+        scenario = replace(scenario, backend=SPECS[args.backend]())
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     # overrides can break constraints the file satisfied, so recheck
@@ -161,7 +158,10 @@ def _require(config: dict, key: str, kind: type, default=None):
         raise ScenarioError(f"game config is missing {key!r}")
     value = config[key]
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ScenarioError(f"game config field {key!r} must be a {kind.__name__}")
+        noun = "an integer" if kind is int else "a string"
+        raise ScenarioError(
+            f"game config field {key!r} must be {noun}, got {type(value).__name__}"
+        )
     return value
 
 

@@ -212,6 +212,14 @@ class MaskingSpec:
     def k(self) -> int:
         return 1 << self.k_bits
 
+    def check_sum(self, total: int) -> None:
+        if not 1 <= self.k_bits <= MAX_K_BITS:
+            raise ScenarioError(f"k_bits must be in 1..{MAX_K_BITS}, got {self.k_bits}")
+        if total >= self.k:
+            raise ScenarioError(
+                f"sum of measurements {total} must stay below the modulus {self.k}"
+            )
+
 
 @dataclass(frozen=True)
 class PaillierSpec:
@@ -220,6 +228,15 @@ class PaillierSpec:
     key_bits: int = 256
 
     type = "paillier"
+
+    def check_sum(self, total: int) -> None:
+        # keygen forces the top two bits of both primes, so n > 2^(key_bits-1)
+        # and every sum below that bound decrypts to itself.
+        check_key_bits(self.key_bits)
+        if total >= 1 << (self.key_bits - 1):
+            raise ScenarioError(
+                f"sum of measurements {total} must stay below 2^{self.key_bits - 1}"
+            )
 
 
 # Masks are 16-byte keyed digests (masking.KEY_BYTES): the bits of a
@@ -235,6 +252,8 @@ def check_key_bits(bits: int) -> None:
         )
 
 
+# Every backend choice by its type; check_sum checks its own parameters first.
+SPECS = {spec.type: spec for spec in (MaskingSpec, PaillierSpec)}
 BackendSpec = MaskingSpec | PaillierSpec
 
 
@@ -334,22 +353,7 @@ def validate_scenario(s: Scenario) -> Scenario:
         if s.measurements[i] < 0:
             raise ScenarioError(f"measurement of meter {i} is negative")
 
-    total = sum(s.measurements.values())
-    if isinstance(s.backend, MaskingSpec):
-        if not 1 <= s.backend.k_bits <= MAX_K_BITS:
-            raise ScenarioError(f"k_bits must be in 1..{MAX_K_BITS}, got {s.backend.k_bits}")
-        if total >= s.backend.k:
-            raise ScenarioError(
-                f"sum of measurements {total} must stay below the modulus {s.backend.k}"
-            )
-    else:
-        # keygen forces the top two bits of both primes, so n > 2^(key_bits-1)
-        # and every sum below that bound decrypts to itself.
-        check_key_bits(s.backend.key_bits)
-        if total >= 1 << (s.backend.key_bits - 1):
-            raise ScenarioError(
-                f"sum of measurements {total} must stay below 2^{s.backend.key_bits - 1}"
-            )
+    s.backend.check_sum(sum(s.measurements.values()))
 
     for i in s.sm_online:
         if i not in seen:
@@ -377,12 +381,10 @@ def _backend_to_dict(b: BackendSpec) -> dict:
 def _backend_from_dict(d: dict) -> BackendSpec:
     if not isinstance(d, dict) or "type" not in d:
         raise ScenarioError("backend must be an object with a 'type' field")
-    if d["type"] == "masking":
-        spec = MaskingSpec
-    elif d["type"] == "paillier":
-        spec = PaillierSpec
-    else:
-        raise ScenarioError(f"unknown backend type {d['type']!r}")
+    try:
+        spec = SPECS[d["type"]]
+    except (KeyError, TypeError):
+        raise ScenarioError(f"unknown backend type {d['type']!r}") from None
     check_keys(d, {"type", *spec.__dataclass_fields__}, f"{spec.type} backend")
     return spec(**{key: _int(value, key) for key, value in d.items() if key != "type"})
 

@@ -8,7 +8,7 @@ in behind a small backend interface so the message flow never changes.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from typing import Iterator, Optional, Protocol
 
 from .masking import MaskingBackend
 from .model import (
@@ -19,9 +19,9 @@ from .model import (
     InitialData,
     KIND_ACTIVATION,
     KIND_END_OF_ROUND,
-    MaskingSpec,
     RoundOutcome,
     Scenario,
+    TraceRecord,
 )
 from .netsim import DeliveryStatus, SimNetwork
 from .paillier import PaillierBackend
@@ -51,10 +51,12 @@ class ComputationBackend(Protocol):
     def finalize(self, s_final, l_act, collected, opening) -> int: ...
 
 
+# Every computation scheme by its name, the type of the spec that chooses it.
+BACKENDS = {backend.name: backend for backend in (MaskingBackend, PaillierBackend)}
+
+
 def make_backend(scenario: Scenario) -> ComputationBackend:
-    if isinstance(scenario.backend, MaskingSpec):
-        return MaskingBackend(scenario)
-    return PaillierBackend(scenario)
+    return BACKENDS[scenario.backend.type](scenario)
 
 
 def run_round(
@@ -125,53 +127,48 @@ C3_1 = "C3_1"
 C3_2 = "C3_2"
 
 
-def classify_steps(outcome: RoundOutcome) -> list[str]:
-    """Label every activation-chain step of a terminated round.
+def chain_steps(outcome: RoundOutcome) -> Iterator[tuple[TraceRecord, Optional[str]]]:
+    """Walk a terminated round's activation chain once, in trace order.
 
-    C2: a delivered meter-to-meter handoff. C3_2: a failed handoff whose
-    sender then tried another meter. C3_1: a failed handoff that ended the
-    round (the sender's next act was the final message). C1: a final message
-    not forced by a failed handoff. The concentrator's opening handoff is not
-    a chain step and carries no label.
+    Yields every handoff and final message as (record, case); the record's
+    sender is the holder and its receiver the candidate. C2: a delivered
+    meter-to-meter handoff. C3_2: a failed handoff whose sender then tried
+    another meter. C3_1: a failed handoff that ended the round (the sender's
+    next act was the final message). C1: a final message not forced by a
+    failed handoff. The concentrator's opening handoff and a forced final
+    message carry None. A failed handoff is yielded once its sender's next
+    chain step arrives, which labels it.
     """
-    events = [
-        r
-        for r in outcome.trace
-        if r.message.kind in (KIND_ACTIVATION, KIND_END_OF_ROUND)
-    ]
-    labels = []
-    for idx, r in enumerate(events):
-        if r.message.kind == KIND_ACTIVATION:
-            if r.sender == DC:
-                if not r.delivered:
-                    raise MalformedTrace("opening handoff must deliver")
-                continue
-            if r.delivered:
-                labels.append(C2)
-                continue
-            if idx + 1 >= len(events):
-                raise MalformedTrace("failed handoff with no follow-up from its sender")
-            nxt = events[idx + 1]
-            if nxt.sender != r.sender:
+    failed = None
+    for r in outcome.trace:
+        kind = r.message.kind
+        if kind != KIND_ACTIVATION and kind != KIND_END_OF_ROUND:
+            continue
+        forced = failed is not None
+        if forced:
+            if r.sender != failed.sender:
                 raise MalformedTrace("failed handoff followed by a foreign step")
-            labels.append(C3_2 if nxt.message.kind == KIND_ACTIVATION else C3_1)
-        else:
+            yield failed, C3_2 if kind == KIND_ACTIVATION else C3_1
+            failed = None
+        if kind == KIND_END_OF_ROUND:
             if r.sender == DC:
                 raise MalformedTrace("final message sent by the concentrator")
-            prev = events[idx - 1] if idx > 0 else None
-            forced = (
-                prev is not None
-                and prev.message.kind == KIND_ACTIVATION
-                and not prev.delivered
-                and prev.sender == r.sender
-            )
-            if not forced:
-                labels.append(C1)
-    return labels
+            yield r, None if forced else C1
+        elif r.delivered:
+            yield r, None if r.sender == DC else C2
+        elif r.sender == DC:
+            raise MalformedTrace("opening handoff must deliver")
+        else:
+            failed = r
+    if failed is not None:
+        raise MalformedTrace("failed handoff with no follow-up from its sender")
+
+
+def classify_steps(outcome: RoundOutcome) -> list[str]:
+    """The proof case of every labelled chain step, in trace order."""
+    return [case for _, case in chain_steps(outcome) if case]
 
 
 def proof_case_histogram(outcome: RoundOutcome) -> dict[str, int]:
-    hist = {C1: 0, C2: 0, C3_1: 0, C3_2: 0}
-    for label in classify_steps(outcome):
-        hist[label] += 1
-    return hist
+    cases = [case for _, case in chain_steps(outcome)]
+    return {case: cases.count(case) for case in (C1, C2, C3_1, C3_2)}

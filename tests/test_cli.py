@@ -192,6 +192,22 @@ def test_bad_game_configs_exit_two(capsys, tmp_path, config):
 
 
 @pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"seed": 1.5}, "game config field 'seed' must be an integer, got float"),
+        ({"trials": True}, "game config field 'trials' must be an integer, got bool"),
+        ({"family": 3}, "game config field 'family' must be a string, got int"),
+    ],
+    ids=["seed-float", "trials-bool", "family-int"],
+)
+def test_game_config_type_errors_name_the_type(capsys, tmp_path, change, message):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({**json.loads((SCENARIOS / "game_coinflip.json").read_text()), **change}))
+    code, out, err = run_cli(capsys, "game", str(path))
+    assert (code, out, err) == (EXIT_INVALID, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "command, path, key",
     [
         ("run", SCENARIOS / "ring4.json", ["sm_onlne"]),

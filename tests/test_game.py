@@ -1,11 +1,13 @@
 import itertools
 import json
 import random
+from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, Sequence
 
 import pytest
 from conftest import full_edges
-from ftagg import game
+from ftagg import cli, game, model, protocol
 from ftagg.game import (
     FAMILIES,
     MAX_GAME_WORK,
@@ -32,10 +34,12 @@ from ftagg.model import (
     Scenario,
     ScenarioError,
     full_mesh,
+    scenario_from_json,
 )
 from ftagg.netsim import SimNetwork
 from ftagg.paillier import encrypt, keygen, randomness_stream
 from ftagg.protocol import make_backend, run_round
+from ftagg.walker import predict_aggregate
 from test_scale import BACKENDS, sparse_scenario
 from test_small_scope import SCOPE
 from test_small_scope import rounds as small_scope_rounds
@@ -383,6 +387,44 @@ def test_a_third_backend_goes_through_the_view():
 
     assert flow(plain) == flow(masked)
     assert ("activation", "SM1", "SM2") in flow(plain)
+
+
+@dataclass(frozen=True)
+class PlainSpec:
+    """The plain-sum backend's choice: no parameters, sums below 2^64."""
+
+    type = "plain"
+
+    def check_sum(self, total):
+        if total >= 1 << 64:
+            raise ScenarioError(f"sum of measurements {total} must stay below 2^64")
+
+
+def test_a_third_backend_registered_once_runs_everywhere(monkeypatch, capsys, tmp_path):
+    monkeypatch.setitem(model.SPECS, PlainSpec.type, PlainSpec)
+    monkeypatch.setitem(protocol.BACKENDS, PlainSumBackend.name, PlainSumBackend)
+    ring4 = Path(__file__).resolve().parent.parent / "scenarios" / "ring4.json"
+    doc = json.loads(ring4.read_text())
+    doc["backend"] = {"type": "plain"}
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps(doc))
+
+    assert cli.main(["run", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["backend"] == {"type": "plain"}
+    assert report["aggregate"] == predict_aggregate(scenario_from_json(path.read_text())) == 30
+    # The override builds the same scenario, so the report is the same.
+    assert cli.main(["run", str(ring4), "--backend", "plain"]) == 0
+    assert json.loads(capsys.readouterr().out) == report
+
+    builder, _ = FAMILIES["masking-colluding-meters"]
+    setup = builder(random.Random(1), 5, 0)
+    setup = replace(setup, scenario=replace(setup.scenario, backend=PlainSpec()))
+    trial = run_trial(setup)
+    assert trial.abort_reason is None
+    assert trial.view.backend_name == "plain"
+    expected = sum(setup.scenario.measurements.values()) + setup.m0 + setup.m1
+    assert trial.outcome.aggregate == expected
 
 
 def reference_bodies(outcome):

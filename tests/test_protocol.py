@@ -1,5 +1,7 @@
 import importlib.util
+import itertools
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +16,7 @@ from conftest import (
 )
 from ftagg.model import (
     DC,
+    AckS,
     KIND_ACK_S,
     KIND_ACTIVATION,
     KIND_END_OF_ROUND,
@@ -34,6 +37,7 @@ from ftagg.protocol import (
     C3_1,
     C3_2,
     MalformedTrace,
+    chain_steps,
     classify_steps,
     make_backend,
     proof_case_histogram,
@@ -314,7 +318,7 @@ def base_outcome(trace):
 
 def test_classify_rejects_lost_opening_handoff():
     trace = [fake_record(5, DC, 1, Activation(0), False)]
-    with pytest.raises(MalformedTrace):
+    with pytest.raises(MalformedTrace, match="^opening handoff must deliver$"):
         classify_steps(base_outcome(trace))
 
 
@@ -323,7 +327,7 @@ def test_classify_rejects_dangling_failed_handoff():
         fake_record(1, DC, 1, Activation(0), True),
         fake_record(6, 1, 2, Activation(0), False),
     ]
-    with pytest.raises(MalformedTrace):
+    with pytest.raises(MalformedTrace, match="^failed handoff with no follow-up from its sender$"):
         classify_steps(base_outcome(trace))
 
 
@@ -333,11 +337,109 @@ def test_classify_rejects_foreign_follow_up():
         fake_record(6, 1, 2, Activation(0), False),
         fake_record(7, 3, DC, EndOfRound(0, None, ()), True),
     ]
-    with pytest.raises(MalformedTrace):
+    with pytest.raises(MalformedTrace, match="^failed handoff followed by a foreign step$"):
         classify_steps(base_outcome(trace))
 
 
 def test_classify_rejects_concentrator_final_message():
     trace = [fake_record(1, DC, 1, EndOfRound(0, None, ()), True)]
-    with pytest.raises(MalformedTrace):
+    with pytest.raises(MalformedTrace, match="^final message sent by the concentrator$"):
         classify_steps(base_outcome(trace))
+
+
+def reference_classify(outcome):
+    """The classifier as it stood before the chain walk, kept as the oracle:
+    it filters the chain records into a list, labels a failed handoff by
+    looking ahead to its sender's next step, and a final message by looking
+    back at the step before it."""
+    events = [
+        r
+        for r in outcome.trace
+        if r.message.kind in (KIND_ACTIVATION, KIND_END_OF_ROUND)
+    ]
+    labels = []
+    for idx, r in enumerate(events):
+        if r.message.kind == KIND_ACTIVATION:
+            if r.sender == DC:
+                if not r.delivered:
+                    raise MalformedTrace("opening handoff must deliver")
+                continue
+            if r.delivered:
+                labels.append(C2)
+                continue
+            if idx + 1 >= len(events):
+                raise MalformedTrace("failed handoff with no follow-up from its sender")
+            nxt = events[idx + 1]
+            if nxt.sender != r.sender:
+                raise MalformedTrace("failed handoff followed by a foreign step")
+            labels.append(C3_2 if nxt.message.kind == KIND_ACTIVATION else C3_1)
+        else:
+            if r.sender == DC:
+                raise MalformedTrace("final message sent by the concentrator")
+            prev = events[idx - 1] if idx > 0 else None
+            forced = (
+                prev is not None
+                and prev.message.kind == KIND_ACTIVATION
+                and not prev.delivered
+                and prev.sender == r.sender
+            )
+            if not forced:
+                labels.append(C1)
+    return labels
+
+
+# Every record the classifier can tell apart: it reads a record's kind,
+# sender and delivery, never its receiver or tick.
+CHAIN_RECORDS = [
+    fake_record(0, sender, receiver, message, delivered)
+    for message, receiver in ((Activation(0), 3), (EndOfRound(0, None, ()), DC), (AckS(), DC))
+    for sender in (DC, 1, 2)
+    for delivered in (True, False)
+]
+
+
+def labels_or_error(classify, outcome):
+    try:
+        return classify(outcome)
+    except MalformedTrace as exc:
+        return f"MalformedTrace: {exc}"
+
+
+def walk_differential(max_records, histograms=False):
+    """Check the chain walk against the reference classifier on every trace
+    of up to max_records records; returns how many traces it checked."""
+    checked = 0
+    for length in range(max_records + 1):
+        for trace in itertools.product(CHAIN_RECORDS, repeat=length):
+            outcome = base_outcome(trace)
+            expected = labels_or_error(reference_classify, outcome)
+            assert labels_or_error(classify_steps, outcome) == expected, trace
+            if histograms:
+                hist = labels_or_error(proof_case_histogram, outcome)
+                if isinstance(expected, list):
+                    expected = {case: expected.count(case) for case in (C1, C2, C3_1, C3_2)}
+                assert hist == expected, trace
+            checked += 1
+    return checked
+
+
+def test_the_walk_matches_the_reference_classifier_on_every_short_trace():
+    assert walk_differential(3, histograms=True) == 6_175
+
+
+def test_the_walk_yields_every_chain_record_once_in_trace_order():
+    outcome, _ = run(golden_ring5())
+    chain = [r for r in outcome.trace if r.message.kind in (KIND_ACTIVATION, KIND_END_OF_ROUND)]
+    steps = list(chain_steps(outcome))
+    assert [r for r, _ in steps] == chain
+    assert [case for _, case in steps] == [None, C2, C3_2, C2, C1]
+
+
+if __name__ == "__main__":
+    # The wide form of the walk differential, every trace of up to 5 records:
+    #     PYTHONPATH=src python tests/test_protocol.py
+    t0 = time.perf_counter()
+    checked = walk_differential(5)
+    print(f"chain walk equals the reference classifier on {checked} traces, "
+          f"{time.perf_counter() - t0:.1f}s")
+    assert checked == 2_000_719, checked
