@@ -38,15 +38,33 @@ mod p^2, likewise mod q^2, joined mod n^2. This is a simulation shortcut. A
 real meter holds only the public key; the shortcut is valid here only because
 it yields the same integer as pow(r, n, n^2), so every ciphertext, trace and
 view is the one the public-key formula gives.
+
+Each encryption and each decryption is thus two independent halves, one mod
+p^2 and one mod q^2, joined by the same CRT step. For keys of
+_SPLIT_FROM_BITS bits and more, where the process may run on two CPUs and has
+no other thread, the p-half runs in one helper process forked at the first
+such call, while the caller computes the q-half; smaller keys, and every
+other case, compute both halves in the caller. Either way the helper runs the
+same half function on the same ints, so every result is the one the serial
+code gives. The helper talks over a socketpair, one request at a time. It
+ignores SIGINT, keeps no descriptor but its socket and leaves only through
+os._exit. The process that forked it closes its socket and reaps it at exit;
+a forked child drops it and may start its own. Any OSError or EOF from the
+helper stops it for good in that process, and the caller computes that half
+itself.
 """
 
 from __future__ import annotations
 
+import atexit
 import functools
 import hashlib
 import itertools
 import math
+import os
 import random
+import struct
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -310,12 +328,10 @@ def encrypt(keys: PaillierKeys, m: int, r: int) -> int:
         raise ValueError(f"plaintext {m} outside [0, {n})")
     if not 1 <= r < n or math.gcd(r, n) != 1:
         raise ValueError("randomness must be a unit of Z_n")
-    p, q = keys.p, keys.q
-    p_sq, q_sq, n_sq = p * p, q * q, keys.n_sq
-    r_p = pow(pow(r, q % (p - 1), p), p, p_sq)
-    r_q = pow(pow(r, p % (q - 1), q), q, q_sq)
+    p_sq, q_sq = keys.p * keys.p, keys.q * keys.q
+    r_p, r_q = _both_halves(_RANDOMIZER, r, keys)
     r_n = r_q + q_sq * ((r_p - r_q) * keys.q_sq_inv % p_sq)
-    return (1 + m * n) * r_n % n_sq
+    return (1 + m * n) * r_n % keys.n_sq
 
 
 def decrypt_aggregate(keys: PaillierKeys, c: int) -> int:
@@ -326,9 +342,201 @@ def decrypt_aggregate(keys: PaillierKeys, c: int) -> int:
     if not 0 <= c < n_sq or math.gcd(c, n_sq) != 1:
         raise ValueError("ciphertext value is not a unit of Z_{n^2}")
     p, q = keys.p, keys.q
-    a_p = (pow(c, p - 1, p * p) - 1) // p * keys.hp % p
-    a_q = (pow(c, q - 1, q * q) - 1) // q * keys.hq % q
+    c_p, c_q = _both_halves(_DECRYPT, c, keys)
+    a_p = (c_p - 1) // p * keys.hp % p
+    a_q = (c_q - 1) // q * keys.hq % q
     return a_q + q * ((a_p - a_q) * keys.q_inv % p)
+
+
+def _randomizer_half(r: int, p: int, q: int) -> int:
+    """r^(pq) mod p^2: x^p mod p^2 depends only on x mod p."""
+    return pow(pow(r, q % (p - 1), p), p, p * p)
+
+
+def _decrypt_half(c: int, p: int, q: int) -> int:
+    """c^(p-1) mod p^2."""
+    return pow(c, p - 1, p * p)
+
+
+_RANDOMIZER, _DECRYPT = 0, 1
+_HALVES = (_randomizer_half, _decrypt_half)
+
+# Keys of this many bits and more run their p-halves in the helper process.
+_SPLIT_FROM_BITS = 512
+
+
+def _both_halves(kind: int, x: int, keys: PaillierKeys) -> tuple[int, int]:
+    """(half(x, p, q), half(x, q, p)) for half = _HALVES[kind]: the first in
+    the helper, if _take_helper gives one, while this process computes the
+    second."""
+    global _helper_lost
+    half, p, q = _HALVES[kind], keys.p, keys.q
+    helper = _take_helper(keys.bits)
+    if helper is None:
+        return half(x, p, q), half(x, q, p)
+    try:
+        width = helper.ask(kind, x, p, q)
+        h_q = half(x, q, p)
+        h_p = helper.answer(width)
+    except BaseException as exc:
+        # A request left unanswered, by an error or an interrupt, would
+        # leave its reply to be read as the next one's.
+        _helper_lost = True
+        _stop_helper()
+        if not isinstance(exc, OSError):
+            raise
+        return half(x, p, q), half(x, q, p)
+    finally:
+        _lock.release()
+    return h_p, h_q
+
+
+class _Helper:
+    """The caller's end of the helper process: its pid, the pid that forked
+    it and one end of a socketpair, which carries one request at a time."""
+
+    def __init__(self, pid: int, sock, send_flags: int) -> None:
+        self.pid, self.owner, self.sock, self._send_flags = pid, os.getpid(), sock, send_flags
+
+    def ask(self, kind: int, x: int, p: int, q: int) -> int:
+        """Sends one request; returns the size of its reply in bytes."""
+        width = (max(x, p * p).bit_length() + 7) // 8
+        self.sock.sendall(
+            struct.pack("<BI", kind, width)
+            + b"".join(v.to_bytes(width, "little") for v in (x, p, q)),
+            self._send_flags,
+        )
+        return width
+
+    def answer(self, width: int) -> int:
+        reply = _read_exactly(self.sock.fileno(), width)
+        if reply is None:
+            raise ConnectionResetError("the Paillier helper closed its socket")
+        return int.from_bytes(reply, "little")
+
+
+_helper: _Helper | None = None
+_helper_lost = False  # set once a helper could not start or failed
+_lock = threading.Lock()  # one request at a time on the helper's socket
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _take_helper(bits: int) -> _Helper | None:
+    """The helper, started on first use and locked for one request, or None
+    when the caller is to compute both halves: a key below _SPLIT_FROM_BITS,
+    no fork, fewer than two CPUs to run on, a helper busy with another
+    thread's request, or one that failed in this process. A process with
+    other threads is not forked."""
+    global _helper_lost
+    if (bits < _SPLIT_FROM_BITS or _helper_lost or not hasattr(os, "fork") or _cpus() < 2
+            or not _lock.acquire(blocking=False)):
+        return None
+    try:
+        if _helper is None and threading.active_count() == 1:
+            _start_helper()
+    except OSError:
+        _helper_lost = True
+    finally:
+        if _helper is None:
+            _lock.release()
+    return _helper
+
+
+def _start_helper() -> None:
+    global _helper
+    import signal  # loading these would add to every import of ftagg
+    import socket
+
+    mine, theirs = socket.socketpair()
+    # SIGINT stays blocked until the child has set it to be ignored, so no
+    # KeyboardInterrupt can take the child back into the caller's code.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _serve(mine, theirs, mask)
+        _helper = _Helper(pid, mine, getattr(socket, "MSG_NOSIGNAL", 0))
+    finally:
+        theirs.close()
+        if _helper is None:
+            mine.close()
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _serve(mine, theirs, mask) -> None:
+    """The helper's whole life, from right after the fork: answer requests
+    on the socket theirs until EOF. It ends only through os._exit, so it never
+    runs the parent's exit handlers nor flushes the parent's buffers, and an
+    error ends it without a word."""
+    try:
+        import gc
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        gc.disable()  # a collection would copy the parent's pages for nothing
+        mine.close()
+        fd = theirs.detach()
+        os.closerange(0, fd)
+        os.closerange(fd + 1, max(os.sysconf("SC_OPEN_MAX"), fd + 1))
+        while (head := _read_exactly(fd, 5)) is not None:
+            kind, width = struct.unpack("<BI", head)
+            body = _read_exactly(fd, 3 * width)
+            if body is None:
+                break
+            x, p, q = (int.from_bytes(body[i : i + width], "little")
+                       for i in range(0, 3 * width, width))
+            reply = memoryview(_HALVES[kind](x, p, q).to_bytes(width, "little"))
+            while reply:
+                reply = reply[os.write(fd, reply) :]
+    finally:
+        os._exit(0)
+
+
+def _read_exactly(fd: int, size: int) -> bytes | None:
+    """size bytes from fd, or None at EOF."""
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            return None
+        data += chunk
+    return data
+
+
+def _stop_helper() -> None:
+    """Close the helper's socket and reap it; it reads EOF and exits. Only
+    the process that forked it does so."""
+    global _helper
+    helper, _helper = _helper, None
+    if helper is None:
+        return
+    helper.sock.close()
+    if helper.owner == os.getpid():
+        try:
+            os.waitpid(helper.pid, 0)
+        except ChildProcessError:  # reaped already, as under SIGCHLD = SIG_IGN
+            pass
+
+
+def _forget_helper() -> None:
+    """In a forked child: close the copy of the parent's socket, so that
+    the child never reads the parent's replies and the helper still sees EOF
+    when the parent ends."""
+    global _helper, _helper_lost, _lock
+    if _helper is not None:
+        _helper.sock.close()
+    _helper, _helper_lost, _lock = None, False, threading.Lock()
+
+
+atexit.register(_stop_helper)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
 def randomness_stream(keys: PaillierKeys, seed: int, t: int) -> Iterator[int]:

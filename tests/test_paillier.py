@@ -1,15 +1,20 @@
 import hashlib
+import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 import sympy
 from sympy.ntheory.primetest import is_strong_lucas_prp, mr
 from conftest import make_scenario
+from ftagg import paillier
+from ftagg.cli import EXIT_OK, main
 from ftagg.model import PaillierSpec
 from ftagg.paillier import (
     PaillierBackend,
@@ -22,6 +27,25 @@ from ftagg.paillier import (
     keys_from_primes,
     randomness_stream,
 )
+
+
+TWO_CPUS = paillier._cpus() >= 2
+needs_two_cpus = pytest.mark.skipif(not TWO_CPUS, reason="the helper runs only on two CPUs")
+
+
+@pytest.fixture
+def helper_asks(monkeypatch):
+    """The kind of each request this process sends to the Paillier helper:
+    0 for an encryption's half, 1 for a decryption's."""
+    asks = []
+    ask = paillier._Helper.ask
+
+    def counted(self, kind, *args):
+        asks.append(kind)
+        return ask(self, kind, *args)
+
+    monkeypatch.setattr(paillier._Helper, "ask", counted)
+    return asks
 
 
 def tiny_keys():
@@ -376,8 +400,15 @@ def _lambda_mu_decrypt(keys, c):
     return ((pow(c, keys.lam, n_sq) - 1) // n) * keys.mu % n
 
 
-@pytest.mark.parametrize("bits, samples", [(64, 200), (128, 100), (256, 50), (2048, 1)])
-def test_decrypt_matches_lambda_mu_formula(bits, samples):
+@pytest.mark.parametrize(
+    "bits, samples, split",
+    [(64, 200, True), (128, 100, True), (256, 50, True), (512, 20, True), (512, 20, False),
+     (2048, 1, True)],
+    ids=["64-200", "128-100", "256-50", "512-20", "512-20-serial", "2048-1"],
+)
+def test_decrypt_matches_lambda_mu_formula(bits, samples, split, monkeypatch, helper_asks):
+    if not split:
+        monkeypatch.setattr(paillier, "_SPLIT_FROM_BITS", 1 << 62)
     keys = keygen(bits, 2)
     rng = random.Random(bits)
     stream = randomness_stream(keys, bits, 0)
@@ -389,6 +420,7 @@ def test_decrypt_matches_lambda_mu_formula(bits, samples):
     for m in edge:
         acc = acc * encrypt(keys, m, next(stream)) % keys.n_sq
     assert decrypt_aggregate(keys, acc) == _lambda_mu_decrypt(keys, acc) == sum(edge) % keys.n
+    assert set(helper_asks) == ({0, 1} if split and bits >= 512 and TWO_CPUS else set())
 
 
 def test_miller_rabin_composite_passing_first_round_matches_reference():
@@ -543,8 +575,14 @@ def test_randomizer_equals_plain_pow_for_every_unit(p, q):
             assert encrypt(keys, 0, r) == pow(r, n, n_sq), r
 
 
-@pytest.mark.parametrize("bits", [64, 128, 256, 1024])
-def test_randomizer_equals_plain_pow_on_stream_draws(bits):
+@pytest.mark.parametrize(
+    "bits, split",
+    [(64, True), (128, True), (256, True), (512, True), (512, False), (1024, True)],
+    ids=["64", "128", "256", "512", "512-serial", "1024"],
+)
+def test_randomizer_equals_plain_pow_on_stream_draws(bits, split, monkeypatch, helper_asks):
+    if not split:
+        monkeypatch.setattr(paillier, "_SPLIT_FROM_BITS", 1 << 62)
     keys = keygen(bits, 13)
     n, n_sq = keys.n, keys.n_sq
     rng = random.Random(bits)
@@ -552,3 +590,165 @@ def test_randomizer_equals_plain_pow_on_stream_draws(bits):
     for _ in range(200):
         r, m = next(stream), rng.randrange(n)
         assert encrypt(keys, m, r) == (1 + m * n) * pow(r, n, n_sq) % n_sq
+    assert set(helper_asks) == ({0} if split and bits >= 512 and TWO_CPUS else set())
+
+
+# --- The helper process that runs the p-halves of large keys. ---
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def python_argv(code, *args):
+    """A fresh interpreter that turns every DeprecationWarning into an
+    error, as fork() in a threaded process gives one from Python 3.12 on."""
+    return [sys.executable, "-W", "error::DeprecationWarning", "-c", code, *map(str, args)]
+
+
+def python_env():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(code, *args):
+    return subprocess.run(python_argv(code, *args), capture_output=True, text=True,
+                          env=python_env(), timeout=60)
+
+
+def assert_gone(pid):
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
+def test_no_helper_below_the_split_size_nor_on_one_cpu():
+    code = (
+        "import os, sys\n"
+        "from ftagg import paillier\n"
+        "def helper_after_use(bits):\n"
+        "    keys = paillier.keygen(bits, 3)\n"
+        "    assert paillier.decrypt_aggregate(keys, paillier.encrypt(keys, 7, 2)) == 7\n"
+        "    return paillier._helper\n"
+        "print(helper_after_use(128) is None, helper_after_use(256) is None)\n"
+        "print('socket' in sys.modules)\n"
+        "cpus = os.sched_getaffinity(0)\n"
+        "os.sched_setaffinity(0, {min(cpus)})\n"
+        "print(helper_after_use(512) is None)\n"
+        "os.sched_setaffinity(0, cpus)\n"
+        "print(len(cpus) < 2 or helper_after_use(512) is not None)\n"
+    )
+    out = run_python(code)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.split() == ["True", "True", "False", "True", "True"]
+
+
+@needs_two_cpus
+def test_helper_is_reaped_by_its_parent_at_exit():
+    # The check is registered before ftagg, so it runs after ftagg's own
+    # exit handler, while the helper is still the caller's child.
+    code = (
+        "import atexit, os\n"
+        "def check():\n"
+        "    try:\n"
+        "        os.waitpid(pid, os.WNOHANG)\n"
+        "    except ChildProcessError:\n"
+        "        print('reaped')\n"
+        "atexit.register(check)\n"
+        "from ftagg import paillier\n"
+        "keys = paillier.keygen(512, 3)\n"
+        "assert paillier.decrypt_aggregate(keys, paillier.encrypt(keys, 7, 2)) == 7\n"
+        "pid = paillier._helper.pid\n"
+        "print(pid)\n"
+    )
+    out = run_python(code)
+    assert (out.returncode, out.stderr) == (0, "")
+    pid, word = out.stdout.split()
+    assert word == "reaped"
+    assert_gone(int(pid))
+
+
+@needs_two_cpus
+def test_a_killed_helper_leaves_the_round_to_local_halves(tmp_path, capsys, monkeypatch):
+    # A lost helper must not surface as the OSError that `ftagg run` reports
+    # as exit 3, nor as a hang or a wrong report.
+    scenario = json.loads((SCENARIOS / "paillier_mesh4.json").read_text())
+    scenario["backend"]["key_bits"] = 512
+    path = tmp_path / "paillier512.json"
+    path.write_text(json.dumps(scenario))
+    monkeypatch.setattr(paillier, "_SPLIT_FROM_BITS", 1 << 62)
+    assert main(["run", str(path)]) == EXIT_OK
+    serial = capsys.readouterr().out
+    code = (
+        "import os, signal, sys\n"
+        "from ftagg import cli, paillier\n"
+        "keys = paillier.keygen(512, 3)\n"
+        "paillier.encrypt(keys, 7, 2)\n"
+        "os.kill(paillier._helper.pid, signal.SIGKILL)\n"
+        "sys.exit(cli.main(['run', sys.argv[1]]))\n"
+    )
+    out = run_python(code, path)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == serial
+    assert json.loads(serial)["aggregate"] == 110
+
+
+@needs_two_cpus
+def test_a_forked_child_never_reads_the_parents_replies():
+    # Parent and child encrypt at the same time; a reply read by the wrong
+    # process would give a wrong ciphertext on one side or both.
+    code = (
+        "import math, os, sys\n"
+        "from ftagg import paillier\n"
+        "keys = paillier.keygen(512, 3)\n"
+        "n, n_sq = keys.n, keys.n_sq\n"
+        "def check(first):\n"
+        "    for r in range(first, first + 60):\n"
+        "        if math.gcd(r, n) == 1:\n"
+        "            assert paillier.encrypt(keys, r, r) == (1 + r * n) * pow(r, n, n_sq) % n_sq\n"
+        "paillier.encrypt(keys, 0, 2)\n"
+        "parents = paillier._helper.pid\n"
+        "child = os.fork()\n"
+        "if child == 0:\n"
+        "    assert paillier._helper is None\n"
+        "    check(1000)\n"
+        "    assert paillier._helper.pid != parents and paillier._helper.owner == os.getpid()\n"
+        "    sys.exit(0)\n"
+        "check(2000)\n"
+        "assert paillier._helper.pid == parents\n"
+        "print(os.waitpid(child, 0)[1])\n"
+    )
+    out = run_python(code)
+    assert (out.returncode, out.stderr, out.stdout.split()) == (0, "", ["0"])
+
+
+@needs_two_cpus
+def test_sigint_to_the_process_group_leaves_no_helper_traceback():
+    # A shell starts background jobs with SIGINT ignored; the run needs
+    # Python's own handler back, whoever started the tests.
+    code = (
+        "import signal\n"
+        "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+        "from ftagg import paillier\n"
+        "keys = paillier.keygen(1024, 3)\n"
+        "paillier.encrypt(keys, 0, 2)\n"
+        "print(paillier._helper.pid, flush=True)\n"
+        "try:\n"
+        "    while True:\n"
+        "        paillier.encrypt(keys, 1, 2)\n"
+        "except KeyboardInterrupt:\n"
+        "    print('interrupted')\n"
+    )
+    with subprocess.Popen(
+        python_argv(code), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=python_env(), start_new_session=True,
+    ) as proc:
+        try:
+            helper = int(proc.stdout.readline())
+            time.sleep(0.2)
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert (proc.returncode, err, out.split()) == (0, "", ["interrupted"])
+    assert_gone(helper)
