@@ -173,8 +173,8 @@ def _cmd_game(args: argparse.Namespace) -> dict:
     family = _require(config, "family", str)
     if family not in FAMILIES:
         raise ScenarioError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
-    strategy = config.get("strategy")
-    if strategy is not None and (not isinstance(strategy, str) or strategy not in STRATEGIES):
+    strategy = _require(config, "strategy", str) if "strategy" in config else None
+    if strategy is not None and strategy not in STRATEGIES:
         raise ScenarioError(
             f"unknown strategy {strategy!r}; choose from {sorted(STRATEGIES)}"
         )

@@ -41,17 +41,17 @@ view is the one the public-key formula gives.
 
 Each encryption and each decryption is thus two independent halves, one mod
 p^2 and one mod q^2, joined by the same CRT step. For keys of
-_SPLIT_FROM_BITS bits and more, where the process may run on two CPUs and has
-no other thread, the p-half runs in one helper process forked at the first
-such call, while the caller computes the q-half; smaller keys, and every
-other case, compute both halves in the caller. Either way the helper runs the
-same half function on the same ints, so every result is the one the serial
-code gives. The helper talks over a socketpair, one request at a time. It
-ignores SIGINT, keeps no descriptor but its socket and leaves only through
-os._exit. The process that forked it closes its socket and reaps it at exit;
-a forked child drops it and may start its own. Any OSError or EOF from the
-helper stops it for good in that process, and the caller computes that half
-itself.
+_SPLIT_FROM_BITS = 1536 bits and more, where the process may run on two CPUs
+and has no other thread, the p-half runs in one helper process forked at the
+first such call, while the caller computes the q-half. Smaller keys, where
+the split gained nothing in most processes measured, and every other case
+compute both halves in the caller. Either way the helper runs the same half
+function on the same ints, so every result is the one the serial code gives.
+The helper talks over a socketpair, one request at a time. It ignores
+SIGINT, keeps no descriptor but its socket and leaves only through os._exit.
+The process that forked it closes its socket and reaps it at exit; a forked
+child drops it and may start its own. Any OSError or EOF from the helper
+stops it for good in that process, and the caller computes that half itself.
 """
 
 from __future__ import annotations
@@ -246,12 +246,9 @@ def _window_factors(first: int) -> list[int]:
 
 def _next_prime(start: int, rng: random.Random) -> int:
     candidate = start | 1
-    if candidate.bit_length() < _SIEVE_FROM_BITS:
-        while not is_probable_prime(candidate, rng, 0):
-            candidate += 2
-        return candidate
     while True:
-        for factor in _window_factors(candidate):
+        sieved = candidate.bit_length() >= _SIEVE_FROM_BITS
+        for factor in _window_factors(candidate) if sieved else itertools.repeat(0, _SIEVE_WINDOW):
             if is_probable_prime(candidate, rng, factor):
                 return candidate
             candidate += 2
@@ -362,89 +359,50 @@ _RANDOMIZER, _DECRYPT = 0, 1
 _HALVES = (_randomizer_half, _decrypt_half)
 
 # Keys of this many bits and more run their p-halves in the helper process.
-_SPLIT_FROM_BITS = 512
+# Below, the split gained nothing in most processes measured (README).
+_SPLIT_FROM_BITS = 1536
+
+# The helper process: None until it starts, (pid, socket) while it runs, and
+# False once it has failed or been stopped in this process.
+_helper: tuple | bool | None = None
+_lock = threading.Lock()  # one request at a time on the helper's socket
 
 
 def _both_halves(kind: int, x: int, keys: PaillierKeys) -> tuple[int, int]:
     """(half(x, p, q), half(x, q, p)) for half = _HALVES[kind]: the first in
-    the helper, if _take_helper gives one, while this process computes the
-    second."""
-    global _helper_lost
+    the helper, started on first use, while this process computes the
+    second. Both run here for a key below _SPLIT_FROM_BITS, with no fork,
+    fewer than two CPUs to run on, a helper busy with another thread's
+    request or one that failed in this process. A process with other
+    threads is not forked."""
     half, p, q = _HALVES[kind], keys.p, keys.q
-    helper = _take_helper(keys.bits)
-    if helper is None:
-        return half(x, p, q), half(x, q, p)
-    try:
-        width = helper.ask(kind, x, p, q)
-        h_q = half(x, q, p)
-        h_p = helper.answer(width)
-    except BaseException as exc:
-        # A request left unanswered, by an error or an interrupt, would
-        # leave its reply to be read as the next one's.
-        _helper_lost = True
-        _stop_helper()
-        if not isinstance(exc, OSError):
-            raise
-        return half(x, p, q), half(x, q, p)
-    finally:
-        _lock.release()
-    return h_p, h_q
-
-
-class _Helper:
-    """The caller's end of the helper process: its pid, the pid that forked
-    it and one end of a socketpair, which carries one request at a time."""
-
-    def __init__(self, pid: int, sock, send_flags: int) -> None:
-        self.pid, self.owner, self.sock, self._send_flags = pid, os.getpid(), sock, send_flags
-
-    def ask(self, kind: int, x: int, p: int, q: int) -> int:
-        """Sends one request; returns the size of its reply in bytes."""
-        width = (max(x, p * p).bit_length() + 7) // 8
-        self.sock.sendall(
-            struct.pack("<BI", kind, width)
-            + b"".join(v.to_bytes(width, "little") for v in (x, p, q)),
-            self._send_flags,
-        )
-        return width
-
-    def answer(self, width: int) -> int:
-        reply = _read_exactly(self.sock.fileno(), width)
-        if reply is None:
-            raise ConnectionResetError("the Paillier helper closed its socket")
-        return int.from_bytes(reply, "little")
-
-
-_helper: _Helper | None = None
-_helper_lost = False  # set once a helper could not start or failed
-_lock = threading.Lock()  # one request at a time on the helper's socket
+    if (keys.bits >= _SPLIT_FROM_BITS and _helper is not False and hasattr(os, "fork")
+            and _cpus() >= 2 and _lock.acquire(blocking=False)):
+        try:
+            if _helper is None and threading.active_count() == 1:
+                _start_helper()
+            if _helper:
+                width = _send(_helper[1], kind, x, p, q)
+                h_q = half(x, q, p)
+                reply = _read_exactly(_helper[1].fileno(), width)
+                if reply is None:
+                    raise ConnectionResetError("the Paillier helper closed its socket")
+                return int.from_bytes(reply, "little"), h_q
+        except BaseException as exc:
+            # A request left unanswered, by an error or an interrupt, would
+            # leave its reply to be read as the next one's.
+            _stop_helper()
+            if not isinstance(exc, OSError):
+                raise
+        finally:
+            _lock.release()
+    return half(x, p, q), half(x, q, p)
 
 
 def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _take_helper(bits: int) -> _Helper | None:
-    """The helper, started on first use and locked for one request, or None
-    when the caller is to compute both halves: a key below _SPLIT_FROM_BITS,
-    no fork, fewer than two CPUs to run on, a helper busy with another
-    thread's request, or one that failed in this process. A process with
-    other threads is not forked."""
-    global _helper_lost
-    if (bits < _SPLIT_FROM_BITS or _helper_lost or not hasattr(os, "fork") or _cpus() < 2
-            or not _lock.acquire(blocking=False)):
-        return None
-    try:
-        if _helper is None and threading.active_count() == 1:
-            _start_helper()
-    except OSError:
-        _helper_lost = True
-    finally:
-        if _helper is None:
-            _lock.release()
-    return _helper
 
 
 def _start_helper() -> None:
@@ -460,12 +418,25 @@ def _start_helper() -> None:
         pid = os.fork()
         if pid == 0:
             _serve(mine, theirs, mask)
-        _helper = _Helper(pid, mine, getattr(socket, "MSG_NOSIGNAL", 0))
+        _helper = (pid, mine)
     finally:
         theirs.close()
-        if _helper is None:
+        if not _helper:
             mine.close()
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _send(sock, kind: int, x: int, p: int, q: int) -> int:
+    """Write one request as _serve reads it: a 5-byte header, then x, p and
+    q as fixed-width little-endian bytes. Returns the size of its reply."""
+    import socket
+
+    width = (max(x, p * p).bit_length() + 7) // 8
+    sock.sendall(
+        struct.pack("<BI", kind, width) + b"".join(v.to_bytes(width, "little") for v in (x, p, q)),
+        getattr(socket, "MSG_NOSIGNAL", 0),
+    )
+    return width
 
 
 def _serve(mine, theirs, mask) -> None:
@@ -510,16 +481,16 @@ def _read_exactly(fd: int, size: int) -> bytes | None:
 
 
 def _stop_helper() -> None:
-    """Close the helper's socket and reap it; it reads EOF and exits. Only
-    the process that forked it does so."""
+    """Stop the helper for good in this process: close its socket, on which
+    it reads EOF and exits, and reap it. It is always this process's own
+    child, as a forked child drops its parent's helper (_forget_helper)."""
     global _helper
-    helper, _helper = _helper, None
-    if helper is None:
-        return
-    helper.sock.close()
-    if helper.owner == os.getpid():
+    helper, _helper = _helper, False
+    if helper:
+        pid, sock = helper
+        sock.close()
         try:
-            os.waitpid(helper.pid, 0)
+            os.waitpid(pid, 0)
         except ChildProcessError:  # reaped already, as under SIGCHLD = SIG_IGN
             pass
 
@@ -528,10 +499,10 @@ def _forget_helper() -> None:
     """In a forked child: close the copy of the parent's socket, so that
     the child never reads the parent's replies and the helper still sees EOF
     when the parent ends."""
-    global _helper, _helper_lost, _lock
-    if _helper is not None:
-        _helper.sock.close()
-    _helper, _helper_lost, _lock = None, False, threading.Lock()
+    global _helper, _lock
+    if _helper:
+        _helper[1].close()
+    _helper, _lock = None, threading.Lock()
 
 
 atexit.register(_stop_helper)

@@ -197,8 +197,9 @@ def test_bad_game_configs_exit_two(capsys, tmp_path, config):
         ({"seed": 1.5}, "game config field 'seed' must be an integer, got float"),
         ({"trials": True}, "game config field 'trials' must be an integer, got bool"),
         ({"family": 3}, "game config field 'family' must be a string, got int"),
+        ({"strategy": None}, "game config field 'strategy' must be a string, got NoneType"),
     ],
-    ids=["seed-float", "trials-bool", "family-int"],
+    ids=["seed-float", "trials-bool", "family-int", "strategy-null"],
 )
 def test_game_config_type_errors_name_the_type(capsys, tmp_path, change, message):
     path = tmp_path / "typed.json"

@@ -36,15 +36,17 @@ needs_two_cpus = pytest.mark.skipif(not TWO_CPUS, reason="the helper runs only o
 @pytest.fixture
 def helper_asks(monkeypatch):
     """The kind of each request this process sends to the Paillier helper:
-    0 for an encryption's half, 1 for a decryption's."""
+    0 for an encryption's half, 1 for a decryption's. Keys of 512 bits and
+    more are split, so that no test needs a 1536-bit keygen."""
     asks = []
-    ask = paillier._Helper.ask
+    send = paillier._send
 
-    def counted(self, kind, *args):
+    def counted(sock, kind, *args):
         asks.append(kind)
-        return ask(self, kind, *args)
+        return send(sock, kind, *args)
 
-    monkeypatch.setattr(paillier._Helper, "ask", counted)
+    monkeypatch.setattr(paillier, "_send", counted)
+    monkeypatch.setattr(paillier, "_SPLIT_FROM_BITS", 512)
     return asks
 
 
@@ -631,7 +633,9 @@ def test_no_helper_below_the_split_size_nor_on_one_cpu():
         "    assert paillier.decrypt_aggregate(keys, paillier.encrypt(keys, 7, 2)) == 7\n"
         "    return paillier._helper\n"
         "print(helper_after_use(128) is None, helper_after_use(256) is None)\n"
+        "print(helper_after_use(1024) is None)\n"
         "print('socket' in sys.modules)\n"
+        "paillier._SPLIT_FROM_BITS = 512\n"
         "cpus = os.sched_getaffinity(0)\n"
         "os.sched_setaffinity(0, {min(cpus)})\n"
         "print(helper_after_use(512) is None)\n"
@@ -640,7 +644,7 @@ def test_no_helper_below_the_split_size_nor_on_one_cpu():
     )
     out = run_python(code)
     assert (out.returncode, out.stderr) == (0, "")
-    assert out.stdout.split() == ["True", "True", "False", "True", "True"]
+    assert out.stdout.split() == ["True", "True", "True", "False", "True", "True"]
 
 
 @needs_two_cpus
@@ -656,9 +660,10 @@ def test_helper_is_reaped_by_its_parent_at_exit():
         "        print('reaped')\n"
         "atexit.register(check)\n"
         "from ftagg import paillier\n"
+        "paillier._SPLIT_FROM_BITS = 512\n"
         "keys = paillier.keygen(512, 3)\n"
         "assert paillier.decrypt_aggregate(keys, paillier.encrypt(keys, 7, 2)) == 7\n"
-        "pid = paillier._helper.pid\n"
+        "pid = paillier._helper[0]\n"
         "print(pid)\n"
     )
     out = run_python(code)
@@ -682,9 +687,10 @@ def test_a_killed_helper_leaves_the_round_to_local_halves(tmp_path, capsys, monk
     code = (
         "import os, signal, sys\n"
         "from ftagg import cli, paillier\n"
+        "paillier._SPLIT_FROM_BITS = 512\n"
         "keys = paillier.keygen(512, 3)\n"
         "paillier.encrypt(keys, 7, 2)\n"
-        "os.kill(paillier._helper.pid, signal.SIGKILL)\n"
+        "os.kill(paillier._helper[0], signal.SIGKILL)\n"
         "sys.exit(cli.main(['run', sys.argv[1]]))\n"
     )
     out = run_python(code, path)
@@ -700,6 +706,7 @@ def test_a_forked_child_never_reads_the_parents_replies():
     code = (
         "import math, os, sys\n"
         "from ftagg import paillier\n"
+        "paillier._SPLIT_FROM_BITS = 512\n"
         "keys = paillier.keygen(512, 3)\n"
         "n, n_sq = keys.n, keys.n_sq\n"
         "def check(first):\n"
@@ -707,15 +714,16 @@ def test_a_forked_child_never_reads_the_parents_replies():
         "        if math.gcd(r, n) == 1:\n"
         "            assert paillier.encrypt(keys, r, r) == (1 + r * n) * pow(r, n, n_sq) % n_sq\n"
         "paillier.encrypt(keys, 0, 2)\n"
-        "parents = paillier._helper.pid\n"
+        "parents = paillier._helper[0]\n"
         "child = os.fork()\n"
         "if child == 0:\n"
         "    assert paillier._helper is None\n"
         "    check(1000)\n"
-        "    assert paillier._helper.pid != parents and paillier._helper.owner == os.getpid()\n"
+        "    assert paillier._helper[0] != parents\n"
+        "    os.waitpid(paillier._helper[0], os.WNOHANG)\n"
         "    sys.exit(0)\n"
         "check(2000)\n"
-        "assert paillier._helper.pid == parents\n"
+        "assert paillier._helper[0] == parents\n"
         "print(os.waitpid(child, 0)[1])\n"
     )
     out = run_python(code)
@@ -730,9 +738,10 @@ def test_sigint_to_the_process_group_leaves_no_helper_traceback():
         "import signal\n"
         "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
         "from ftagg import paillier\n"
+        "paillier._SPLIT_FROM_BITS = 512\n"
         "keys = paillier.keygen(1024, 3)\n"
         "paillier.encrypt(keys, 0, 2)\n"
-        "print(paillier._helper.pid, flush=True)\n"
+        "print(paillier._helper[0], flush=True)\n"
         "try:\n"
         "    while True:\n"
         "        paillier.encrypt(keys, 1, 2)\n"
