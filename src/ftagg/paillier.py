@@ -40,18 +40,18 @@ it yields the same integer as pow(r, n, n^2), so every ciphertext, trace and
 view is the one the public-key formula gives.
 
 Each encryption and each decryption is thus two independent halves, one mod
-p^2 and one mod q^2, joined by the same CRT step. For keys of
-_SPLIT_FROM_BITS = 1536 bits and more, where the process may run on two CPUs
-and has no other thread, the p-half runs in one helper process forked at the
-first such call, while the caller computes the q-half. Smaller keys, where
+p^2 and one mod q^2 (ftagg.halves), joined by the same CRT step. For keys of
+_SPLIT_FROM_BITS = 1536 bits and more, where the process may run on two
+CPUs, the p-half runs in one helper process while the caller computes the
+q-half. The helper is a bare interpreter spawned at the first such call to
+run halves.py, so it shares no state with its caller. Smaller keys, where
 the split gained nothing in most processes measured, and every other case
-compute both halves in the caller. Either way the helper runs the same half
-function on the same ints, so every result is the one the serial code gives.
-The helper talks over a socketpair, one request at a time. It ignores
-SIGINT, keeps no descriptor but its socket and leaves only through os._exit.
-The process that forked it closes its socket and reaps it at exit; a forked
-child drops it and may start its own. Any OSError or EOF from the helper
-stops it for good in that process, and the caller computes that half itself.
+compute both halves in the caller. Either way the same half function runs
+on the same ints, so every result is the one the serial code gives. The
+helper reads one request at a time on its stdin and replies on its stdout.
+Its caller closes both pipes and waits for it at exit; a forked child drops
+it and may start its own. Any OSError or EOF from the helper stops it for
+good in that process, and the caller computes that half itself.
 """
 
 from __future__ import annotations
@@ -63,11 +63,13 @@ import itertools
 import math
 import os
 import random
-import struct
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from . import halves
+from .halves import HALVES, write_request
 from .model import Scenario, check_key_bits
 
 
@@ -345,49 +347,43 @@ def decrypt_aggregate(keys: PaillierKeys, c: int) -> int:
     return a_q + q * ((a_p - a_q) * keys.q_inv % p)
 
 
-def _randomizer_half(r: int, p: int, q: int) -> int:
-    """r^(pq) mod p^2: x^p mod p^2 depends only on x mod p."""
-    return pow(pow(r, q % (p - 1), p), p, p * p)
-
-
-def _decrypt_half(c: int, p: int, q: int) -> int:
-    """c^(p-1) mod p^2."""
-    return pow(c, p - 1, p * p)
-
-
-_RANDOMIZER, _DECRYPT = 0, 1
-_HALVES = (_randomizer_half, _decrypt_half)
+_RANDOMIZER, _DECRYPT = 0, 1  # indexes into HALVES
 
 # Keys of this many bits and more run their p-halves in the helper process.
 # Below, the split gained nothing in most processes measured (README).
 _SPLIT_FROM_BITS = 1536
 
-# The helper process: None until it starts, (pid, socket) while it runs, and
+# The helper process: None until it starts, its Popen while it runs, and
 # False once it has failed or been stopped in this process.
-_helper: tuple | bool | None = None
-_lock = threading.Lock()  # one request at a time on the helper's socket
+_helper = None
+_lock = threading.Lock()  # one request at a time on the helper's pipes
 
 
 def _both_halves(kind: int, x: int, keys: PaillierKeys) -> tuple[int, int]:
-    """(half(x, p, q), half(x, q, p)) for half = _HALVES[kind]: the first in
+    """(half(x, p, q), half(x, q, p)) for half = HALVES[kind]: the first in
     the helper, started on first use, while this process computes the
-    second. Both run here for a key below _SPLIT_FROM_BITS, with no fork,
-    fewer than two CPUs to run on, a helper busy with another thread's
-    request or one that failed in this process. A process with other
-    threads is not forked."""
-    half, p, q = _HALVES[kind], keys.p, keys.q
-    if (keys.bits >= _SPLIT_FROM_BITS and _helper is not False and hasattr(os, "fork")
+    second. Both run here for a key below _SPLIT_FROM_BITS, with fewer than
+    two CPUs to run on, no interpreter to start (sys.executable empty or
+    None), a helper busy with another thread's request or one that failed in
+    this process."""
+    global _helper
+    half, p, q = HALVES[kind], keys.p, keys.q
+    if (keys.bits >= _SPLIT_FROM_BITS and _helper is not False and sys.executable
             and _cpus() >= 2 and _lock.acquire(blocking=False)):
         try:
-            if _helper is None and threading.active_count() == 1:
-                _start_helper()
-            if _helper:
-                width = _send(_helper[1], kind, x, p, q)
-                h_q = half(x, q, p)
-                reply = _read_exactly(_helper[1].fileno(), width)
-                if reply is None:
-                    raise ConnectionResetError("the Paillier helper closed its socket")
-                return int.from_bytes(reply, "little"), h_q
+            if _helper is None:
+                import subprocess  # loading it would add to every import of ftagg
+
+                _helper = subprocess.Popen(
+                    [sys.executable, "-I", "-S", halves.__file__],
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                )
+            width = write_request(_helper.stdin, kind, x, p, q)
+            h_q = half(x, q, p)
+            reply = _helper.stdout.read(width)
+            if len(reply) < width:
+                raise BrokenPipeError("the Paillier helper closed its pipe")
+            return int.from_bytes(reply, "little"), h_q
         except BaseException as exc:
             # A request left unanswered, by an error or an interrupt, would
             # leave its reply to be read as the next one's.
@@ -405,103 +401,29 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _start_helper() -> None:
-    global _helper
-    import signal  # loading these would add to every import of ftagg
-    import socket
-
-    mine, theirs = socket.socketpair()
-    # SIGINT stays blocked until the child has set it to be ignored, so no
-    # KeyboardInterrupt can take the child back into the caller's code.
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        pid = os.fork()
-        if pid == 0:
-            _serve(mine, theirs, mask)
-        _helper = (pid, mine)
-    finally:
-        theirs.close()
-        if not _helper:
-            mine.close()
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-
-
-def _send(sock, kind: int, x: int, p: int, q: int) -> int:
-    """Write one request as _serve reads it: a 5-byte header, then x, p and
-    q as fixed-width little-endian bytes. Returns the size of its reply."""
-    import socket
-
-    width = (max(x, p * p).bit_length() + 7) // 8
-    sock.sendall(
-        struct.pack("<BI", kind, width) + b"".join(v.to_bytes(width, "little") for v in (x, p, q)),
-        getattr(socket, "MSG_NOSIGNAL", 0),
-    )
-    return width
-
-
-def _serve(mine, theirs, mask) -> None:
-    """The helper's whole life, from right after the fork: answer requests
-    on the socket theirs until EOF. It ends only through os._exit, so it never
-    runs the parent's exit handlers nor flushes the parent's buffers, and an
-    error ends it without a word."""
-    try:
-        import gc
-        import signal
-
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        gc.disable()  # a collection would copy the parent's pages for nothing
-        mine.close()
-        fd = theirs.detach()
-        os.closerange(0, fd)
-        os.closerange(fd + 1, max(os.sysconf("SC_OPEN_MAX"), fd + 1))
-        while (head := _read_exactly(fd, 5)) is not None:
-            kind, width = struct.unpack("<BI", head)
-            body = _read_exactly(fd, 3 * width)
-            if body is None:
-                break
-            x, p, q = (int.from_bytes(body[i : i + width], "little")
-                       for i in range(0, 3 * width, width))
-            reply = memoryview(_HALVES[kind](x, p, q).to_bytes(width, "little"))
-            while reply:
-                reply = reply[os.write(fd, reply) :]
-    finally:
-        os._exit(0)
-
-
-def _read_exactly(fd: int, size: int) -> bytes | None:
-    """size bytes from fd, or None at EOF."""
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            return None
-        data += chunk
-    return data
-
-
 def _stop_helper() -> None:
-    """Stop the helper for good in this process: close its socket, on which
-    it reads EOF and exits, and reap it. It is always this process's own
+    """Stop the helper for good in this process: close its pipes, on which
+    it reads EOF and exits, and wait for it. It is always this process's own
     child, as a forked child drops its parent's helper (_forget_helper)."""
     global _helper
     helper, _helper = _helper, False
     if helper:
-        pid, sock = helper
-        sock.close()
         try:
-            os.waitpid(pid, 0)
-        except ChildProcessError:  # reaped already, as under SIGCHLD = SIG_IGN
+            helper.stdin.close()
+        except BrokenPipeError:  # the flush of a request the helper never read
             pass
+        helper.stdout.close()
+        helper.wait()
 
 
 def _forget_helper() -> None:
-    """In a forked child: close the copy of the parent's socket, so that
-    the child never reads the parent's replies and the helper still sees EOF
-    when the parent ends."""
+    """In a forked child: close the copies of the parent's pipes, unflushed,
+    so that the child never writes to nor reads from the parent's helper and
+    the helper still sees EOF when the parent ends."""
     global _helper, _lock
     if _helper:
-        _helper[1].close()
+        _helper.stdin.raw.close()
+        _helper.stdout.raw.close()
     _helper, _lock = None, threading.Lock()
 
 

@@ -39,13 +39,13 @@ def helper_asks(monkeypatch):
     0 for an encryption's half, 1 for a decryption's. Keys of 512 bits and
     more are split, so that no test needs a 1536-bit keygen."""
     asks = []
-    send = paillier._send
+    write = paillier.write_request
 
-    def counted(sock, kind, *args):
+    def counted(out, kind, *args):
         asks.append(kind)
-        return send(sock, kind, *args)
+        return write(out, kind, *args)
 
-    monkeypatch.setattr(paillier, "_send", counted)
+    monkeypatch.setattr(paillier, "write_request", counted)
     monkeypatch.setattr(paillier, "_SPLIT_FROM_BITS", 512)
     return asks
 
@@ -603,7 +603,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 def python_argv(code, *args):
     """A fresh interpreter that turns every DeprecationWarning into an
-    error, as fork() in a threaded process gives one from Python 3.12 on."""
+    error, so that a deprecated call on the helper's path fails the test."""
     return [sys.executable, "-W", "error::DeprecationWarning", "-c", code, *map(str, args)]
 
 
@@ -634,7 +634,7 @@ def test_no_helper_below_the_split_size_nor_on_one_cpu():
         "    return paillier._helper\n"
         "print(helper_after_use(128) is None, helper_after_use(256) is None)\n"
         "print(helper_after_use(1024) is None)\n"
-        "print('socket' in sys.modules)\n"
+        "print('subprocess' in sys.modules)\n"
         "paillier._SPLIT_FROM_BITS = 512\n"
         "cpus = os.sched_getaffinity(0)\n"
         "os.sched_setaffinity(0, {min(cpus)})\n"
@@ -645,6 +645,40 @@ def test_no_helper_below_the_split_size_nor_on_one_cpu():
     out = run_python(code)
     assert (out.returncode, out.stderr) == (0, "")
     assert out.stdout.split() == ["True", "True", "True", "False", "True", "True"]
+
+
+@pytest.mark.parametrize("executable", ["", None])
+def test_no_helper_without_an_interpreter_to_start(executable, monkeypatch, helper_asks):
+    # Popen would raise a TypeError for None, which the OSError fallback
+    # does not catch, and a PermissionError for "", which stops the split.
+    monkeypatch.setattr(sys, "executable", executable)
+    monkeypatch.setattr(paillier, "_helper", None)
+    keys = keygen(512, 3)
+    n, n_sq = keys.n, keys.n_sq
+    for r in (2, 3, n - 1):
+        assert encrypt(keys, 0, r) == pow(r, n, n_sq)
+    assert (paillier._helper, helper_asks) == (None, [])
+
+
+@needs_two_cpus
+def test_a_process_with_another_thread_splits_too():
+    code = (
+        "import threading\n"
+        "from ftagg import paillier\n"
+        "paillier._SPLIT_FROM_BITS = 512\n"
+        "stop = threading.Event()\n"
+        "thread = threading.Thread(target=stop.wait)\n"
+        "thread.start()\n"
+        "keys = paillier.keygen(512, 3)\n"
+        "n, n_sq = keys.n, keys.n_sq\n"
+        "for r in range(2, 40):\n"
+        "    assert paillier.encrypt(keys, 0, r) == pow(r, n, n_sq), r\n"
+        "print(threading.active_count(), bool(paillier._helper))\n"
+        "stop.set()\n"
+        "thread.join()\n"
+    )
+    out = run_python(code)
+    assert (out.returncode, out.stderr, out.stdout.split()) == (0, "", ["2", "True"])
 
 
 @needs_two_cpus
@@ -663,7 +697,7 @@ def test_helper_is_reaped_by_its_parent_at_exit():
         "paillier._SPLIT_FROM_BITS = 512\n"
         "keys = paillier.keygen(512, 3)\n"
         "assert paillier.decrypt_aggregate(keys, paillier.encrypt(keys, 7, 2)) == 7\n"
-        "pid = paillier._helper[0]\n"
+        "pid = paillier._helper.pid\n"
         "print(pid)\n"
     )
     out = run_python(code)
@@ -690,7 +724,7 @@ def test_a_killed_helper_leaves_the_round_to_local_halves(tmp_path, capsys, monk
         "paillier._SPLIT_FROM_BITS = 512\n"
         "keys = paillier.keygen(512, 3)\n"
         "paillier.encrypt(keys, 7, 2)\n"
-        "os.kill(paillier._helper[0], signal.SIGKILL)\n"
+        "os.kill(paillier._helper.pid, signal.SIGKILL)\n"
         "sys.exit(cli.main(['run', sys.argv[1]]))\n"
     )
     out = run_python(code, path)
@@ -714,16 +748,16 @@ def test_a_forked_child_never_reads_the_parents_replies():
         "        if math.gcd(r, n) == 1:\n"
         "            assert paillier.encrypt(keys, r, r) == (1 + r * n) * pow(r, n, n_sq) % n_sq\n"
         "paillier.encrypt(keys, 0, 2)\n"
-        "parents = paillier._helper[0]\n"
+        "parents = paillier._helper.pid\n"
         "child = os.fork()\n"
         "if child == 0:\n"
         "    assert paillier._helper is None\n"
         "    check(1000)\n"
-        "    assert paillier._helper[0] != parents\n"
-        "    os.waitpid(paillier._helper[0], os.WNOHANG)\n"
+        "    assert paillier._helper.pid != parents\n"
+        "    os.waitpid(paillier._helper.pid, os.WNOHANG)\n"
         "    sys.exit(0)\n"
         "check(2000)\n"
-        "assert paillier._helper[0] == parents\n"
+        "assert paillier._helper.pid == parents\n"
         "print(os.waitpid(child, 0)[1])\n"
     )
     out = run_python(code)
@@ -741,7 +775,7 @@ def test_sigint_to_the_process_group_leaves_no_helper_traceback():
         "paillier._SPLIT_FROM_BITS = 512\n"
         "keys = paillier.keygen(1024, 3)\n"
         "paillier.encrypt(keys, 0, 2)\n"
-        "print(paillier._helper[0], flush=True)\n"
+        "print(paillier._helper.pid, flush=True)\n"
         "try:\n"
         "    while True:\n"
         "        paillier.encrypt(keys, 1, 2)\n"
