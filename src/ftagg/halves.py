@@ -22,28 +22,21 @@ def decrypt_half(c: int, p: int, q: int) -> int:
 HALVES = (randomizer_half, decrypt_half)
 
 
-def write_request(out, kind: int, x: int, p: int, q: int) -> int:
-    """Write one request to the buffered stream out and flush it: the kind,
-    an index into HALVES, in one byte, the width in 4 bytes, then x, p and q
-    in width bytes each, all little-endian. Returns the size of its reply."""
-    width = (max(x, p * p).bit_length() + 7) // 8
-    out.write(bytes([kind]) + width.to_bytes(4, "little")
-              + b"".join(v.to_bytes(width, "little") for v in (x, p, q)))
+def ask(out, kind: int, *ints: int) -> None:
+    """Write one request line to the buffered stream out and flush it: kind,
+    an index into HALVES, then the ints, in hex and separated by spaces."""
+    out.write(b" ".join(b"%x" % v for v in (kind, *ints)) + b"\n")
     out.flush()
-    return width
 
 
 def serve(requests, replies) -> None:
-    """Answer requests until EOF. A buffered stream's read(n) returns fewer
-    than n bytes only at EOF."""
-    while len(head := requests.read(5)) == 5:
-        kind, width = head[0], int.from_bytes(head[1:], "little")
-        body = requests.read(3 * width)
-        if len(body) < 3 * width:
+    """Answer each request line with one line, the half in hex, until EOF.
+    A last line without its newline was cut short, so it counts as EOF."""
+    for line in requests:
+        if not line.endswith(b"\n"):
             break
-        x, p, q = (int.from_bytes(body[i : i + width], "little")
-                   for i in range(0, 3 * width, width))
-        replies.write(HALVES[kind](x, p, q).to_bytes(width, "little"))
+        kind, x, p, q = (int(v, 16) for v in line.split())
+        replies.write(b"%x\n" % HALVES[kind](x, p, q))
         replies.flush()
 
 

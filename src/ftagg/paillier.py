@@ -48,10 +48,10 @@ run halves.py, so it shares no state with its caller. Smaller keys, where
 the split gained nothing in most processes measured, and every other case
 compute both halves in the caller. Either way the same half function runs
 on the same ints, so every result is the one the serial code gives. The
-helper reads one request at a time on its stdin and replies on its stdout.
-Its caller closes both pipes and waits for it at exit; a forked child drops
-it and may start its own. Any OSError or EOF from the helper stops it for
-good in that process, and the caller computes that half itself.
+helper answers each line of hex ints on its stdin with one on its stdout.
+Its caller closes both pipes unflushed and waits for it at exit; a forked
+child drops it and may start its own. Any OSError or EOF from the helper
+stops it for good in that process, and the caller computes that half itself.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import halves
-from .halves import HALVES, write_request
+from .halves import HALVES, ask
 from .model import Scenario, check_key_bits
 
 
@@ -378,12 +378,12 @@ def _both_halves(kind: int, x: int, keys: PaillierKeys) -> tuple[int, int]:
                     [sys.executable, "-I", "-S", halves.__file__],
                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                 )
-            width = write_request(_helper.stdin, kind, x, p, q)
+            ask(_helper.stdin, kind, x, p, q)
             h_q = half(x, q, p)
-            reply = _helper.stdout.read(width)
-            if len(reply) < width:
+            reply = _helper.stdout.readline()
+            if not reply.endswith(b"\n"):
                 raise BrokenPipeError("the Paillier helper closed its pipe")
-            return int.from_bytes(reply, "little"), h_q
+            return int(reply, 16), h_q
         except BaseException as exc:
             # A request left unanswered, by an error or an interrupt, would
             # leave its reply to be read as the next one's.
@@ -408,11 +408,8 @@ def _stop_helper() -> None:
     global _helper
     helper, _helper = _helper, False
     if helper:
-        try:
-            helper.stdin.close()
-        except BrokenPipeError:  # the flush of a request the helper never read
-            pass
-        helper.stdout.close()
+        helper.stdin.raw.close()  # unflushed, so a request cut short is never sent
+        helper.stdout.raw.close()
         helper.wait()
 
 
@@ -424,6 +421,7 @@ def _forget_helper() -> None:
     if _helper:
         _helper.stdin.raw.close()
         _helper.stdout.raw.close()
+        _helper.returncode = 0  # not this process's child, so never waited for
     _helper, _lock = None, threading.Lock()
 
 

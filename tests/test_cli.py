@@ -317,6 +317,8 @@ def test_paillier_sum_just_below_half_the_key_runs(capsys, tmp_path):
         {"backend": {"type": "masking", "k_bits": 10**9}},
         {"backend": {"type": "paillier", "key_bits": 4098}},
         {"backend": {"type": "paillier", "key_bits": 10**9}},
+        {"backend": {"type": "foo"}},
+        {"backend": {"type": ["masking"]}},
         {"measurements": {"1": 10, "2": 7, "3": 20, "4": 9, "01": 999}},
         {"measurements": {" 1": 10, "2": 7, "3": 20, "4": 9}},
         {"measurements": {"1": 10, "+2": 7, "3": 20, "4": 9}},

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 import sympy
 from sympy.ntheory.primetest import is_strong_lucas_prp, mr
 from conftest import make_scenario
-from ftagg import paillier
+from ftagg import halves, paillier
 from ftagg.cli import EXIT_OK, main
 from ftagg.model import PaillierSpec
 from ftagg.paillier import (
@@ -39,13 +40,13 @@ def helper_asks(monkeypatch):
     0 for an encryption's half, 1 for a decryption's. Keys of 512 bits and
     more are split, so that no test needs a 1536-bit keygen."""
     asks = []
-    write = paillier.write_request
+    ask = paillier.ask
 
-    def counted(out, kind, *args):
+    def counted(out, kind, *ints):
         asks.append(kind)
-        return write(out, kind, *args)
+        ask(out, kind, *ints)
 
-    monkeypatch.setattr(paillier, "write_request", counted)
+    monkeypatch.setattr(paillier, "ask", counted)
     monkeypatch.setattr(paillier, "_SPLIT_FROM_BITS", 512)
     return asks
 
@@ -601,10 +602,31 @@ def test_randomizer_equals_plain_pow_on_stream_draws(bits, split, monkeypatch, h
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
+def test_serve_answers_each_request_line_and_not_one_cut_short():
+    keys = keygen(256, 5)
+    rng = random.Random(5)
+    requests, expected = io.BytesIO(), []
+    for p, q in ((keys.p, keys.q), (keys.q, keys.p)):
+        for _ in range(3):
+            r, c = rng.randrange(1, keys.n), rng.randrange(1, keys.n_sq)
+            halves.ask(requests, 0, r, p, q)
+            halves.ask(requests, 1, c, p, q)
+            expected += [pow(r, p * q, p * p), pow(c, p - 1, p * p)]
+    halves.ask(requests, 1, keys.n + 1, keys.p, keys.q)
+    cut_short = requests.getvalue()[:-1]
+    replies = io.BytesIO()
+    halves.serve(io.BytesIO(cut_short), replies)
+    assert replies.getvalue().endswith(b"\n")
+    assert [int(line, 16) for line in replies.getvalue().splitlines()] == expected
+
+
 def python_argv(code, *args):
-    """A fresh interpreter that turns every DeprecationWarning into an
-    error, so that a deprecated call on the helper's path fails the test."""
-    return [sys.executable, "-W", "error::DeprecationWarning", "-c", code, *map(str, args)]
+    """A fresh interpreter in dev mode, which shows every ResourceWarning on
+    stderr, that turns every DeprecationWarning into an error, so that a
+    deprecated call or an unclosed resource on the helper's path fails the
+    test."""
+    return [sys.executable, "-X", "dev", "-W", "error::DeprecationWarning", "-c", code,
+            *map(str, args)]
 
 
 def python_env():
