@@ -23,7 +23,10 @@ base a, and is rejected at once if a^(n-1) mod f != 1. This is exact: a
 strong liar a of n has a^(n-1) = 1 mod n, so mod every factor of n, and the
 full loop would reject n at that base too. Otherwise the full probe runs on
 the same a. The table of about 23,000 primes is built on first use, so
-smaller keys never pay for it.
+smaller keys never pay for it. The sieved search probes two candidates at a
+time, and the 39 random rounds run as two halves of the bases: if the first
+of a pair passes, or a half fails, rng goes back to the state that the full
+loop has there, so the draws stay exact.
 
 A ciphertext is a plain int, a unit of Z_(n^2): every holder of one also
 holds its key, so the backend folds a share into the running one by a
@@ -40,14 +43,15 @@ it yields the same integer as pow(r, n, n^2), so every ciphertext, trace and
 view is the one the public-key formula gives.
 
 Each encryption and each decryption is thus two independent halves, one mod
-p^2 and one mod q^2 (ftagg.halves), joined by the same CRT step. For keys of
-_SPLIT_FROM_BITS = 1536 bits and more, where the process may run on two
-CPUs, the p-half runs in one helper process while the caller computes the
-q-half. The helper is a bare interpreter spawned at the first such call to
-run halves.py, so it shares no state with its caller. Smaller keys, where
-the split gained nothing in most processes measured, and every other case
-compute both halves in the caller. Either way the same half function runs
-on the same ints, so every result is the one the serial code gives. The
+p^2 and one mod q^2 (ftagg.halves), joined by the same CRT step, and keygen
+runs its probes in such pairs too. For keys of _SPLIT_FROM_BITS = 1536 bits
+and more, where the process may run on two CPUs, the first of each pair (the
+p-half) runs in one helper process while the caller computes the second.
+The helper is a bare interpreter spawned at the first such call, in the
+first large keygen, to run halves.py, so it shares no state with its caller.
+Smaller keys, where the split gained nothing in most processes measured, and
+every other case compute both in the caller. Either way the same function
+runs on the same ints, so every result is the one the serial code gives. The
 helper answers each line of hex ints on its stdin with one on its stdout.
 Its caller closes both pipes unflushed and waits for it at exit; a forked
 child drops it and may start its own. Any OSError or EOF from the helper
@@ -69,7 +73,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import halves
-from .halves import HALVES, ask
+from .halves import HALVES, ask, strong_probes
 from .model import Scenario, check_key_bits
 
 
@@ -102,19 +106,6 @@ def _wheel() -> bytes:
 _COPRIME_TO_WHEEL = _wheel()
 
 MR_ROUNDS = 40
-
-
-def _strong_probe(a: int, d: int, r: int, n: int) -> bool:
-    """One Miller-Rabin round: True iff n is a strong probable prime to base a,
-    with n - 1 = d * 2^r and d odd."""
-    x = pow(a, d, n)
-    if x in (1, n - 1):
-        return True
-    for _ in range(r - 1):
-        x = (x * x) % n
-        if x == n - 1:
-            return True
-    return False
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -189,29 +180,40 @@ def _draw_bases(n: int, count: int, rng: random.Random) -> None:
 
 def is_probable_prime(n: int, rng: random.Random, factor: int) -> bool:
     """Miller-Rabin with MR_ROUNDS random bases drawn from rng; factor is a
-    prime factor of n in (1000, 2^18], or 0 if none is known.
-
-    An n with such a factor is rejected right after its first draw unless
-    that base is a Fermat liar mod factor. Once n passes its first round,
-    Baillie-PSW decides it below 2^64. A proven prime would pass every later
-    round, so those bases are only drawn, which leaves the result and rng's
-    state as the full loop leaves them; a composite goes on with the full loop.
+    prime factor of n in (1000, 2^18], or 0 if none is known. Once n passes
+    its first round, Baillie-PSW decides it below 2^64: a proven prime's
+    later bases are only drawn, and a composite goes on with the full loop.
     """
     if n <= 1000:
         return n in _SMALL_PRIMES
-    if not _COPRIME_TO_WHEEL[n % _WHEEL] or math.gcd(n, _SMALL_PRIMORIAL) != 1:
+    a = _first_base(n, rng, factor)
+    if not a or not strong_probes(n, a):
         return False
-    a = rng.randrange(2, n - 1)
-    if factor and pow(a, n - 1, factor) != 1:
-        return False
-    r = ((n - 1) & (1 - n)).bit_length() - 1
-    d = (n - 1) >> r
-    if not _strong_probe(a, d, r, n):
-        return False
-    if n < 1 << 64 and _strong_probe(2, d, r, n) and _strong_lucas(n):
+    if n < 1 << 64 and strong_probes(n, 2) and _strong_lucas(n):
         _draw_bases(n, MR_ROUNDS - 1, rng)
         return True
-    return all(_strong_probe(rng.randrange(2, n - 1), d, r, n) for _ in range(MR_ROUNDS - 1))
+    return _confirmed(n, rng)
+
+
+def _first_base(n: int, rng: random.Random, factor: int) -> int:
+    """The base of n's first round, drawn from rng, or 0 if n is rejected by
+    the wheel or the gcd, before any draw, or as no Fermat liar mod factor."""
+    if not _COPRIME_TO_WHEEL[n % _WHEEL] or math.gcd(n, _SMALL_PRIMORIAL) != 1:
+        return 0
+    a = rng.randrange(2, n - 1)
+    return 0 if factor and pow(a, n - 1, factor) != 1 else a
+
+
+def _confirmed(n: int, rng: random.Random) -> bool:
+    """True iff n passes MR_ROUNDS - 1 more rounds, leaving rng as the plain
+    loop does: all bases are drawn at once and split between the sides of a
+    _pair, and on a failure rng goes back and the plain loop runs."""
+    state = rng.getstate()
+    bases = [rng.randrange(2, n - 1) for _ in range(MR_ROUNDS - 1)]
+    if all(_pair(_PROBES, 2 * n.bit_length(), (n, *bases[::2]), (n, *bases[1::2]))):
+        return True
+    rng.setstate(state)
+    return all(strong_probes(n, rng.randrange(2, n - 1)) for _ in range(MR_ROUNDS - 1))
 
 
 # Candidates of this many bits and more are sieved, a window of
@@ -246,14 +248,37 @@ def _window_factors(first: int) -> list[int]:
     return factors
 
 
-def _next_prime(start: int, rng: random.Random) -> int:
-    candidate = start | 1
+def _probe_candidates(candidate: int, rng: random.Random) -> Iterator[tuple[int, int, tuple]]:
+    """(n, a, state) for each odd n from candidate on that the sieve leaves
+    to a probe, in order: a its first base and state rng's state right after
+    drawing a. Each window is sieved as the search reaches it."""
     while True:
-        sieved = candidate.bit_length() >= _SIEVE_FROM_BITS
-        for factor in _window_factors(candidate) if sieved else itertools.repeat(0, _SIEVE_WINDOW):
-            if is_probable_prime(candidate, rng, factor):
-                return candidate
+        for factor in _window_factors(candidate):
+            if a := _first_base(candidate, rng, factor):
+                yield candidate, a, rng.getstate()
             candidate += 2
+
+
+def _next_prime(start: int, rng: random.Random) -> int:
+    """The first prime from start on; a sieved search probes in pairs."""
+    candidate = start | 1
+    if candidate.bit_length() < _SIEVE_FROM_BITS:
+        while not is_probable_prime(candidate, rng, 0):
+            candidate += 2
+        return candidate
+    while True:
+        probes = _probe_candidates(candidate, rng)
+        for (n, a, state), (m, b, _) in zip(probes, probes):
+            first, second = _pair(_PROBES, 2 * n.bit_length(), (n, a), (m, b))
+            if first or second:
+                break
+        if first:
+            rng.setstate(state)
+        else:
+            n = m
+        if _confirmed(n, rng):
+            return n
+        candidate = n + 2
 
 
 def _random_prime(bits: int, rng: random.Random) -> int:
@@ -328,7 +353,7 @@ def encrypt(keys: PaillierKeys, m: int, r: int) -> int:
     if not 1 <= r < n or math.gcd(r, n) != 1:
         raise ValueError("randomness must be a unit of Z_n")
     p_sq, q_sq = keys.p * keys.p, keys.q * keys.q
-    r_p, r_q = _both_halves(_RANDOMIZER, r, keys)
+    r_p, r_q = _pair(_RANDOMIZER, keys.bits, (r, keys.p, keys.q), (r, keys.q, keys.p))
     r_n = r_q + q_sq * ((r_p - r_q) * keys.q_sq_inv % p_sq)
     return (1 + m * n) * r_n % keys.n_sq
 
@@ -341,16 +366,16 @@ def decrypt_aggregate(keys: PaillierKeys, c: int) -> int:
     if not 0 <= c < n_sq or math.gcd(c, n_sq) != 1:
         raise ValueError("ciphertext value is not a unit of Z_{n^2}")
     p, q = keys.p, keys.q
-    c_p, c_q = _both_halves(_DECRYPT, c, keys)
+    c_p, c_q = _pair(_DECRYPT, keys.bits, (c, p, q), (c, q, p))
     a_p = (c_p - 1) // p * keys.hp % p
     a_q = (c_q - 1) // q * keys.hq % q
     return a_q + q * ((a_p - a_q) * keys.q_inv % p)
 
 
-_RANDOMIZER, _DECRYPT = 0, 1  # indexes into HALVES
+_RANDOMIZER, _DECRYPT, _PROBES = 0, 1, 2  # indexes into HALVES
 
-# Keys of this many bits and more run their p-halves in the helper process.
-# Below, the split gained nothing in most processes measured (README).
+# Keys of this many bits and more run one side of each _pair in the helper
+# process. Below, the split gained nothing in most processes measured (README).
 _SPLIT_FROM_BITS = 1536
 
 # The helper process: None until it starts, its Popen while it runs, and
@@ -359,16 +384,15 @@ _helper = None
 _lock = threading.Lock()  # one request at a time on the helper's pipes
 
 
-def _both_halves(kind: int, x: int, keys: PaillierKeys) -> tuple[int, int]:
-    """(half(x, p, q), half(x, q, p)) for half = HALVES[kind]: the first in
-    the helper, started on first use, while this process computes the
-    second. Both run here for a key below _SPLIT_FROM_BITS, with fewer than
-    two CPUs to run on, no interpreter to start (sys.executable empty or
-    None), a helper busy with another thread's request or one that failed in
-    this process."""
+def _pair(kind: int, bits: int, there: tuple, here: tuple) -> tuple[int, int]:
+    """(HALVES[kind](*there), HALVES[kind](*here)) for a key of bits bits:
+    the first in the helper, started on first use, while this process
+    computes the second. Both run here below _SPLIT_FROM_BITS, with fewer
+    than two CPUs, no interpreter to start (sys.executable empty or None),
+    or a helper busy with another thread's request or failed in this process."""
     global _helper
-    half, p, q = HALVES[kind], keys.p, keys.q
-    if (keys.bits >= _SPLIT_FROM_BITS and _helper is not False and sys.executable
+    half = HALVES[kind]
+    if (bits >= _SPLIT_FROM_BITS and _helper is not False and sys.executable
             and _cpus() >= 2 and _lock.acquire(blocking=False)):
         try:
             if _helper is None:
@@ -378,12 +402,12 @@ def _both_halves(kind: int, x: int, keys: PaillierKeys) -> tuple[int, int]:
                     [sys.executable, "-I", "-S", halves.__file__],
                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                 )
-            ask(_helper.stdin, kind, x, p, q)
-            h_q = half(x, q, p)
+            ask(_helper.stdin, kind, *there)
+            mine = half(*here)
             reply = _helper.stdout.readline()
             if not reply.endswith(b"\n"):
                 raise BrokenPipeError("the Paillier helper closed its pipe")
-            return int(reply, 16), h_q
+            return int(reply, 16), mine
         except BaseException as exc:
             # A request left unanswered, by an error or an interrupt, would
             # leave its reply to be read as the next one's.
@@ -392,7 +416,7 @@ def _both_halves(kind: int, x: int, keys: PaillierKeys) -> tuple[int, int]:
                 raise
         finally:
             _lock.release()
-    return half(x, p, q), half(x, q, p)
+    return half(*there), half(*here)
 
 
 def _cpus() -> int:

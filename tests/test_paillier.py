@@ -37,8 +37,9 @@ needs_two_cpus = pytest.mark.skipif(not TWO_CPUS, reason="the helper runs only o
 @pytest.fixture
 def helper_asks(monkeypatch):
     """The kind of each request this process sends to the Paillier helper:
-    0 for an encryption's half, 1 for a decryption's. Keys of 512 bits and
-    more are split, so that no test needs a 1536-bit keygen."""
+    0 for an encryption's half, 1 for a decryption's, 2 for keygen's probes.
+    Keys of 512 bits and more are split, so that no test needs a 1536-bit
+    keygen."""
     asks = []
     ask = paillier.ask
 
@@ -412,6 +413,7 @@ def _lambda_mu_decrypt(keys, c):
 def test_decrypt_matches_lambda_mu_formula(bits, samples, split, monkeypatch, helper_asks):
     if not split:
         monkeypatch.setattr(paillier, "_SPLIT_FROM_BITS", 1 << 62)
+    keygen.cache_clear()  # so that keygen's probes are asked for in every order of tests
     keys = keygen(bits, 2)
     rng = random.Random(bits)
     stream = randomness_stream(keys, bits, 0)
@@ -423,7 +425,7 @@ def test_decrypt_matches_lambda_mu_formula(bits, samples, split, monkeypatch, he
     for m in edge:
         acc = acc * encrypt(keys, m, next(stream)) % keys.n_sq
     assert decrypt_aggregate(keys, acc) == _lambda_mu_decrypt(keys, acc) == sum(edge) % keys.n
-    assert set(helper_asks) == ({0, 1} if split and bits >= 512 and TWO_CPUS else set())
+    assert set(helper_asks) == ({0, 1, 2} if split and bits >= 512 and TWO_CPUS else set())
 
 
 def test_miller_rabin_composite_passing_first_round_matches_reference():
@@ -483,10 +485,36 @@ def _assert_next_prime_matches_reference(start, fast, ref):
     assert fast.getstate() == ref.getstate()
 
 
+@pytest.fixture(params=[False, True], ids=["serial", "split"])
+def route_asks(request, monkeypatch, helper_asks):
+    """The route of the sieved search for primes, serial or split from
+    1024-bit keys, so that 512-bit candidates pair through the helper; the
+    set of helper_asks that the route must leave."""
+    monkeypatch.setattr(paillier, "_SPLIT_FROM_BITS", 1024 if request.param else 1 << 62)
+    return {2} if request.param and TWO_CPUS else set()
+
+
+@pytest.fixture
+def probe_pairs(monkeypatch):
+    """The (there, here) arguments of each pair of keygen's probes."""
+    pairs = []
+    pair = paillier._pair
+
+    def recorded(kind, bits, there, here):
+        if kind == paillier._PROBES:
+            pairs.append((there, here))
+        return pair(kind, bits, there, here)
+
+    monkeypatch.setattr(paillier, "_pair", recorded)
+    return pairs
+
+
 @pytest.mark.parametrize("bits, seed", [(512, 0), (512, 1), (512, 2), (1024, 0)])
-def test_sieved_next_prime_matches_reference_loop_draw_for_draw(bits, seed):
+def test_sieved_next_prime_matches_reference_loop_draw_for_draw(bits, seed, helper_asks,
+                                                                route_asks):
     start = random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
     _assert_next_prime_matches_reference(start, random.Random(seed), random.Random(seed))
+    assert set(helper_asks) == route_asks
 
 
 def _liar_candidate():
@@ -505,7 +533,8 @@ def _liar_candidate():
 
 
 @pytest.mark.parametrize("strong_liar", [True, False], ids=["strong-liar", "fermat-liar-mod-f"])
-def test_sieved_candidate_whose_first_base_lies_mod_its_factor_runs_the_full_probe(strong_liar):
+def test_sieved_candidate_whose_first_base_lies_mod_its_factor_runs_the_full_probe(
+        strong_liar, helper_asks, route_asks):
     # The window marks f at n. A first base that is 1 mod f passes the Fermat
     # check mod f, so the full probe must decide; as a strong liar of n, it
     # sends the probe on to the random rounds.
@@ -516,6 +545,84 @@ def test_sieved_candidate_whose_first_base_lies_mod_its_factor_runs_the_full_pro
     for seed in range(3):
         fast, ref = _FirstDrawFixed(a, seed), _FirstDrawFixed(a, seed)
         _assert_next_prime_matches_reference(n, fast, ref)
+    assert set(helper_asks) == route_asks
+
+
+class _FixedBases(random.Random):
+    """A Random whose first draws of a base for n, randrange(2, n - 1),
+    return the given bases; its state holds how many it has returned, so a
+    search that sets an earlier state gets them again."""
+
+    def __init__(self, seed, n, bases):
+        self.n, self.bases, self.given = n, bases, 0
+        super().__init__(seed)
+
+    def randrange(self, *args):
+        if args != (2, self.n - 1) or self.given == len(self.bases):
+            return super().randrange(*args)
+        self.given += 1
+        return self.bases[self.given - 1]
+
+    def getstate(self):
+        return super().getstate(), self.given
+
+    def setstate(self, state):
+        state, self.given = state
+        super().setstate(state)
+
+
+def _last_unsieved_below(n):
+    """The largest odd m < n with no prime factor up to 2^18: the search
+    probes it whatever its draws."""
+    primes = math.prod(sympy.primerange(1 << 18))
+    return next(m for m in range(n - 2, 0, -2) if math.gcd(m, primes) == 1)
+
+
+@pytest.mark.parametrize("case", ["first-of-a-pair", "second-of-a-pair", "confirmation-there",
+                                  "confirmation-here"])
+def test_a_strong_liar_anywhere_in_the_paired_search_keeps_the_reference_draws(
+        case, helper_asks, route_asks, probe_pairs):
+    # The liar candidate n passes its first base a; the confirmation cases
+    # give it a liar for every base on one side of the pair and the
+    # non-liar 2 for every base on the other, so one side passes whole.
+    n, _, a = _liar_candidate()
+    liars = [a, a * a % n]
+    assert mr(n, liars) and not mr(n, [2]) and len(set(liars) | {1, n - 1}) == 4
+    start = _last_unsieved_below(n) if case == "second-of-a-pair" else n
+    assert not sympy.isprime(start) and start > n - 50
+    bases = {"confirmation-there": [a] + [liars[1], 2] * 19 + [liars[1]],
+             "confirmation-here": [a] + [2, liars[1]] * 19 + [2]}.get(case, [a])
+    for seed in range(3):
+        probe_pairs.clear()
+        fast, ref = _FixedBases(seed, n, bases), _FixedBases(seed, n, bases)
+        _assert_next_prime_matches_reference(start, fast, ref)
+        search = [(there, here) for there, here in probe_pairs if len(there) == len(here) == 2]
+        if case == "first-of-a-pair":
+            assert (n, a) in [there for there, _ in search], seed
+        elif case == "second-of-a-pair":
+            assert (search[0][0][0], search[0][1]) == (start, (n, a)), seed
+        else:
+            assert ((n, *bases[1::2]), (n, *bases[2::2])) in probe_pairs, seed
+    assert set(helper_asks) == route_asks
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_split_keygen_equals_serial_keygen_draw_for_draw(seed, monkeypatch, helper_asks):
+    rngs = []
+    random_prime = paillier._random_prime
+
+    def recorded(bits, rng):
+        rngs.append(rng)
+        return random_prime(bits, rng)
+
+    monkeypatch.setattr(paillier, "_random_prime", recorded)
+    runs = []
+    for split_from in (1024, 1 << 62):
+        monkeypatch.setattr(paillier, "_SPLIT_FROM_BITS", split_from)
+        keygen.cache_clear()
+        runs.append((keygen(1024, seed), rngs[-1].getstate()))
+    assert runs[0] == runs[1]
+    assert set(helper_asks) == ({2} if TWO_CPUS else set())
 
 
 # Its next prime is 2140 past it, beyond the first window of 1024 odd candidates.
@@ -525,10 +632,11 @@ PAST_FIRST_WINDOW = int(
 )
 
 
-def test_sieved_next_prime_past_the_first_window_matches_reference():
+def test_sieved_next_prime_past_the_first_window_matches_reference(helper_asks, route_asks):
     assert PAST_FIRST_WINDOW.bit_length() == 512
     assert sympy.nextprime(PAST_FIRST_WINDOW) - PAST_FIRST_WINDOW == 2140 > 2 * 1024
     _assert_next_prime_matches_reference(PAST_FIRST_WINDOW, random.Random(7), random.Random(7))
+    assert set(helper_asks) == route_asks
 
 
 def test_small_keygen_leaves_the_sieve_table_unbuilt():
@@ -586,6 +694,7 @@ def test_randomizer_equals_plain_pow_for_every_unit(p, q):
 def test_randomizer_equals_plain_pow_on_stream_draws(bits, split, monkeypatch, helper_asks):
     if not split:
         monkeypatch.setattr(paillier, "_SPLIT_FROM_BITS", 1 << 62)
+    keygen.cache_clear()  # so that keygen's probes are asked for in every order of tests
     keys = keygen(bits, 13)
     n, n_sq = keys.n, keys.n_sq
     rng = random.Random(bits)
@@ -593,7 +702,7 @@ def test_randomizer_equals_plain_pow_on_stream_draws(bits, split, monkeypatch, h
     for _ in range(200):
         r, m = next(stream), rng.randrange(n)
         assert encrypt(keys, m, r) == (1 + m * n) * pow(r, n, n_sq) % n_sq
-    assert set(helper_asks) == ({0} if split and bits >= 512 and TWO_CPUS else set())
+    assert set(helper_asks) == ({0, 2} if split and bits >= 512 and TWO_CPUS else set())
 
 
 # --- The helper process that runs the p-halves of large keys. ---
@@ -612,12 +721,22 @@ def test_serve_answers_each_request_line_and_not_one_cut_short():
             halves.ask(requests, 0, r, p, q)
             halves.ask(requests, 1, c, p, q)
             expected += [pow(r, p * q, p * p), pow(c, p - 1, p * p)]
-    halves.ask(requests, 1, keys.n + 1, keys.p, keys.q)
-    cut_short = requests.getvalue()[:-1]
-    replies = io.BytesIO()
-    halves.serve(io.BytesIO(cut_short), replies)
-    assert replies.getvalue().endswith(b"\n")
-    assert [int(line, 16) for line in replies.getvalue().splitlines()] == expected
+    # keygen's probes, with one base and with twenty, of a prime and of
+    # PSI_12, a strong pseudoprime to the first 12 primes but not the 20.
+    for n in (keys.p, PSI_12):
+        for bases in ([2], list(sympy.primerange(72))):
+            assert len(bases) in (1, 20)
+            halves.ask(requests, 2, n, *bases)
+            expected.append(int(mr(n, bases)))
+    assert expected[-4:] == [1, 1, 1, 0]
+    for last in ((1, keys.n + 1, keys.p, keys.q), (2, keys.p, 2, 3)):
+        tail = io.BytesIO()
+        halves.ask(tail, *last)
+        cut_short = requests.getvalue() + tail.getvalue()[:-1]
+        replies = io.BytesIO()
+        halves.serve(io.BytesIO(cut_short), replies)
+        assert replies.getvalue().endswith(b"\n")
+        assert [int(line, 16) for line in replies.getvalue().splitlines()] == expected
 
 
 def python_argv(code, *args):
