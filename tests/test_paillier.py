@@ -485,13 +485,20 @@ def _assert_next_prime_matches_reference(start, fast, ref):
     assert fast.getstate() == ref.getstate()
 
 
-@pytest.fixture(params=[False, True], ids=["serial", "split"])
-def route_asks(request, monkeypatch, helper_asks):
-    """The route of the sieved search for primes, serial or split from
-    1024-bit keys, so that 512-bit candidates pair through the helper; the
-    set of helper_asks that the route must leave."""
-    monkeypatch.setattr(paillier, "_SPLIT_FROM_BITS", 1024 if request.param else 1 << 62)
-    return {2} if request.param and TWO_CPUS else set()
+def _route(monkeypatch, split):
+    """Sets the route of the sieved search for primes: serial, or split from
+    1024-bit keys, so that 512-bit candidates pair through the helper.
+    Returns the set of helper_asks that the route must leave."""
+    monkeypatch.setattr(paillier, "_SPLIT_FROM_BITS", 1024 if split else 1 << 62)
+    return {2} if split and TWO_CPUS else set()
+
+
+def _on_both_routes(names, cases, ids):
+    """Parametrizes a test over cases, each once serial, with its own id,
+    and once split, with "-split" after it."""
+    return pytest.mark.parametrize(
+        f"{names}, split", [(*c, split) for split in (False, True) for c in cases],
+        ids=[i + suffix for suffix in ("", "-split") for i in ids])
 
 
 @pytest.fixture
@@ -509,9 +516,11 @@ def probe_pairs(monkeypatch):
     return pairs
 
 
-@pytest.mark.parametrize("bits, seed", [(512, 0), (512, 1), (512, 2), (1024, 0)])
-def test_sieved_next_prime_matches_reference_loop_draw_for_draw(bits, seed, helper_asks,
-                                                                route_asks):
+@_on_both_routes("bits, seed", [(512, 0), (512, 1), (512, 2), (1024, 0)],
+                 ["512-0", "512-1", "512-2", "1024-0"])
+def test_sieved_next_prime_matches_reference_loop_draw_for_draw(bits, seed, split, monkeypatch,
+                                                                helper_asks):
+    route_asks = _route(monkeypatch, split)
     start = random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
     _assert_next_prime_matches_reference(start, random.Random(seed), random.Random(seed))
     assert set(helper_asks) == route_asks
@@ -532,9 +541,10 @@ def _liar_candidate():
     return n, f, (1 + f * ((x - 1) * pow(f, -1, P) % P)) % n
 
 
-@pytest.mark.parametrize("strong_liar", [True, False], ids=["strong-liar", "fermat-liar-mod-f"])
+@_on_both_routes("strong_liar", [(True,), (False,)], ["strong-liar", "fermat-liar-mod-f"])
 def test_sieved_candidate_whose_first_base_lies_mod_its_factor_runs_the_full_probe(
-        strong_liar, helper_asks, route_asks):
+        strong_liar, split, monkeypatch, helper_asks):
+    route_asks = _route(monkeypatch, split)
     # The window marks f at n. A first base that is 1 mod f passes the Fermat
     # check mod f, so the full probe must decide; as a strong liar of n, it
     # sends the probe on to the random rounds.
@@ -578,10 +588,13 @@ def _last_unsieved_below(n):
     return next(m for m in range(n - 2, 0, -2) if math.gcd(m, primes) == 1)
 
 
-@pytest.mark.parametrize("case", ["first-of-a-pair", "second-of-a-pair", "confirmation-there",
-                                  "confirmation-here"])
+CASES = ["first-of-a-pair", "second-of-a-pair", "confirmation-there", "confirmation-here"]
+
+
+@_on_both_routes("case", [(c,) for c in CASES], CASES)
 def test_a_strong_liar_anywhere_in_the_paired_search_keeps_the_reference_draws(
-        case, helper_asks, route_asks, probe_pairs):
+        case, split, monkeypatch, helper_asks, probe_pairs):
+    route_asks = _route(monkeypatch, split)
     # The liar candidate n passes its first base a; the confirmation cases
     # give it a liar for every base on one side of the pair and the
     # non-liar 2 for every base on the other, so one side passes whole.
@@ -632,11 +645,14 @@ PAST_FIRST_WINDOW = int(
 )
 
 
-def test_sieved_next_prime_past_the_first_window_matches_reference(helper_asks, route_asks):
+def test_sieved_next_prime_past_the_first_window_matches_reference(monkeypatch, helper_asks):
     assert PAST_FIRST_WINDOW.bit_length() == 512
     assert sympy.nextprime(PAST_FIRST_WINDOW) - PAST_FIRST_WINDOW == 2140 > 2 * 1024
-    _assert_next_prime_matches_reference(PAST_FIRST_WINDOW, random.Random(7), random.Random(7))
-    assert set(helper_asks) == route_asks
+    for split in (False, True):
+        route_asks = _route(monkeypatch, split)
+        helper_asks.clear()
+        _assert_next_prime_matches_reference(PAST_FIRST_WINDOW, random.Random(7), random.Random(7))
+        assert set(helper_asks) == route_asks, split
 
 
 def test_small_keygen_leaves_the_sieve_table_unbuilt():
