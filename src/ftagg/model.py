@@ -393,37 +393,52 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 @lru_cache(maxsize=64)
-def _name_order(width: int) -> tuple[tuple, tuple, tuple, itemgetter, dict]:
+def _name_order(width: int) -> tuple[tuple, tuple, tuple, tuple, itemgetter, dict]:
     """For parties 0..width-1: their names, the parties in name order, the
-    names in that order, a getter that takes a row's bit-string bytes in
-    that order (byte width-1-b of the string is bit b), and a table from
-    each name to its party, which callers only read. All are linear in
-    width. The getter needs width >= 2, as itemgetter of a single index
-    returns no tuple."""
+    names in that order, each party's rank in that order, a getter that
+    takes a row's bit-string bytes in that order (byte width-1-b of the
+    string is bit b), and a table from each name to its party, which callers
+    only read. All are linear in width. The getter needs width >= 2, as
+    itemgetter of a single index returns no tuple."""
     names = tuple(party_name(v) for v in range(width))
     by_name = tuple(sorted(range(width), key=names.__getitem__))
     sorted_names = tuple(names[v] for v in by_name)
+    rank = [0] * width
+    for r, v in enumerate(by_name):
+        rank[v] = r
     table = {name: v for v, name in enumerate(names)}
     getter = itemgetter(*(width - 1 - b for b in by_name))
-    return names, by_name, sorted_names, getter, table
+    return names, by_name, sorted_names, tuple(rank), getter, table
 
 
 def _edge_text(adj: Sequence[int]) -> str:
     """Compact JSON array of every link once as [lower-index name,
     higher-index name], sorted as name pairs. Joined as text from each
-    party's row of links to the parties above it, without a list per link."""
+    party's row of links to the parties above it, without a list per link.
+    A row with fewer than one link per 64 parties lists its set bits and
+    sorts them by rank; a denser row reorders its full-width bit string."""
     width = len(adj)
     if width < 2:
         return "[]"
-    names, by_name, sorted_names, in_name_order, _ = _name_order(width)
+    names, by_name, sorted_names, rank, in_name_order, _ = _name_order(width)
     bit_string = f"0{width}b"
     rows = []
     for a in by_name:
-        if adj[a]:
-            row = format(adj[a], bit_string).encode().translate(_BIT_BYTES)
-            head = '["' + names[a] + '","'
+        row = adj[a]
+        if not row:
+            continue
+        if row.bit_count() * 64 < width:
+            ranks = []
+            while row:
+                b = row.bit_length() - 1
+                ranks.append(rank[b])
+                row ^= 1 << b
+            bs = [sorted_names[r] for r in sorted(ranks)]
+        else:
+            row = format(row, bit_string).encode().translate(_BIT_BYTES)
             bs = compress(sorted_names, in_name_order(row))
-            rows.append(head + ('"],' + head).join(bs) + '"]')
+        head = '["' + names[a] + '","'
+        rows.append(head + ('"],' + head).join(bs) + '"]')
     return "[" + ",".join(rows) + "]"
 
 
@@ -574,17 +589,29 @@ def _link_rows(n_sm: int, raw: object, what: str) -> object:
     return raw
 
 
+# The exact text of the last `edges` value `_load_by_value` turned into rows,
+# and those rows, assigned together. A deployment's topology stays the same
+# from round to round, so its next round's text most often holds the same
+# array; only the working links change.
+_last_edges: tuple[str, _Rows] = ("", _Rows())
+
+
 def _load_by_value(text: str) -> Optional[dict]:
     """`load_json(text)` for a text whose top level is an object, parsed one
     top-level value at a time. Each link array becomes its rows once it and
     a plausible n_sm have both been read, so that its lists are freed before
-    the next value is parsed. None where the text holds anything this loop
+    the next value is parsed. An `edges` value that is the last one read
+    into rows is not decoded again: its kept rows stand once n_sm is known
+    and matches their length. None where the text holds anything this loop
     does not expect (another top level, a repeated top-level key, a bad
     separator, trailing data, or any error of the decoder); `load_json` then
     parses the whole text and raises exactly its own error."""
+    global _last_edges
+    last_text, last_rows = _last_edges
     d: dict = {}
     pending = []
     n_sm = None
+    edges_at = edges_end = 0
     try:
         i = _SKIP_SPACE(text).end()
         if text[i : i + 1] != "{":
@@ -597,7 +624,15 @@ def _load_by_value(text: str) -> Optional[dict]:
             i = _SKIP_SPACE(text, i).end()
             if text[i : i + 1] != ":":
                 return None
-            d[key], i = _DECODE(text, _SKIP_SPACE(text, i + 1).end())
+            j = _SKIP_SPACE(text, i + 1).end()
+            if key == "edges" and last_text and text.startswith(last_text, j):
+                # A JSON array ends at its own closing bracket, so the value
+                # at j is exactly that array.
+                d[key], i = last_rows, j + len(last_text)
+            else:
+                d[key], i = _DECODE(text, j)
+            if key == "edges":
+                edges_at, edges_end = j, i
             if key in ("edges", "working_edges"):
                 pending.append(key)
             # A valid scenario spends at least 8 characters per meter (its
@@ -607,12 +642,20 @@ def _load_by_value(text: str) -> Optional[dict]:
                 n_sm = d[key]
             if n_sm is not None:
                 for what in pending:
+                    if d[what] is last_rows:
+                        if len(last_rows) == n_sm + 1:
+                            continue
+                        d[what] = _DECODE(text, edges_at)[0]
                     d[what] = _link_rows(n_sm, d[what], what)
+                    if what == "edges" and type(d[what]) is _Rows:
+                        _last_edges = (text[edges_at:edges_end], d[what])
                 pending.clear()
             i = _SKIP_SPACE(text, i).end()
             sep = text[i : i + 1]
         if sep != "}" or _SKIP_SPACE(text, i + 1).end() != len(text):
             return None
+        if n_sm is None and d.get("edges") is last_rows:
+            d["edges"] = _DECODE(text, edges_at)[0]
     except (ValueError, RecursionError):
         return None
     return d
@@ -630,6 +673,11 @@ def scenario_from_json(text: str) -> Scenario:
 # other string there is a number key, a backend type or hex, so this one's
 # JSON text splits the output in three, edges first in key order.
 _EDGE_ARRAYS_HERE = "\0"
+
+
+# The text of the last topology written. Only the working links change from
+# round to round of one deployment.
+_topology_text = lru_cache(maxsize=1)(_edge_text)
 
 
 def scenario_to_json(s: Scenario) -> str:
@@ -652,7 +700,7 @@ def scenario_to_json(s: Scenario) -> str:
         d["prf_keys"] = {str(i): key.hex() for i, key in s.prf_keys.items()}
     text = json.dumps(d, sort_keys=True, separators=(",", ":"))
     head, middle, tail = text.split(json.dumps(_EDGE_ARRAYS_HERE))
-    return head + _edge_text(s.graph.edges) + middle + _edge_text(s.graph.working) + tail
+    return head + _topology_text(tuple(s.graph.edges)) + middle + _edge_text(s.graph.working) + tail
 
 
 def scenario_digest(s: Scenario) -> str:

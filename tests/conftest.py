@@ -63,23 +63,37 @@ def reference_digest(s: Scenario) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _scenario_or_error(parse, text):
+def parsed_or_error(parse, text):
     try:
         return parse(text)
     except Exception as exc:  # the error's type and message are the result
         return type(exc), str(exc)
 
 
+# No topology kept from an earlier read, as in a fresh process.
+NO_EDGES_KEPT = ("", model._Rows())
+
+
 def assert_parsed_alike(text: str) -> None:
     """`scenario_from_json` with every text read value by value gives what
     `scenario_from_dict(load_json(text))` gives: the same scenario, or an
-    error of the same type and message."""
-    with mock.patch.object(model, "_BY_VALUE_FROM_CHARS", 0):
-        by_value = _scenario_or_error(scenario_from_json, text)
-    whole = _scenario_or_error(lambda t: scenario_from_dict(load_json(t)), text)
-    assert by_value == whole, text[:2000]
-    if isinstance(by_value, Scenario):
-        assert type(by_value.graph.edges) is type(by_value.graph.working) is tuple
+    error of the same type and message. The text is read three times: cold,
+    with no topology kept; warm, with the `edges` the first read kept; and
+    with that array kept as the rows of one meter more, as a text of another
+    size with the same array would leave it."""
+    whole = parsed_or_error(lambda t: scenario_from_dict(load_json(t)), text)
+    with mock.patch.object(model, "_BY_VALUE_FROM_CHARS", 0), mock.patch.object(
+        model, "_last_edges", NO_EDGES_KEPT
+    ):
+        reads = [parsed_or_error(scenario_from_json, text)]
+        kept_text, kept_rows = model._last_edges
+        reads.append(parsed_or_error(scenario_from_json, text))
+        model._last_edges = (kept_text, model._Rows(kept_rows + (0,)))
+        reads.append(parsed_or_error(scenario_from_json, text))
+    for by_value in reads:
+        assert by_value == whole, text[:2000]
+        if isinstance(by_value, Scenario):
+            assert type(by_value.graph.edges) is type(by_value.graph.working) is tuple
 
 
 def make_scenario(

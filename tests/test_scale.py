@@ -13,9 +13,11 @@ with at least n_min contributors the protocol returns the same sum from the
 same contributors, so no round aggregates in the baseline alone. Full
 meshes with 30 % of their links off, with and without offline meters, run
 the same checks; they are built as JSON text, so that they also go through
-the value-by-value parse of large scenario files. A round on a 4000-meter
-ring stays within a fixed allocation per meter, since a handoff carries only
-the running share.
+the value-by-value parse of large scenario files. The digest is checked on a
+1000-meter ring, and on rows just either side of the bit count below which
+the writer lists a row's set bits instead of its full-width bit string. A
+round on a 4000-meter ring stays within a fixed allocation per meter, since
+a handoff carries only the running share.
 
 Run as a script for the wide draw: more seeds, up to 1000 meters on the
 sparse graphs and up to 600 on the meshes with links off.
@@ -170,6 +172,29 @@ def test_sparse_graphs_at_300_meters(backend, bound, chords, seed, p_fail):
     if p_fail == 0.0:
         assert aggregated
     assert (in_baseline is None) == (bound > 1 << 64)
+
+
+@pytest.mark.parametrize("chords", [0, 100], ids=["ring", "ring-with-chords"])
+def test_digest_of_a_1000_meter_ring(chords):
+    s = sparse_scenario(1000, chords, MaskingSpec(), 1 << 64, 8, 0.1)
+    assert scenario_digest(s) == reference_digest(s)
+
+
+@pytest.mark.parametrize("width", [128, 200, 401, 640])
+def test_digest_either_side_of_the_sparse_rows_threshold(width):
+    # A row with bits * 64 < width lists its set bits; one bit more and it
+    # takes the full-width bit string. Rows of both kinds from parties
+    # whose names sort apart from their indices (SM10 < SM9).
+    k = (width - 1) // 64
+    assert k * 64 < width <= (k + 1) * 64
+    n = width - 1
+    rng = random.Random(width)
+    edges = [(DC, i) for i in range(1, n + 1)]
+    for a, bits in ((1, k), (9, k), (10, k + 1), (100, k), (101, k + 1), (n - k - 2, k + 1)):
+        edges += [(a, b) for b in rng.sample(range(a + 1, n + 1), bits)]
+    s = make_scenario(n, edges=edges, working=edges[::2])
+    assert {k, k + 1} <= {row.bit_count() for row in s.graph.edges}
+    assert scenario_digest(s) == reference_digest(s)
 
 
 def test_round_memory_is_linear_in_n():

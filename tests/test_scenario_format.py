@@ -17,7 +17,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from conftest import assert_parsed_alike, reference_digest
+from conftest import NO_EDGES_KEPT, assert_parsed_alike, parsed_or_error, reference_digest
 from ftagg import model
 from ftagg.model import (
     FailureGraph,
@@ -391,3 +391,124 @@ def test_value_by_value_parse_holds_one_link_array():
                 tracemalloc.stop()
 
     assert peak(scenario_from_json) <= 0.6 * peak(lambda t: scenario_from_dict(load_json(t)))
+
+
+def mesh_round(n: int, t: int, order: str = "n_sm-first", **changes) -> str:
+    """The text of round t of one full-mesh deployment over DC and n meters:
+    the same `edges` every round, about a tenth of the links off, and new
+    measurements."""
+    rng = random.Random(t)
+    links = [list(pair) for pair in itertools.combinations(map(party_name, range(n + 1)), 2)]
+    doc = {
+        "n_sm": n,
+        "edges": links,
+        "working_edges": [link for link in links if rng.random() >= 0.1],
+        "sending_list": list(range(1, n + 1)),
+        "n_min": n // 2,
+        "round": t,
+        "measurements": {str(i): rng.randrange(1000) for i in range(1, n + 1)},
+    }
+    return text_of(order, **(doc | changes))
+
+
+def whole(text: str):
+    return parsed_or_error(lambda t: scenario_from_dict(load_json(t)), text)
+
+
+@pytest.fixture
+def first_round(monkeypatch):
+    """Reads round 1 of a 100-meter deployment in n_sm-first order from no
+    kept topology, and returns what it kept; the entry is dropped after the
+    test."""
+    monkeypatch.setattr(model, "_last_edges", NO_EDGES_KEPT)
+    text = mesh_round(100, 1)
+    assert scenario_from_json(text) == whole(text)
+    kept = model._last_edges
+    assert kept[0] == json.dumps(json.loads(text)["edges"])
+    return kept
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_a_later_round_takes_its_rows_from_the_kept_edges(first_round, order):
+    text = mesh_round(100, 2, order)
+    assert len(text) >= model._BY_VALUE_FROM_CHARS
+    s = scenario_from_json(text)
+    assert model._last_edges is first_round  # a hit keeps the entry as it is
+    assert s == whole(text)
+    assert s.graph.working != whole(mesh_round(100, 1)).graph.working
+    assert type(s.graph.edges) is tuple
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("n_sm", [99, 101])
+def test_the_kept_edges_under_another_n_sm(first_round, n_sm, order):
+    # At 101 meters the same array gives 102 rows, so it is decoded again;
+    # at 99 it names SM100, outside the parties, and both reads refuse it.
+    meters = range(1, n_sm + 1)
+    text = mesh_round(
+        100, 2, order,
+        n_sm=n_sm, sending_list=list(meters), measurements={str(i): i for i in meters},
+    )
+    expected = whole(text)
+    assert parsed_or_error(scenario_from_json, text) == expected
+    if n_sm == 101:
+        assert isinstance(expected, Scenario)
+        assert model._last_edges[1] == first_round[1] + (0,)
+    else:
+        assert expected == (ScenarioError, "edges names 'SM100', not one of DC, SM1..SM99")
+        assert model._last_edges is first_round
+
+
+def test_the_kept_edges_beside_an_n_sm_no_valid_text_could_have(first_round):
+    # Above len(text) // 8 the loop leaves the arrays as read, so the kept
+    # text is decoded again; its 101 rows would not be the whole read's.
+    n_sm = 40_000
+    text = mesh_round(100, 2, n_sm=n_sm, sending_list=[1] * n_sm)
+    assert n_sm > len(text) // 8
+    assert scenario_from_json(text) == whole(text)
+    assert model._last_edges is first_round
+
+
+def test_the_kept_edges_plus_one_link_miss(monkeypatch):
+    monkeypatch.setattr(model, "_last_edges", NO_EDGES_KEPT)
+    links = json.loads(mesh_round(100, 1))["edges"]
+    scenario_from_json(mesh_round(100, 1, edges=links[:-1], working_edges=[]))
+    kept = model._last_edges
+    text = mesh_round(100, 2)
+    assert text.startswith(kept[0][:-1], text.index("[["))
+    assert scenario_from_json(text) == whole(text)
+    assert model._last_edges is not kept
+    assert model._last_edges[0] == json.dumps(links)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"seed": "11"},
+        {"n_min": True},
+        {"n_sm": None},
+        {"n_sm": 0},
+        {"sending_list": [1, 2]},
+        {"measurements": {"01": 5}},
+        {"working_edges": [["DC", "SM101"]]},
+        {"backend": {"type": "masking", "k_bit": 64}},
+        {"prf_keys": {"1": "zz"}},
+        {"sm_onlne": {}},
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("order", ORDERS)
+def test_an_invalid_field_beside_the_kept_edges(first_round, order, changes):
+    text = mesh_round(100, 2, order, **changes)
+    error = whole(text)
+    assert type(error) is tuple and error[0] is ScenarioError
+    assert parsed_or_error(scenario_from_json, text) == error
+    assert model._last_edges is first_round
+
+
+@pytest.mark.parametrize("tail", [" x", ', "seed": 12}', "]"])
+def test_a_malformed_text_around_the_kept_edges(first_round, tail):
+    text = mesh_round(100, 2)[:-1] + tail
+    error = whole(text)
+    assert type(error) is tuple and error[0] in (ScenarioError, json.JSONDecodeError)
+    assert parsed_or_error(scenario_from_json, text) == error

@@ -13,7 +13,8 @@ key, value and link the file gave it. Every game config must exit 0 or 2,
 never with a traceback. A file with a key that no scenario, backend or game
 config knows must exit 2. Every mutated scenario, written with n_sm before,
 between or after the link arrays, parses value by value to what `load_json`
-gives for the whole text: the same scenario or the same error.
+gives for the whole text: the same scenario or the same error, both with no
+topology kept and again with the `edges` that first read kept.
 
 Run as a script, each fuzz test draws ten times its Tier-1 examples:
 
