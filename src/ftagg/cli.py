@@ -1,7 +1,7 @@
 """Command line front end.
 
-Three subcommands: ``run`` executes one aggregation round from a scenario
-file, ``baseline`` races the retry-chain protocol against the fault-tolerant
+Three subcommands: ``run`` executes an aggregation round from each scenario
+file in turn, ``baseline`` races the retry-chain protocol against the fault-tolerant
 one on the same scenario, and ``game`` estimates an unlinkability win rate
 from a small config file. Reports are JSON on stdout; errors go to stderr
 with exit code 2 for bad input and 3 for filesystem trouble.
@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def scenario_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("path", help="scenario JSON file")
         p.add_argument(
             "--backend",
             choices=list(SPECS),
@@ -58,12 +57,19 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--pretty", action="store_true", help="indent the report")
 
-    run_p = sub.add_parser("run", help="run one aggregation round")
+    run_p = sub.add_parser("run", help="run an aggregation round from each file in turn")
+    run_p.add_argument(
+        "paths",
+        nargs="+",
+        metavar="path",
+        help="scenario JSON file; several are the rounds of one process, a report each",
+    )
     scenario_args(run_p)
 
     base_p = sub.add_parser(
         "baseline", help="run the retry-chain protocol beside the fault-tolerant one"
     )
+    base_p.add_argument("path", help="scenario JSON file")
     scenario_args(base_p)
 
     game_p = sub.add_parser(
@@ -185,29 +191,35 @@ def _cmd_game(args: argparse.Namespace) -> dict:
     return asdict(empirical_unlinkability(family, trials, seed, strategy=strategy, n_sm=n_sm))
 
 
+COMMANDS = {"run": _cmd_run, "baseline": _cmd_baseline, "game": _cmd_game}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            report = _cmd_run(args)
-        elif args.command == "baseline":
-            report = _cmd_baseline(args)
-        else:
-            report = _cmd_game(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON in {args.path}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except RecursionError:
-        # json's decoder recurses once per nesting level of arrays and objects.
-        print(f"error: invalid JSON in {args.path}: nested too deeply", file=sys.stderr)
-        return EXIT_INVALID
-    except (ScenarioError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(json.dumps(report, indent=2 if args.pretty else None, sort_keys=True))
+    """Runs the command once per file, printing each report as it comes; the
+    first file that fails ends the run with its exit code."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    paths = args.paths if args.command == "run" else [args.path]
+    if len(paths) > 1 and args.trace_out is not None:
+        parser.error("--trace-out writes one round's trace; give one scenario file")
+    for path in paths:
+        args.path = path
+        try:
+            report = COMMANDS[args.command](args)
+        except json.JSONDecodeError as exc:
+            print(f"error: invalid JSON in {args.path}: {exc}", file=sys.stderr)
+            return EXIT_INVALID
+        except RecursionError:
+            # json's decoder recurses once per nesting level of arrays and objects.
+            print(f"error: invalid JSON in {args.path}: nested too deeply", file=sys.stderr)
+            return EXIT_INVALID
+        except (ScenarioError, KeyError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        print(json.dumps(report, indent=2 if args.pretty else None, sort_keys=True))
     return EXIT_OK
 
 

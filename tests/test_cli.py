@@ -5,8 +5,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import NO_EDGES_KEPT
+from ftagg import model
 from ftagg.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from ftagg.game import MAX_GAME_N_SM, MAX_GAME_WORK
+from test_scenario_format import mesh_round
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SRC = SCENARIOS.parent / "src"
@@ -252,6 +255,59 @@ def test_invalid_scenario_exits_two(capsys, tmp_path):
 def test_missing_file_exits_three(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", str(tmp_path / "absent.json"))
     assert code == EXIT_IO
+
+
+def test_run_prints_a_report_per_file_in_turn(capsys):
+    paths = [str(SCENARIOS / f"{name}.json") for name in ("ring4", "paillier_mesh4", "ring4")]
+    alone = [run_cli(capsys, "run", path, "--seed", "5") for path in paths]
+    assert run_cli(capsys, "run", *paths, "--seed", "5") == (
+        EXIT_OK, "".join(out for _, out, _ in alone), ""
+    )
+
+
+def test_run_stops_at_the_first_file_that_fails(capsys, tmp_path):
+    ring4 = str(SCENARIOS / "ring4.json")
+    _, first, _ = run_cli(capsys, "run", ring4)
+    code, out, err = run_cli(capsys, "run", ring4, str(tmp_path / "absent.json"), ring4)
+    assert (code, out) == (EXIT_IO, first)
+    assert "absent.json" in err
+
+
+def test_trace_out_takes_one_scenario_file(capsys, tmp_path):
+    ring4 = str(SCENARIOS / "ring4.json")
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", ring4, ring4, "--trace-out", str(tmp_path / "trace.jsonl")])
+    assert exit_.value.code == EXIT_INVALID
+    assert "one scenario file" in capsys.readouterr().err
+    assert not (tmp_path / "trace.jsonl").exists()
+
+
+def test_a_later_round_in_one_run_takes_the_topology_the_first_kept(
+    capsys, tmp_path, monkeypatch
+):
+    # Two rounds of one 100-meter deployment, large enough to be read value
+    # by value: in one run, only the first turns its `edges` into rows.
+    paths = []
+    for t in (1, 2):
+        paths.append(tmp_path / f"round{t}.json")
+        paths[-1].write_text(mesh_round(100, t))
+    alone = []
+    for path in paths:
+        monkeypatch.setattr(model, "_last_edges", NO_EDGES_KEPT)
+        alone.append(run_cli(capsys, "run", str(path)))
+    monkeypatch.setattr(model, "_last_edges", NO_EDGES_KEPT)
+    read = []
+    link_rows = model._link_rows
+
+    def reading(n_sm, raw, what):
+        read.append(what)
+        return link_rows(n_sm, raw, what)
+
+    monkeypatch.setattr(model, "_link_rows", reading)
+    code, out, _ = run_cli(capsys, "run", *map(str, paths))
+    assert (code, out) == (EXIT_OK, alone[0][1] + alone[1][1])
+    assert alone[0][1] != alone[1][1]
+    assert read == ["edges", "working_edges", "working_edges"]
 
 
 def write_scenario(tmp_path, **changes):

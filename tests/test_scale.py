@@ -182,11 +182,11 @@ def test_digest_of_a_1000_meter_ring(chords):
 
 @pytest.mark.parametrize("width", [128, 200, 401, 640])
 def test_digest_either_side_of_the_sparse_rows_threshold(width):
-    # A row with bits * 64 < width lists its set bits; one bit more and it
+    # A row with bits * 16 < width lists its set bits; one bit more and it
     # takes the full-width bit string. Rows of both kinds from parties
     # whose names sort apart from their indices (SM10 < SM9).
-    k = (width - 1) // 64
-    assert k * 64 < width <= (k + 1) * 64
+    k = (width - 1) // 16
+    assert k * 16 < width <= (k + 1) * 16
     n = width - 1
     rng = random.Random(width)
     edges = [(DC, i) for i in range(1, n + 1)]
