@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
-from typing import Container, Iterable, Mapping, Optional, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class ScenarioError(ValueError):
@@ -52,12 +52,13 @@ class FailureGraph:
         )
 
 
-def _adjacency(n_sm: int, pairs: Iterable, what: str) -> tuple[int, ...]:
-    """The rows of the links in `pairs`, named as parties 0..n_sm, in one
-    pass: each link's higher bit goes into its lower party's row. A
-    self-loop sets its party's own bit, which `validate_scenario` rejects."""
+def _adjacency(adj: list, pairs: Iterable, what: str) -> list:
+    """`adj`, the rows of parties 0..len(adj)-1, with the links in `pairs`
+    added in one pass: each link's higher bit goes into its lower party's
+    row. A self-loop sets its party's own bit, which `validate_scenario`
+    rejects."""
+    n_sm = len(adj) - 1
     table = _name_order(n_sm + 1)[-1]
-    adj = [0] * (n_sm + 1)
     try:
         for a, b in pairs:
             va, vb = table[a], table[b]
@@ -71,7 +72,7 @@ def _adjacency(n_sm: int, pairs: Iterable, what: str) -> tuple[int, ...]:
         ) from None
     except (TypeError, ValueError):
         raise ScenarioError(f"{what} entries must be arrays of two party names") from None
-    return tuple(adj)
+    return adj
 
 
 def full_mesh(n_sm: int) -> FailureGraph:
@@ -100,7 +101,7 @@ def graph_from_names(n_sm: int, edges: Sequence, working: Sequence) -> FailureGr
             raise ScenarioError(f"{what} must be an array of [name, name] pairs")
     return FailureGraph(
         *(
-            tuple(raw) if isinstance(raw, _Rows) else _adjacency(n_sm, raw, what)
+            tuple(raw if isinstance(raw, _Rows) else _adjacency([0] * (n_sm + 1), raw, what))
             for raw, what in arrays
         )
     )
@@ -408,21 +409,22 @@ def _name_order(width: int) -> tuple[tuple, tuple, tuple, itemgetter, dict]:
     return names, by_name, sorted_names, getter, table
 
 
-def _edge_text(adj: Sequence[int]) -> str:
+def _edge_pieces(adj: Sequence[int]) -> Iterator[str]:
     """Compact JSON array of every link once as [lower-index name,
-    higher-index name], sorted as name pairs. Joined as text from each
-    party's row of links to the parties above it, without a list per link.
-    A row with fewer than one link per 16 parties lists and sorts the names
-    of its set bits; a denser row reorders its full-width bit string. Per
-    row, the listing took 0.4-0.7 times the bit string's time at one link
-    per 16 parties, and broke even between one per 8 (4000 and 8000
-    parties) and one per 5 (401 and 1000 parties)."""
+    higher-index name], sorted as name pairs, as consecutive pieces of text:
+    one per party's row of links to the parties above it, without a list
+    per link. A row with fewer than one link per 16 parties lists and sorts
+    the names of its set bits; a denser row reorders its full-width bit
+    string. Per row, the listing took 0.4-0.7 times the bit string's time at
+    one link per 16 parties, and broke even between one per 8 (4000 and
+    8000 parties) and one per 5 (401 and 1000 parties)."""
     width = len(adj)
     if width < 2:
-        return "[]"
+        yield "[]"
+        return
     names, by_name, sorted_names, in_name_order, _ = _name_order(width)
     bit_string = f"0{width}b"
-    rows = []
+    opening = "["
     for a in by_name:
         row = adj[a]
         if not row:
@@ -438,8 +440,9 @@ def _edge_text(adj: Sequence[int]) -> str:
             row = format(row, bit_string).encode().translate(_BIT_BYTES)
             bs = compress(sorted_names, in_name_order(row))
         head = '["' + names[a] + '","'
-        rows.append(head + ('"],' + head).join(bs) + '"]')
-    return "[" + ",".join(rows) + "]"
+        yield opening + head + ('"],' + head).join(bs) + '"]'
+        opening = ","
+    yield "[]" if opening == "[" else "]"
 
 
 def check_keys(d: dict, known: Container[str], what: str) -> None:
@@ -578,15 +581,63 @@ _DECODE = json.JSONDecoder(object_pairs_hook=_unique_keys).raw_decode
 _SKIP_SPACE = json.decoder.WHITESPACE.match
 
 
-def _link_rows(n_sm: int, raw: object, what: str) -> object:
-    """raw as `_Rows` where it is a valid link array over parties 0..n_sm,
-    else raw itself, so that `graph_from_names` raises its error in turn."""
-    if _is_pair_array(raw):
+def _link_rows(n_sm: int, slices: Iterable, what: str) -> Optional[_Rows]:
+    """The rows over parties 0..n_sm of the link array made of `slices`, its
+    consecutive parts, or None where a part is not an array of arrays or
+    names anything but a party. Rows are filled part by part, so no part's
+    lists outlive it."""
+    adj = [0] * (n_sm + 1)
+    try:
+        for pairs in slices:
+            if not _is_pair_array(pairs):
+                return None
+            _adjacency(adj, pairs, what)
+    except ScenarioError:
+        return None
+    return _Rows(adj)
+
+
+def _slices(text: str, at: int, end: list) -> Iterator[object]:
+    """The link array whose "[" is text[at], decoded a slice at a time. A
+    slice ends at the first "]," at least `_BY_VALUE_FROM_CHARS` characters
+    after its start and is decoded as "[" + slice + "]". Every slice starts
+    at an element boundary, so its decode goes as the whole array's would
+    from there: a cut inside a string or a nested entry leaves it
+    unterminated or unbalanced, and a decode that stops before the added "]"
+    has met the array's own. Sets end[0] to the index after the array, or
+    yields None (no array of arrays) at any other outcome, such as a trailing
+    comma, which reads as an empty last slice."""
+    start = at + 1
+    while True:
+        cut = text.find("],", start + _BY_VALUE_FROM_CHARS)
+        part = "[" + text[start : cut + 1 if cut >= 0 else len(text)] + "]"
         try:
-            return _Rows(_adjacency(n_sm, raw, what))
-        except ScenarioError:
-            pass
-    return raw
+            pairs, stop = _DECODE(part)
+        except (ValueError, RecursionError):
+            yield None
+            return
+        if stop < len(part):
+            end[0] = start + stop - 1
+            yield pairs if pairs or start == at + 1 else None
+            return
+        if cut < 0:
+            yield None
+            return
+        yield pairs
+        start = cut + 2
+
+
+def _read_links(text: str, at: int, n_sm: int, what: str) -> tuple[object, int]:
+    """The link array at text[at] as `_Rows`, read a slice at a time, and the
+    index after it. Where the slices give no rows, the array is decoded
+    whole as before and returned as read, so that `graph_from_names` makes
+    its rows or raises its error in turn."""
+    end = [at]
+    if text.startswith("[", at):
+        rows = _link_rows(n_sm, _slices(text, at, end), what)
+        if rows is not None:
+            return rows, end[0]
+    return _DECODE(text, at)
 
 
 # The exact text of the last `edges` value `_load_by_value` turned into rows,
@@ -598,14 +649,15 @@ _last_edges: tuple[str, _Rows] = ("", _Rows())
 
 def _load_by_value(text: str) -> Optional[dict]:
     """`load_json(text)` for a text whose top level is an object, parsed one
-    top-level value at a time. Each link array becomes its rows once it and
-    a plausible n_sm have both been read, so that its lists are freed before
-    the next value is parsed. An `edges` value that is the last one read
-    into rows is not decoded again: its kept rows stand once n_sm is known
-    and matches their length. None where the text holds anything this loop
-    does not expect (another top level, a repeated top-level key, a bad
-    separator, trailing data, or any error of the decoder); `load_json` then
-    parses the whole text and raises exactly its own error."""
+    top-level value at a time. A link array read once a plausible n_sm is
+    known becomes its rows a slice at a time (`_slices`); one read before is
+    decoded whole and becomes its rows once n_sm is read, before the next
+    value is parsed. An `edges` value that is the last one read into rows
+    is not decoded again: its kept rows stand once n_sm is known and matches
+    their length. None where the text holds anything this loop does not
+    expect (another top level, a repeated top-level key, a bad separator,
+    trailing data, or any error of the decoder); `load_json` then parses the
+    whole text and raises exactly its own error."""
     global _last_edges
     last_text, last_rows = _last_edges
     d: dict = {}
@@ -625,15 +677,18 @@ def _load_by_value(text: str) -> Optional[dict]:
             if text[i : i + 1] != ":":
                 return None
             j = _SKIP_SPACE(text, i + 1).end()
+            links = key in ("edges", "working_edges")
             if key == "edges" and last_text and text.startswith(last_text, j):
                 # A JSON array ends at its own closing bracket, so the value
                 # at j is exactly that array.
                 d[key], i = last_rows, j + len(last_text)
+            elif links and n_sm is not None:
+                d[key], i = _read_links(text, j, n_sm, key)
             else:
                 d[key], i = _DECODE(text, j)
             if key == "edges":
                 edges_at, edges_end = j, i
-            if key in ("edges", "working_edges"):
+            if links:
                 pending.append(key)
             # A valid scenario spends at least 8 characters per meter (its
             # sending-list entry and its measurement), so no larger n_sm, which
@@ -642,13 +697,17 @@ def _load_by_value(text: str) -> Optional[dict]:
                 n_sm = d[key]
             if n_sm is not None:
                 for what in pending:
-                    if d[what] is last_rows:
-                        if len(last_rows) == n_sm + 1:
+                    value = d[what]
+                    if value is last_rows:
+                        if len(value) == n_sm + 1:
                             continue
-                        d[what] = _DECODE(text, edges_at)[0]
-                    d[what] = _link_rows(n_sm, d[what], what)
-                    if what == "edges" and type(d[what]) is _Rows:
-                        _last_edges = (text[edges_at:edges_end], d[what])
+                        value = _read_links(text, edges_at, n_sm, what)[0]
+                    elif type(value) is not _Rows:
+                        rows = _link_rows(n_sm, (value,), what)
+                        value = value if rows is None else rows
+                    d[what] = value
+                    if what == "edges" and type(value) is _Rows:
+                        _last_edges = (text[edges_at:edges_end], value)
                 pending.clear()
             i = _SKIP_SPACE(text, i).end()
             sep = text[i : i + 1]
@@ -669,20 +728,15 @@ def scenario_from_json(text: str) -> Scenario:
         return scenario_from_dict(load_json(text) if d is None else d)
 
 
-# Stands in for both edge arrays in `scenario_to_json`'s json.dumps. Every
+# Stands in for both edge arrays in `_text_around_links`'s json.dumps. Every
 # other string there is a number key, a backend type or hex, so this one's
 # JSON text splits the output in three, edges first in key order.
 _EDGE_ARRAYS_HERE = "\0"
 
 
-# The text of the last topology written. Only the working links change from
-# round to round of one deployment.
-_topology_text = lru_cache(maxsize=1)(_edge_text)
-
-
-def scenario_to_json(s: Scenario) -> str:
-    """The canonical scenario text: compact, key-sorted JSON that
-    `scenario_from_json` reads back to the same scenario."""
+def _text_around_links(s: Scenario) -> list[str]:
+    """The canonical text of `s` without its two link arrays: the parts
+    before `edges`' array, between it and `working_edges`', and after."""
     d = {
         "edges": _EDGE_ARRAYS_HERE,
         "working_edges": _EDGE_ARRAYS_HERE,
@@ -699,10 +753,36 @@ def scenario_to_json(s: Scenario) -> str:
     if s.prf_keys is not None:
         d["prf_keys"] = {str(i): key.hex() for i, key in s.prf_keys.items()}
     text = json.dumps(d, sort_keys=True, separators=(",", ":"))
-    head, middle, tail = text.split(json.dumps(_EDGE_ARRAYS_HERE))
-    return head + _topology_text(tuple(s.graph.edges)) + middle + _edge_text(s.graph.working) + tail
+    return text.split(json.dumps(_EDGE_ARRAYS_HERE))
+
+
+def scenario_to_json(s: Scenario) -> str:
+    """The canonical scenario text: compact, key-sorted JSON that
+    `scenario_from_json` reads back to the same scenario."""
+    head, middle, tail = _text_around_links(s)
+    return "".join(
+        [head, *_edge_pieces(s.graph.edges), middle, *_edge_pieces(s.graph.working), tail]
+    )
+
+
+@lru_cache(maxsize=1)
+def _hash_through_edges(head: str, edges: tuple[int, ...]):
+    """The SHA-256 state of a canonical text through its `edges` array. Kept
+    for the last topology, which only the working links change from round to
+    round of one deployment; callers hash on from a copy."""
+    h = hashlib.sha256(head.encode())
+    for piece in _edge_pieces(edges):
+        h.update(piece.encode())
+    return h
 
 
 def scenario_digest(s: Scenario) -> str:
-    """Stable content hash used to key reports to their scenario."""
-    return hashlib.sha256(scenario_to_json(s).encode()).hexdigest()
+    """Stable content hash used to key reports to their scenario: the SHA-256
+    of `scenario_to_json(s)`, hashed piece by piece without building it."""
+    head, middle, tail = _text_around_links(s)
+    h = _hash_through_edges(head, tuple(s.graph.edges)).copy()
+    h.update(middle.encode())
+    for piece in _edge_pieces(s.graph.working):
+        h.update(piece.encode())
+    h.update(tail.encode())
+    return h.hexdigest()

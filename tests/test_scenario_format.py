@@ -2,9 +2,10 @@
 built in the tests from the `Scenario` alone, `graph_from_names` against
 `FailureGraph.build`, the exact error of each malformed edge entry, and the
 value-by-value parse of large texts against `load_json`'s whole-text parse:
-the same scenario or error on every shipped file and crafted text, in at
-most 0.6 times the memory on a 300-meter mesh, and in memory linear in n_sm
-before any link is read.
+the same scenario or error on every shipped file and crafted text (each
+link array cut into slices at every "],"), in at most 0.2 times the memory
+on a 300-meter mesh, and in memory linear in n_sm before any link is read;
+and the digest of that mesh in less memory than its canonical text.
 
 Graphs go up to 150 meters so that names sort as SM1 < SM10 < SM100 < SM11,
 which is not index order.
@@ -285,6 +286,12 @@ def test_name_table_is_linear_in_n_sm(n_sm, by_value):
     assert str(info.value) == "meter 1 appears twice in the sending list"
 
 
+def compact(text: str) -> str:
+    """text without whitespace between its tokens, so that each link array
+    is followed by "]," where it is not the last value."""
+    return json.dumps(json.loads(text), separators=(",", ":"))
+
+
 def duplicated(text: str, key: str, value: str) -> str:
     """text with `"key": value` added again at the top level."""
     return text[:-1] + f', "{key}": {value}}}'
@@ -359,6 +366,34 @@ CRAFTED = {
     "unknown-name-and-bad-sending-list": text_of(edges=[["DC", "SM9"]], sending_list=[1, 2]),
     "ones-30000-meters": ones_text(30_000),
     "ones-60000-meters": ones_text(60_000),
+    # With every "]," a cut (see `assert_parsed_alike`), cuts that fall
+    # where no slice ends: inside a name, inside a nested entry, at the
+    # array's own "]" and after "] ,"; a slice that decodes but is no run of
+    # pairs; and a text or array that ends after a whole entry.
+    **{f"compact-{order}": compact(text_of(order)) for order in ORDERS},
+    "cut-inside-a-name": text_of(edges=[["DC", "SM1"], ["DC", "S],M1"], ["SM1", "SM2"]]),
+    "cut-inside-a-name-in-working-edges": text_of(
+        "canonical", working_edges=[["DC", "SM1"], ["S],M1", "SM2"]]
+    ),
+    "cut-inside-a-nested-entry": text_of(edges=[["DC", "SM1"], ["DC", ["SM1"], "SM2"]]),
+    "cut-inside-a-nested-entry-in-working-edges": text_of(
+        "canonical", working_edges=[["DC", ["SM1"], "SM2"], ["SM1", "SM2"]]
+    ),
+    "space-before-every-comma": text_of().replace("], [", "] , ["),
+    "space-before-comma-after-edges": text_of().replace(']], "working', ']] , "working'),
+    "unknown-name-in-a-later-slice": text_of(edges=BASE["edges"] + [["DC", "SM9"]]),
+    "unknown-name-in-a-later-slice-of-working-edges": text_of(
+        "canonical", working_edges=BASE["working_edges"] + [["SM4", "DC"]]
+    ),
+    "number-entry-in-a-later-slice": text_of(edges=BASE["edges"] + [5]),
+    "string-entry-in-a-later-slice": text_of(working_edges=BASE["working_edges"] + ["DC"]),
+    "long-pair-in-a-later-slice": text_of(edges=BASE["edges"] + [["DC", "SM1", "SM2"]]),
+    "trailing-comma-in-edges": text_of().replace('"SM3"]], "working', '"SM3"],], "working'),
+    "spaced-trailing-comma-in-working-edges": text_of().replace(
+        '"SM2"]], "sending', '"SM2"], ], "sending'
+    ),
+    "spaced-empty-array": text_of(edges=[]).replace('"edges": []', '"edges": [ \n]'),
+    "text-ends-after-an-entry": text_of("canonical")[:-2],
 }
 
 
@@ -391,6 +426,41 @@ def test_value_by_value_parse_holds_one_link_array():
                 tracemalloc.stop()
 
     assert peak(scenario_from_json) <= 0.6 * peak(lambda t: scenario_from_dict(load_json(t)))
+
+
+def traced_peak(call, *args):
+    """The tracemalloc peak of call(*args), with the collector paused as
+    scenario_from_json runs, and what it returned."""
+    with model._gc_paused():
+        tracemalloc.start()
+        try:
+            result = call(*args)
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+
+def test_link_arrays_are_read_and_hashed_a_slice_at_a_time():
+    # The 300-meter full mesh above: each link array is decoded a slice of
+    # about 2^16 characters at a time, and the digest hashes its text a row
+    # at a time, from a cold kept state.
+    n = 300
+    links = [list(pair) for pair in itertools.combinations(map(party_name, range(n + 1)), 2)]
+    text = text_of(
+        n_sm=n,
+        edges=links,
+        working_edges=links,
+        sending_list=list(range(1, n + 1)),
+        measurements={str(i): i for i in range(1, n + 1)},
+    )
+    whole_peak, expected = traced_peak(lambda t: scenario_from_dict(load_json(t)), text)
+    sliced_peak, s = traced_peak(scenario_from_json, text)
+    assert s == expected
+    assert sliced_peak <= 0.2 * whole_peak
+    model._hash_through_edges.cache_clear()
+    digest_peak, digest = traced_peak(scenario_digest, s)
+    assert digest == reference_digest(s)
+    assert digest_peak < len(scenario_to_json(s))
 
 
 def mesh_round(n: int, t: int, order: str = "n_sm-first", **changes) -> str:
