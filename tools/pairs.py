@@ -33,9 +33,9 @@ METHOD = (
 )
 
 
-def end_to_end_metrics(root: Path = ROOT) -> list[tuple[str, str]]:
+def end_to_end_metrics() -> list[tuple[str, str]]:
     """(name, better) of each end-to-end metric, in BENCHMARK.json's order."""
-    spec = json.loads((root / "BENCHMARK.json").read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     return [(m["name"], m["better"]) for m in spec["end_to_end"]]
 
 
@@ -177,8 +177,8 @@ def main(argv: list[str] | None = None) -> None:
     for side in commits:
         p50 = [json.loads(r["result"])["metrics"]["op_p50_ms"]["value"] for r in runs if r["side"] == side]
         split, low, high = speed_modes(p50)
-        modes = [f"{len(v)} at {v[0]:.1f}-{v[-1]:.1f} ms" for v in (low, high) if v]
-        print(f"  {side} speed modes by op_p50_ms (split at {split:.1f} ms): {', '.join(modes)}")
+        modes = [f"{len(v)} at {v[0]:.3g}-{v[-1]:.3g} ms" for v in (low, high) if v]
+        print(f"  {side} speed modes by op_p50_ms (split at {split:.3g} ms): {', '.join(modes)}")
 
 
 if __name__ == "__main__":
