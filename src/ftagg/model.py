@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -94,7 +95,7 @@ def _is_pair_array(raw: object) -> bool:
 
 def graph_from_names(n_sm: int, edges: Sequence, working: Sequence) -> FailureGraph:
     """The graph of two arrays of [name, name] pairs, as scenario files give
-    them. Either may instead be the `_Rows` that `_link_rows` made of it."""
+    them. Either may instead be the `_Rows` that `_read_links` made of it."""
     arrays = ((edges, "edges"), (working, "working_edges"))
     for raw, what in arrays:
         if not isinstance(raw, _Rows) and not _is_pair_array(raw):
@@ -579,22 +580,7 @@ _BY_VALUE_FROM_CHARS = 1 << 16
 
 _DECODE = json.JSONDecoder(object_pairs_hook=_unique_keys).raw_decode
 _SKIP_SPACE = json.decoder.WHITESPACE.match
-
-
-def _link_rows(n_sm: int, slices: Iterable, what: str) -> Optional[_Rows]:
-    """The rows over parties 0..n_sm of the link array made of `slices`, its
-    consecutive parts, or None where a part is not an array of arrays or
-    names anything but a party. Rows are filled part by part, so no part's
-    lists outlive it."""
-    adj = [0] * (n_sm + 1)
-    try:
-        for pairs in slices:
-            if not _is_pair_array(pairs):
-                return None
-            _adjacency(adj, pairs, what)
-    except ScenarioError:
-        return None
-    return _Rows(adj)
+_N_SM = re.compile(r'"n_sm"\s*:\s*([0-9]+)')
 
 
 def _slices(text: str, at: int, end: list) -> Iterator[object]:
@@ -628,15 +614,24 @@ def _slices(text: str, at: int, end: list) -> Iterator[object]:
 
 
 def _read_links(text: str, at: int, n_sm: int, what: str) -> tuple[object, int]:
-    """The link array at text[at] as `_Rows`, read a slice at a time, and the
-    index after it. Where the slices give no rows, the array is decoded
-    whole as before and returned as read, so that `graph_from_names` makes
-    its rows or raises its error in turn."""
+    """The link array at text[at] as `_Rows` over parties 0..n_sm, read a
+    slice at a time, and the index after it. Rows are filled slice by slice,
+    so no slice's lists outlive it. Where a slice is not an array of arrays
+    or names anything but a party, the array is decoded whole as before and
+    returned as read, so that `graph_from_names` makes its rows or raises
+    its error in turn."""
     end = [at]
     if text.startswith("[", at):
-        rows = _link_rows(n_sm, _slices(text, at, end), what)
-        if rows is not None:
-            return rows, end[0]
+        adj = [0] * (n_sm + 1)
+        try:
+            for pairs in _slices(text, at, end):
+                if not _is_pair_array(pairs):
+                    break
+                _adjacency(adj, pairs, what)
+            else:
+                return _Rows(adj), end[0]
+        except ScenarioError:
+            pass
     return _DECODE(text, at)
 
 
@@ -649,22 +644,26 @@ _last_edges: tuple[str, _Rows] = ("", _Rows())
 
 def _load_by_value(text: str) -> Optional[dict]:
     """`load_json(text)` for a text whose top level is an object, parsed one
-    top-level value at a time. A link array read once a plausible n_sm is
-    known becomes its rows a slice at a time (`_slices`); one read before is
-    decoded whole and becomes its rows once n_sm is read, before the next
-    value is parsed. An `edges` value that is the last one read into rows
-    is not decoded again: its kept rows stand once n_sm is known and matches
-    their length. None where the text holds anything this loop does not
-    expect (another top level, a repeated top-level key, a bad separator,
-    trailing data, or any error of the decoder); `load_json` then parses the
-    whole text and raises exactly its own error."""
+    top-level value at a time. Its n_sm is taken up front from the first
+    `"n_sm": digits` in the text, so that every link array, in any key
+    order, becomes its rows a slice at a time (`_slices`). An `edges` value
+    that is the last one read into rows, with as many rows as that n_sm
+    gives, is not decoded again. None where the candidate is implausible or
+    is not the text's own integer n_sm, or where the text holds anything
+    this loop does not expect (another top level, a repeated top-level key,
+    a bad separator, trailing data, or any error of the decoder); `load_json`
+    then parses the whole text and raises exactly its own error."""
     global _last_edges
     last_text, last_rows = _last_edges
     d: dict = {}
-    pending = []
-    n_sm = None
-    edges_at = edges_end = 0
     try:
+        found = _N_SM.search(text)
+        n_sm = int(found[1]) if found else 0
+        # A valid scenario spends at least 8 characters per meter (its
+        # sending-list entry and its measurement), so no larger n_sm, which
+        # validation rejects, sizes the rows or the name table here.
+        if not 1 <= n_sm <= len(text) // 8:
+            return None
         i = _SKIP_SPACE(text).end()
         if text[i : i + 1] != "{":
             return None
@@ -677,47 +676,25 @@ def _load_by_value(text: str) -> Optional[dict]:
             if text[i : i + 1] != ":":
                 return None
             j = _SKIP_SPACE(text, i + 1).end()
-            links = key in ("edges", "working_edges")
-            if key == "edges" and last_text and text.startswith(last_text, j):
+            if key == "edges" and len(last_rows) == n_sm + 1 and text.startswith(last_text, j):
                 # A JSON array ends at its own closing bracket, so the value
                 # at j is exactly that array.
                 d[key], i = last_rows, j + len(last_text)
-            elif links and n_sm is not None:
+            elif key in ("edges", "working_edges"):
                 d[key], i = _read_links(text, j, n_sm, key)
+                if key == "edges" and type(d[key]) is _Rows:
+                    _last_edges = (text[j:i], d[key])
             else:
                 d[key], i = _DECODE(text, j)
-            if key == "edges":
-                edges_at, edges_end = j, i
-            if links:
-                pending.append(key)
-            # A valid scenario spends at least 8 characters per meter (its
-            # sending-list entry and its measurement), so no larger n_sm, which
-            # validation rejects, sizes the rows or the name table here.
-            elif key == "n_sm" and type(d[key]) is int and 1 <= d[key] <= len(text) // 8:
-                n_sm = d[key]
-            if n_sm is not None:
-                for what in pending:
-                    value = d[what]
-                    if value is last_rows:
-                        if len(value) == n_sm + 1:
-                            continue
-                        value = _read_links(text, edges_at, n_sm, what)[0]
-                    elif type(value) is not _Rows:
-                        rows = _link_rows(n_sm, (value,), what)
-                        value = value if rows is None else rows
-                    d[what] = value
-                    if what == "edges" and type(value) is _Rows:
-                        _last_edges = (text[edges_at:edges_end], value)
-                pending.clear()
             i = _SKIP_SPACE(text, i).end()
             sep = text[i : i + 1]
         if sep != "}" or _SKIP_SPACE(text, i + 1).end() != len(text):
             return None
-        if n_sm is None and d.get("edges") is last_rows:
-            d["edges"] = _DECODE(text, edges_at)[0]
     except (ValueError, RecursionError):
         return None
-    return d
+    # The candidate may have come from elsewhere in the text: a nested key,
+    # or a value such as 100.0 or 1e2 that only begins with digits.
+    return d if type(d.get("n_sm")) is int and d["n_sm"] == n_sm else None
 
 
 def scenario_from_json(text: str) -> Scenario:

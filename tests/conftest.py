@@ -78,8 +78,8 @@ def assert_parsed_alike(text: str) -> None:
     """`scenario_from_json` with every text read value by value gives what
     `scenario_from_dict(load_json(text))` gives: the same scenario, or an
     error of the same type and message. With `_BY_VALUE_FROM_CHARS` at 0,
-    every "]," in a link array read after n_sm is a slice cut, so the slice
-    path meets every entry boundary of the text. It is read three times: cold,
+    every "]," in every link array is a slice cut, so the slice path meets
+    every entry boundary of the text. It is read three times: cold,
     with no topology kept; warm, with the `edges` the first read kept; and
     with that array kept as the rows of one meter more, as a text of another
     size with the same array would leave it."""

@@ -297,13 +297,13 @@ def test_a_later_round_in_one_run_takes_the_topology_the_first_kept(
         alone.append(run_cli(capsys, "run", str(path)))
     monkeypatch.setattr(model, "_last_edges", NO_EDGES_KEPT)
     read = []
-    link_rows = model._link_rows
+    read_links = model._read_links
 
-    def reading(n_sm, raw, what):
+    def reading(text, at, n_sm, what):
         read.append(what)
-        return link_rows(n_sm, raw, what)
+        return read_links(text, at, n_sm, what)
 
-    monkeypatch.setattr(model, "_link_rows", reading)
+    monkeypatch.setattr(model, "_read_links", reading)
     code, out, _ = run_cli(capsys, "run", *map(str, paths))
     assert (code, out) == (EXIT_OK, alone[0][1] + alone[1][1])
     assert alone[0][1] != alone[1][1]

@@ -225,8 +225,9 @@ def spaced(text: str) -> str:
 
 
 @pytest.mark.parametrize("order", ORDERS)
-def test_regular_texts_are_read_value_by_value(order):
-    for text in (text_of(order), spaced(text_of(order))):
+def test_regular_texts_are_read_value_by_value(monkeypatch, order):
+    monkeypatch.setattr(model, "_last_edges", NO_EDGES_KEPT)
+    for text in (text_of(order), spaced(text_of(order)), mesh_round(100, 1, order)):
         d = model._load_by_value(text)
         assert list(d) == list(load_json(text))
         assert isinstance(d["edges"], model._Rows) and isinstance(d["working_edges"], model._Rows)
@@ -242,14 +243,17 @@ def test_shipped_files_parse_alike_value_by_value(path):
 
 def test_no_name_table_for_an_n_sm_no_valid_text_could_have():
     # A valid scenario spends at least 8 characters per meter, so beyond
-    # len(text) // 8 the arrays stay as read and only scenario_from_dict,
+    # len(text) // 8 the text is parsed whole and only scenario_from_dict,
     # after its checks against the sending list, builds a table.
-    for n_sm, converted in ((1000, True), (1001, False)):
+    for n_sm in (1000, 1001):
         text = text_of(n_sm=n_sm)
         text = text[:-1] + " " * (8000 - len(text)) + "}"
         d = model._load_by_value(text)
-        assert isinstance(d["edges"], model._Rows) is converted
-        assert isinstance(d["working_edges"], model._Rows) is converted
+        if n_sm == 1000:
+            assert isinstance(d["edges"], model._Rows)
+            assert isinstance(d["working_edges"], model._Rows)
+        else:
+            assert d is None
         assert_parsed_alike(text)
 
 
@@ -267,8 +271,8 @@ def ones_text(n_sm: int) -> str:
 @pytest.mark.parametrize("n_sm, by_value", [(30_000, False), (60_000, True)])
 def test_name_table_is_linear_in_n_sm(n_sm, by_value):
     # n_sm equals the sending list's length, so scenario_from_dict sizes the
-    # rows and the name table before any validation; the value-by-value loop
-    # leaves the arrays as read, as n_sm is above an eighth of the text.
+    # rows and the name table before any validation; the text is parsed
+    # whole, as n_sm is above an eighth of it.
     # Both must stay linear in n_sm.
     text = ones_text(n_sm)
     assert (len(text) >= model._BY_VALUE_FROM_CHARS) is by_value
@@ -440,27 +444,30 @@ def traced_peak(call, *args):
             tracemalloc.stop()
 
 
-def test_link_arrays_are_read_and_hashed_a_slice_at_a_time():
-    # The 300-meter full mesh above: each link array is decoded a slice of
-    # about 2^16 characters at a time, and the digest hashes its text a row
-    # at a time, from a cold kept state.
+def test_link_arrays_are_read_and_hashed_a_slice_at_a_time(monkeypatch):
+    # The 300-meter full mesh above, in each key order: each link array is
+    # decoded a slice of about 2^16 characters at a time, and the digest
+    # hashes its text a row at a time, from a cold kept state.
     n = 300
     links = [list(pair) for pair in itertools.combinations(map(party_name, range(n + 1)), 2)]
-    text = text_of(
-        n_sm=n,
-        edges=links,
-        working_edges=links,
-        sending_list=list(range(1, n + 1)),
-        measurements={str(i): i for i in range(1, n + 1)},
-    )
-    whole_peak, expected = traced_peak(lambda t: scenario_from_dict(load_json(t)), text)
-    sliced_peak, s = traced_peak(scenario_from_json, text)
-    assert s == expected
-    assert sliced_peak <= 0.2 * whole_peak
-    model._hash_through_edges.cache_clear()
-    digest_peak, digest = traced_peak(scenario_digest, s)
-    assert digest == reference_digest(s)
-    assert digest_peak < len(scenario_to_json(s))
+    for order in ORDERS:
+        text = text_of(
+            order,
+            n_sm=n,
+            edges=links,
+            working_edges=links,
+            sending_list=list(range(1, n + 1)),
+            measurements={str(i): i for i in range(1, n + 1)},
+        )
+        monkeypatch.setattr(model, "_last_edges", NO_EDGES_KEPT)
+        whole_peak, expected = traced_peak(lambda t: scenario_from_dict(load_json(t)), text)
+        sliced_peak, s = traced_peak(scenario_from_json, text)
+        assert s == expected
+        assert sliced_peak <= 0.2 * whole_peak, order
+        model._hash_through_edges.cache_clear()
+        digest_peak, digest = traced_peak(scenario_digest, s)
+        assert digest == reference_digest(s)
+        assert digest_peak < len(scenario_to_json(s))
 
 
 def mesh_round(n: int, t: int, order: str = "n_sm-first", **changes) -> str:
@@ -483,6 +490,42 @@ def mesh_round(n: int, t: int, order: str = "n_sm-first", **changes) -> str:
 
 def whole(text: str):
     return parsed_or_error(lambda t: scenario_from_dict(load_json(t)), text)
+
+
+def n_sm_written_as(n_sm_text: str) -> str:
+    return mesh_round(100, 1).replace('"n_sm": 100', '"n_sm": ' + n_sm_text, 1)
+
+
+def backend_first(nested_n_sm: int) -> str:
+    """A 100-meter round whose backend, written before the top-level n_sm,
+    holds an "n_sm" of its own."""
+    doc = json.loads(mesh_round(100, 1, "arrays-first"))
+    nested = doc["backend"] | {"n_sm": nested_n_sm}
+    return json.dumps({"backend": None} | doc | {"backend": nested})
+
+
+# Texts whose first `"n_sm": digits` is not their own integer n_sm, or whose
+# n_sm key is missing, escaped or repeated.
+MISLEADING_N_SM = {
+    "nested-in-backend-above": backend_first(101),
+    "nested-in-backend-below": backend_first(7),
+    "float": n_sm_written_as("100.0"),
+    "true": n_sm_written_as("true"),
+    "exponent": n_sm_written_as("1e2"),
+    "leading-zero": n_sm_written_as("0100"),
+    "escaped-key": mesh_round(100, 1).replace('"n_sm"', '"n\\u005fsm"', 1),
+    "repeated-equal": duplicated(mesh_round(100, 1), "n_sm", "100"),
+    "repeated-different": duplicated(mesh_round(100, 1), "n_sm", "99"),
+    "missing": mesh_round(100, 1, n_sm=None),
+}
+
+
+@pytest.mark.parametrize("text", MISLEADING_N_SM.values(), ids=MISLEADING_N_SM.keys())
+def test_a_misleading_n_sm_costs_only_the_whole_parse(monkeypatch, text):
+    monkeypatch.setattr(model, "_last_edges", NO_EDGES_KEPT)
+    assert len(text) >= model._BY_VALUE_FROM_CHARS
+    assert model._load_by_value(text) is None
+    assert_parsed_alike(text)
 
 
 @pytest.fixture
@@ -530,8 +573,8 @@ def test_the_kept_edges_under_another_n_sm(first_round, n_sm, order):
 
 
 def test_the_kept_edges_beside_an_n_sm_no_valid_text_could_have(first_round):
-    # Above len(text) // 8 the loop leaves the arrays as read, so the kept
-    # text is decoded again; its 101 rows would not be the whole read's.
+    # Above len(text) // 8 the text is parsed whole, so the kept rows, 101
+    # of them, which would not be the whole read's, are not taken.
     n_sm = 40_000
     text = mesh_round(100, 2, n_sm=n_sm, sending_list=[1] * n_sm)
     assert n_sm > len(text) // 8
