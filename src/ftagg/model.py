@@ -580,7 +580,9 @@ _BY_VALUE_FROM_CHARS = 1 << 16
 
 _DECODE = json.JSONDecoder(object_pairs_hook=_unique_keys).raw_decode
 _SKIP_SPACE = json.decoder.WHITESPACE.match
-_N_SM = re.compile(r'"n_sm"\s*:\s*([0-9]+)')
+# A candidate n_sm for `_load_by_value`. No plausible n_sm has more digits,
+# and int() of a longer run takes time quadratic in its length.
+_N_SM = re.compile(r'"n_sm"\s*:\s*([0-9]{1,18})')
 
 
 def _slices(text: str, at: int, end: list) -> Iterator[object]:
