@@ -38,6 +38,7 @@ from .model import (
     validate_scenario,
 )
 from .netsim import SimNetwork
+from .paillier import powmod
 from .protocol import make_backend, run_round
 from .walker import predict_aggregate, reachable_active
 
@@ -256,7 +257,7 @@ def recover_measurement(view: AdversaryView) -> int:
     if view.backend_name == "paillier":
         sk = view.secrets["he_secret_key"]
         n = sk["n"]
-        return (pow(share, sk["lam"], n * n) - 1) // n * sk["mu"] % n
+        return (powmod(share, sk["lam"], n * n) - 1) // n * sk["mu"] % n
     # Its report reached the corrupted concentrator, since it contributed.
     (report,) = [m["body"]["data"] for m in sent if m["kind"] == KIND_INITIAL_DATA]
     k = view.modulus

@@ -23,10 +23,7 @@ base a, and is rejected at once if a^(n-1) mod f != 1. This is exact: a
 strong liar a of n has a^(n-1) = 1 mod n, so mod every factor of n, and the
 full loop would reject n at that base too. Otherwise the full probe runs on
 the same a. The table of about 23,000 primes is built on first use, so
-smaller keys never pay for it. The sieved search probes two candidates at a
-time, and the 39 random rounds run as two halves of the bases: if the first
-of a pair passes, or a half fails, rng goes back to the state that the full
-loop has there, so the draws stay exact.
+smaller keys never pay for it.
 
 A ciphertext is a plain int, a unit of Z_(n^2): every holder of one also
 holds its key, so the backend folds a share into the running one by a
@@ -42,39 +39,91 @@ real meter holds only the public key; the shortcut is valid here only because
 it yields the same integer as pow(r, n, n^2), so every ciphertext, trace and
 view is the one the public-key formula gives.
 
-Each encryption and each decryption is thus two independent halves, one mod
-p^2 and one mod q^2 (ftagg.halves), joined by the same CRT step, and keygen
-runs its probes in such pairs too. For keys of _SPLIT_FROM_BITS = 1536 bits
-and more, where the process may run on two CPUs, the first of each pair (the
-p-half) runs in one helper process while the caller computes the second.
-The helper is a bare interpreter spawned at the first such call, in the
-first large keygen, to run halves.py, so it shares no state with its caller.
-Smaller keys, where the split gained nothing in most processes measured, and
-every other case compute both in the caller. Either way the same function
-runs on the same ints, so every result is the one the serial code gives. The
-helper answers each line of hex ints on its stdin with one on its stdout.
-Its caller closes both pipes unflushed and waits for it at exit; a forked
-child drops it and may start its own. Any OSError or EOF from the helper
-stops it for good in that process, and the caller computes that half itself.
+Every exponentiation of keygen's probes, encryption and decryption runs
+through powmod. Moduli of _LIBCRYPTO_FROM_BITS = 128 bits and more go to
+BN_mod_exp of the libcrypto that hashlib's _hashlib links, loaded by ctypes
+at the first such call; smaller moduli, and all of them where no libcrypto
+loads, go to the builtin pow. Both give the same integer, so every key,
+ciphertext and report is the same on either route.
 """
 
 from __future__ import annotations
 
-import atexit
 import functools
 import hashlib
 import itertools
 import math
-import os
 import random
-import sys
-import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from . import halves
-from .halves import HALVES, ask, strong_probes
 from .model import Scenario, check_key_bits
+
+# Moduli of this many bits and more are exponentiated by libcrypto where it
+# loads. Below, the builtin pow is faster than the calls into it (README).
+_LIBCRYPTO_FROM_BITS = 128
+
+
+@functools.cache
+def _libcrypto():
+    """libcrypto, with the types of the functions powmod calls set, or False
+    where neither soname loads; loaded at the first call that needs it.
+    _hashlib links it, so it is normally in the process already."""
+    import ctypes  # loading it would add about 2 ms to every import of ftagg
+
+    for name in ("libcrypto.so.3", "libcrypto.so.1.1"):
+        try:
+            lib = ctypes.CDLL(name)
+            ptr, num = ctypes.c_void_p, ctypes.c_int
+            for fn, restype, argtypes in (
+                ("BN_CTX_new", ptr, ()),
+                ("BN_CTX_free", None, (ptr,)),
+                ("BN_new", ptr, ()),
+                ("BN_free", None, (ptr,)),
+                ("BN_bin2bn", ptr, (ctypes.c_char_p, num, ptr)),
+                ("BN_bn2binpad", num, (ptr, ctypes.c_char_p, num)),
+                ("BN_mod_exp", num, (ptr, ptr, ptr, ptr, ptr)),
+            ):
+                f = getattr(lib, fn)
+                f.restype, f.argtypes = restype, argtypes
+        except (OSError, AttributeError):
+            continue
+        lib.buffer = ctypes.create_string_buffer  # so that powmod needs no ctypes import
+        return lib
+    return False
+
+
+def powmod(a: int, e: int, m: int) -> int:
+    """pow(a, e, m) for a, e >= 0 and m >= 1: by libcrypto's BN_mod_exp for
+    moduli of _LIBCRYPTO_FROM_BITS bits and more where it loads, else by the
+    builtin pow. Each call makes and frees its own BIGNUMs and BN_CTX, so
+    threads may call it at once."""
+    if m.bit_length() < _LIBCRYPTO_FROM_BITS or not (lib := _libcrypto()):
+        return pow(a, e, m)
+    size = (m.bit_length() + 7) // 8
+    ctx, bns = None, []
+    try:
+        ctx = _checked(lib.BN_CTX_new(), "BN_CTX_new")
+        for x in (a, e, m):
+            data = x.to_bytes((x.bit_length() + 7) // 8, "big")
+            bns.append(_checked(lib.BN_bin2bn(data, len(data), None), "BN_bin2bn"))
+        bns.append(_checked(lib.BN_new(), "BN_new"))
+        _checked(lib.BN_mod_exp(bns[3], bns[0], bns[1], bns[2], ctx), "BN_mod_exp")
+        out = lib.buffer(size)
+        _checked(lib.BN_bn2binpad(bns[3], out, size) == size, "BN_bn2binpad")
+        return int.from_bytes(out.raw, "big")
+    finally:
+        for bn in bns:
+            lib.BN_free(bn)
+        lib.BN_CTX_free(ctx)
+
+
+def _checked(result, name: str):
+    """result, unless libcrypto's call name returned NULL or 0 for failure,
+    which for these calls means that an allocation failed."""
+    if not result:
+        raise MemoryError(f"libcrypto's {name} failed")
+    return result
 
 
 def _prime_flags(limit: int) -> bytearray:
@@ -178,42 +227,44 @@ def _draw_bases(n: int, count: int, rng: random.Random) -> None:
             pass
 
 
+def _strong_probe(n: int, a: int) -> bool:
+    """One Miller-Rabin round: True iff the odd n > 3 is a strong probable
+    prime to base a, that is, with n - 1 = d * 2^r and d odd, a^d = 1 or
+    a^(d * 2^i) = -1 mod n for some i < r."""
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    x = powmod(a, (n - 1) >> r, n)
+    if x == 1:
+        return True
+    for _ in range(r):
+        if x == n - 1:
+            return True
+        x = x * x % n
+    return False
+
+
 def is_probable_prime(n: int, rng: random.Random, factor: int) -> bool:
     """Miller-Rabin with MR_ROUNDS random bases drawn from rng; factor is a
-    prime factor of n in (1000, 2^18], or 0 if none is known. Once n passes
-    its first round, Baillie-PSW decides it below 2^64: a proven prime's
-    later bases are only drawn, and a composite goes on with the full loop.
+    prime factor of n in (1000, 2^18], or 0 if none is known.
+
+    An n with such a factor is rejected right after its first draw unless
+    that base is a Fermat liar mod factor. Once n passes its first round,
+    Baillie-PSW decides it below 2^64. A proven prime would pass every later
+    round, so those bases are only drawn, which leaves the result and rng's
+    state as the full loop leaves them; a composite goes on with the full loop.
     """
     if n <= 1000:
         return n in _SMALL_PRIMES
-    a = _first_base(n, rng, factor)
-    if not a or not strong_probes(n, a):
+    if not _COPRIME_TO_WHEEL[n % _WHEEL] or math.gcd(n, _SMALL_PRIMORIAL) != 1:
         return False
-    if n < 1 << 64 and strong_probes(n, 2) and _strong_lucas(n):
+    a = rng.randrange(2, n - 1)
+    if factor and pow(a, n - 1, factor) != 1:
+        return False
+    if not _strong_probe(n, a):
+        return False
+    if n < 1 << 64 and _strong_probe(n, 2) and _strong_lucas(n):
         _draw_bases(n, MR_ROUNDS - 1, rng)
         return True
-    return _confirmed(n, rng)
-
-
-def _first_base(n: int, rng: random.Random, factor: int) -> int:
-    """The base of n's first round, drawn from rng, or 0 if n is rejected by
-    the wheel or the gcd, before any draw, or as no Fermat liar mod factor."""
-    if not _COPRIME_TO_WHEEL[n % _WHEEL] or math.gcd(n, _SMALL_PRIMORIAL) != 1:
-        return 0
-    a = rng.randrange(2, n - 1)
-    return 0 if factor and pow(a, n - 1, factor) != 1 else a
-
-
-def _confirmed(n: int, rng: random.Random) -> bool:
-    """True iff n passes MR_ROUNDS - 1 more rounds, leaving rng as the plain
-    loop does: all bases are drawn at once and split between the sides of a
-    _pair, and on a failure rng goes back and the plain loop runs."""
-    state = rng.getstate()
-    bases = [rng.randrange(2, n - 1) for _ in range(MR_ROUNDS - 1)]
-    if all(_pair(_PROBES, 2 * n.bit_length(), (n, *bases[::2]), (n, *bases[1::2]))):
-        return True
-    rng.setstate(state)
-    return all(strong_probes(n, rng.randrange(2, n - 1)) for _ in range(MR_ROUNDS - 1))
+    return all(_strong_probe(n, rng.randrange(2, n - 1)) for _ in range(MR_ROUNDS - 1))
 
 
 # Candidates of this many bits and more are sieved, a window of
@@ -248,37 +299,14 @@ def _window_factors(first: int) -> list[int]:
     return factors
 
 
-def _probe_candidates(candidate: int, rng: random.Random) -> Iterator[tuple[int, int, tuple]]:
-    """(n, a, state) for each odd n from candidate on that the sieve leaves
-    to a probe, in order: a its first base and state rng's state right after
-    drawing a. Each window is sieved as the search reaches it."""
-    while True:
-        for factor in _window_factors(candidate):
-            if a := _first_base(candidate, rng, factor):
-                yield candidate, a, rng.getstate()
-            candidate += 2
-
-
 def _next_prime(start: int, rng: random.Random) -> int:
-    """The first prime from start on; a sieved search probes in pairs."""
     candidate = start | 1
-    if candidate.bit_length() < _SIEVE_FROM_BITS:
-        while not is_probable_prime(candidate, rng, 0):
-            candidate += 2
-        return candidate
     while True:
-        probes = _probe_candidates(candidate, rng)
-        for (n, a, state), (m, b, _) in zip(probes, probes):
-            first, second = _pair(_PROBES, 2 * n.bit_length(), (n, a), (m, b))
-            if first or second:
-                break
-        if first:
-            rng.setstate(state)
-        else:
-            n = m
-        if _confirmed(n, rng):
-            return n
-        candidate = n + 2
+        sieved = candidate.bit_length() >= _SIEVE_FROM_BITS
+        for factor in _window_factors(candidate) if sieved else itertools.repeat(0, _SIEVE_WINDOW):
+            if is_probable_prime(candidate, rng, factor):
+                return candidate
+            candidate += 2
 
 
 def _random_prime(bits: int, rng: random.Random) -> int:
@@ -352,8 +380,10 @@ def encrypt(keys: PaillierKeys, m: int, r: int) -> int:
         raise ValueError(f"plaintext {m} outside [0, {n})")
     if not 1 <= r < n or math.gcd(r, n) != 1:
         raise ValueError("randomness must be a unit of Z_n")
-    p_sq, q_sq = keys.p * keys.p, keys.q * keys.q
-    r_p, r_q = _pair(_RANDOMIZER, keys.bits, (r, keys.p, keys.q), (r, keys.q, keys.p))
+    p, q = keys.p, keys.q
+    p_sq, q_sq = p * p, q * q
+    r_p = powmod(powmod(r, q % (p - 1), p), p, p_sq)
+    r_q = powmod(powmod(r, p % (q - 1), q), q, q_sq)
     r_n = r_q + q_sq * ((r_p - r_q) * keys.q_sq_inv % p_sq)
     return (1 + m * n) * r_n % keys.n_sq
 
@@ -366,92 +396,9 @@ def decrypt_aggregate(keys: PaillierKeys, c: int) -> int:
     if not 0 <= c < n_sq or math.gcd(c, n_sq) != 1:
         raise ValueError("ciphertext value is not a unit of Z_{n^2}")
     p, q = keys.p, keys.q
-    c_p, c_q = _pair(_DECRYPT, keys.bits, (c, p, q), (c, q, p))
-    a_p = (c_p - 1) // p * keys.hp % p
-    a_q = (c_q - 1) // q * keys.hq % q
+    a_p = (powmod(c, p - 1, p * p) - 1) // p * keys.hp % p
+    a_q = (powmod(c, q - 1, q * q) - 1) // q * keys.hq % q
     return a_q + q * ((a_p - a_q) * keys.q_inv % p)
-
-
-_RANDOMIZER, _DECRYPT, _PROBES = 0, 1, 2  # indexes into HALVES
-
-# Keys of this many bits and more run one side of each _pair in the helper
-# process. Below, the split gained nothing in most processes measured (README).
-_SPLIT_FROM_BITS = 1536
-
-# The helper process: None until it starts, its Popen while it runs, and
-# False once it has failed or been stopped in this process.
-_helper = None
-_lock = threading.Lock()  # one request at a time on the helper's pipes
-
-
-def _pair(kind: int, bits: int, there: tuple, here: tuple) -> tuple[int, int]:
-    """(HALVES[kind](*there), HALVES[kind](*here)) for a key of bits bits:
-    the first in the helper, started on first use, while this process
-    computes the second. Both run here below _SPLIT_FROM_BITS, with fewer
-    than two CPUs, no interpreter to start (sys.executable empty or None),
-    or a helper busy with another thread's request or failed in this process."""
-    global _helper
-    half = HALVES[kind]
-    if (bits >= _SPLIT_FROM_BITS and _helper is not False and sys.executable
-            and _cpus() >= 2 and _lock.acquire(blocking=False)):
-        try:
-            if _helper is None:
-                import subprocess  # loading it would add to every import of ftagg
-
-                _helper = subprocess.Popen(
-                    [sys.executable, "-I", "-S", halves.__file__],
-                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                )
-            ask(_helper.stdin, kind, *there)
-            mine = half(*here)
-            reply = _helper.stdout.readline()
-            if not reply.endswith(b"\n"):
-                raise BrokenPipeError("the Paillier helper closed its pipe")
-            return int(reply, 16), mine
-        except BaseException as exc:
-            # A request left unanswered, by an error or an interrupt, would
-            # leave its reply to be read as the next one's.
-            _stop_helper()
-            if not isinstance(exc, OSError):
-                raise
-        finally:
-            _lock.release()
-    return half(*there), half(*here)
-
-
-def _cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _stop_helper() -> None:
-    """Stop the helper for good in this process: close its pipes, on which
-    it reads EOF and exits, and wait for it. It is always this process's own
-    child, as a forked child drops its parent's helper (_forget_helper)."""
-    global _helper
-    helper, _helper = _helper, False
-    if helper:
-        helper.stdin.raw.close()  # unflushed, so a request cut short is never sent
-        helper.stdout.raw.close()
-        helper.wait()
-
-
-def _forget_helper() -> None:
-    """In a forked child: close the copies of the parent's pipes, unflushed,
-    so that the child never writes to nor reads from the parent's helper and
-    the helper still sees EOF when the parent ends."""
-    global _helper, _lock
-    if _helper:
-        _helper.stdin.raw.close()
-        _helper.stdout.raw.close()
-        _helper.returncode = 0  # not this process's child, so never waited for
-    _helper, _lock = None, threading.Lock()
-
-
-atexit.register(_stop_helper)
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
 
 
 def randomness_stream(keys: PaillierKeys, seed: int, t: int) -> Iterator[int]:

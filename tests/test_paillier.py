@@ -1,5 +1,5 @@
+import ctypes
 import hashlib
-import io
 import json
 import math
 import os
@@ -7,6 +7,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -14,8 +15,7 @@ import pytest
 import sympy
 from sympy.ntheory.primetest import is_strong_lucas_prp, mr
 from conftest import make_scenario
-from ftagg import halves, paillier
-from ftagg.cli import EXIT_OK, main
+from ftagg import paillier
 from ftagg.model import PaillierSpec
 from ftagg.paillier import (
     PaillierBackend,
@@ -26,30 +26,40 @@ from ftagg.paillier import (
     is_probable_prime,
     keygen,
     keys_from_primes,
+    powmod,
     randomness_stream,
 )
 
 
-TWO_CPUS = paillier._cpus() >= 2
-needs_two_cpus = pytest.mark.skipif(not TWO_CPUS, reason="the helper runs only on two CPUs")
+LIBCRYPTO = paillier._libcrypto()
+
+
+class _CountedLibcrypto:
+    """libcrypto, with a count of its BN_mod_exp calls."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, 0
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+    def BN_mod_exp(self, *args):
+        self.calls += 1
+        return self.lib.BN_mod_exp(*args)
 
 
 @pytest.fixture
-def helper_asks(monkeypatch):
-    """The kind of each request this process sends to the Paillier helper:
-    0 for an encryption's half, 1 for a decryption's, 2 for keygen's probes.
-    Keys of 512 bits and more are split, so that no test needs a 1536-bit
-    keygen."""
-    asks = []
-    ask = paillier.ask
+def route(monkeypatch):
+    """route(libcrypto) puts powmod on libcrypto, where it loads, or on the
+    builtin pow alone, and returns a function that tells whether libcrypto
+    has exponentiated anything since."""
 
-    def counted(out, kind, *ints):
-        asks.append(kind)
-        ask(out, kind, *ints)
+    def set_route(libcrypto):
+        lib = _CountedLibcrypto(LIBCRYPTO) if libcrypto and LIBCRYPTO else False
+        monkeypatch.setattr(paillier, "_libcrypto", lambda: lib)
+        return lambda: bool(lib and lib.calls)
 
-    monkeypatch.setattr(paillier, "ask", counted)
-    monkeypatch.setattr(paillier, "_SPLIT_FROM_BITS", 512)
-    return asks
+    return set_route
 
 
 def tiny_keys():
@@ -404,16 +414,17 @@ def _lambda_mu_decrypt(keys, c):
     return ((pow(c, keys.lam, n_sq) - 1) // n) * keys.mu % n
 
 
+# The ids that end in "-serial" run on the builtin pow alone, the others on
+# libcrypto where it loads.
 @pytest.mark.parametrize(
-    "bits, samples, split",
+    "bits, samples, libcrypto",
     [(64, 200, True), (128, 100, True), (256, 50, True), (512, 20, True), (512, 20, False),
      (2048, 1, True)],
     ids=["64-200", "128-100", "256-50", "512-20", "512-20-serial", "2048-1"],
 )
-def test_decrypt_matches_lambda_mu_formula(bits, samples, split, monkeypatch, helper_asks):
-    if not split:
-        monkeypatch.setattr(paillier, "_SPLIT_FROM_BITS", 1 << 62)
-    keygen.cache_clear()  # so that keygen's probes are asked for in every order of tests
+def test_decrypt_matches_lambda_mu_formula(bits, samples, libcrypto, route):
+    used_libcrypto = route(libcrypto)
+    keygen.cache_clear()  # so that keygen's probes take the route in every order of tests
     keys = keygen(bits, 2)
     rng = random.Random(bits)
     stream = randomness_stream(keys, bits, 0)
@@ -425,7 +436,8 @@ def test_decrypt_matches_lambda_mu_formula(bits, samples, split, monkeypatch, he
     for m in edge:
         acc = acc * encrypt(keys, m, next(stream)) % keys.n_sq
     assert decrypt_aggregate(keys, acc) == _lambda_mu_decrypt(keys, acc) == sum(edge) % keys.n
-    assert set(helper_asks) == ({0, 1, 2} if split and bits >= 512 and TWO_CPUS else set())
+    # 64-bit keys have 32-bit primes, so every modulus stays below 128 bits.
+    assert used_libcrypto() == bool(libcrypto and LIBCRYPTO and bits > 64)
 
 
 def test_miller_rabin_composite_passing_first_round_matches_reference():
@@ -485,45 +497,22 @@ def _assert_next_prime_matches_reference(start, fast, ref):
     assert fast.getstate() == ref.getstate()
 
 
-def _route(monkeypatch, split):
-    """Sets the route of the sieved search for primes: serial, or split from
-    1024-bit keys, so that 512-bit candidates pair through the helper.
-    Returns the set of helper_asks that the route must leave."""
-    monkeypatch.setattr(paillier, "_SPLIT_FROM_BITS", 1024 if split else 1 << 62)
-    return {2} if split and TWO_CPUS else set()
-
-
 def _on_both_routes(names, cases, ids):
-    """Parametrizes a test over cases, each once serial, with its own id,
-    and once split, with "-split" after it."""
+    """Parametrizes a test over cases, each once on the builtin pow alone,
+    with its own id, and once on libcrypto where it loads, with "-split"
+    after it: the exponentiations split off to libcrypto."""
     return pytest.mark.parametrize(
-        f"{names}, split", [(*c, split) for split in (False, True) for c in cases],
+        f"{names}, libcrypto", [(*c, lib) for lib in (False, True) for c in cases],
         ids=[i + suffix for suffix in ("", "-split") for i in ids])
-
-
-@pytest.fixture
-def probe_pairs(monkeypatch):
-    """The (there, here) arguments of each pair of keygen's probes."""
-    pairs = []
-    pair = paillier._pair
-
-    def recorded(kind, bits, there, here):
-        if kind == paillier._PROBES:
-            pairs.append((there, here))
-        return pair(kind, bits, there, here)
-
-    monkeypatch.setattr(paillier, "_pair", recorded)
-    return pairs
 
 
 @_on_both_routes("bits, seed", [(512, 0), (512, 1), (512, 2), (1024, 0)],
                  ["512-0", "512-1", "512-2", "1024-0"])
-def test_sieved_next_prime_matches_reference_loop_draw_for_draw(bits, seed, split, monkeypatch,
-                                                                helper_asks):
-    route_asks = _route(monkeypatch, split)
+def test_sieved_next_prime_matches_reference_loop_draw_for_draw(bits, seed, libcrypto, route):
+    used_libcrypto = route(libcrypto)
     start = random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
     _assert_next_prime_matches_reference(start, random.Random(seed), random.Random(seed))
-    assert set(helper_asks) == route_asks
+    assert used_libcrypto() == bool(libcrypto and LIBCRYPTO)
 
 
 def _liar_candidate():
@@ -543,8 +532,8 @@ def _liar_candidate():
 
 @_on_both_routes("strong_liar", [(True,), (False,)], ["strong-liar", "fermat-liar-mod-f"])
 def test_sieved_candidate_whose_first_base_lies_mod_its_factor_runs_the_full_probe(
-        strong_liar, split, monkeypatch, helper_asks):
-    route_asks = _route(monkeypatch, split)
+        strong_liar, libcrypto, route):
+    used_libcrypto = route(libcrypto)
     # The window marks f at n. A first base that is 1 mod f passes the Fermat
     # check mod f, so the full probe must decide; as a strong liar of n, it
     # sends the probe on to the random rounds.
@@ -555,13 +544,12 @@ def test_sieved_candidate_whose_first_base_lies_mod_its_factor_runs_the_full_pro
     for seed in range(3):
         fast, ref = _FirstDrawFixed(a, seed), _FirstDrawFixed(a, seed)
         _assert_next_prime_matches_reference(n, fast, ref)
-    assert set(helper_asks) == route_asks
+    assert used_libcrypto() == bool(libcrypto and LIBCRYPTO)
 
 
 class _FixedBases(random.Random):
     """A Random whose first draws of a base for n, randrange(2, n - 1),
-    return the given bases; its state holds how many it has returned, so a
-    search that sets an earlier state gets them again."""
+    return the given bases."""
 
     def __init__(self, seed, n, bases):
         self.n, self.bases, self.given = n, bases, 0
@@ -573,13 +561,6 @@ class _FixedBases(random.Random):
         self.given += 1
         return self.bases[self.given - 1]
 
-    def getstate(self):
-        return super().getstate(), self.given
-
-    def setstate(self, state):
-        state, self.given = state
-        super().setstate(state)
-
 
 def _last_unsieved_below(n):
     """The largest odd m < n with no prime factor up to 2^18: the search
@@ -588,39 +569,55 @@ def _last_unsieved_below(n):
     return next(m for m in range(n - 2, 0, -2) if math.gcd(m, primes) == 1)
 
 
-CASES = ["first-of-a-pair", "second-of-a-pair", "confirmation-there", "confirmation-here"]
+CASES = ["first-candidate", "second-candidate", "confirmation-fails-at-its-third-base",
+         "confirmation-fails-at-its-second-base"]
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """The (n, a) of each Miller-Rabin round that keygen's search runs."""
+    rounds = []
+    strong_probe = paillier._strong_probe
+
+    def recorded(n, a):
+        rounds.append((n, a))
+        return strong_probe(n, a)
+
+    monkeypatch.setattr(paillier, "_strong_probe", recorded)
+    return rounds
 
 
 @_on_both_routes("case", [(c,) for c in CASES], CASES)
 def test_a_strong_liar_anywhere_in_the_paired_search_keeps_the_reference_draws(
-        case, split, monkeypatch, helper_asks, probe_pairs):
-    route_asks = _route(monkeypatch, split)
-    # The liar candidate n passes its first base a; the confirmation cases
-    # give it a liar for every base on one side of the pair and the
-    # non-liar 2 for every base on the other, so one side passes whole.
+        case, libcrypto, route, probes):
+    used_libcrypto = route(libcrypto)
+    # The liar candidate n passes its first base a: it is the first candidate
+    # probed, or the second, after the last unsieved one below it. In the
+    # confirmation cases its next bases are a liar and then the non-liar 2,
+    # or 2 at once.
     n, _, a = _liar_candidate()
     liars = [a, a * a % n]
     assert mr(n, liars) and not mr(n, [2]) and len(set(liars) | {1, n - 1}) == 4
-    start = _last_unsieved_below(n) if case == "second-of-a-pair" else n
+    start = _last_unsieved_below(n) if case == "second-candidate" else n
     assert not sympy.isprime(start) and start > n - 50
-    bases = {"confirmation-there": [a] + [liars[1], 2] * 19 + [liars[1]],
-             "confirmation-here": [a] + [2, liars[1]] * 19 + [2]}.get(case, [a])
+    bases = {"confirmation-fails-at-its-third-base": [a, liars[1], 2],
+             "confirmation-fails-at-its-second-base": [a, 2]}.get(case, [a])
     for seed in range(3):
-        probe_pairs.clear()
+        probes.clear()
         fast, ref = _FixedBases(seed, n, bases), _FixedBases(seed, n, bases)
         _assert_next_prime_matches_reference(start, fast, ref)
-        search = [(there, here) for there, here in probe_pairs if len(there) == len(here) == 2]
-        if case == "first-of-a-pair":
-            assert (n, a) in [there for there, _ in search], seed
-        elif case == "second-of-a-pair":
-            assert (search[0][0][0], search[0][1]) == (start, (n, a)), seed
+        if case == "second-candidate":
+            assert probes[0][0] == start and probes[1] == (n, a), seed
         else:
-            assert ((n, *bases[1::2]), (n, *bases[2::2])) in probe_pairs, seed
-    assert set(helper_asks) == route_asks
+            assert probes[0] == (n, a), seed
+        if case.startswith("confirmation"):
+            assert [b for m, b in probes if m == n] == bases, seed
+    assert used_libcrypto() == bool(libcrypto and LIBCRYPTO)
 
 
+# "split" names the libcrypto route here, and "serial" the builtin pow's.
 @pytest.mark.parametrize("seed", range(4))
-def test_split_keygen_equals_serial_keygen_draw_for_draw(seed, monkeypatch, helper_asks):
+def test_split_keygen_equals_serial_keygen_draw_for_draw(seed, monkeypatch, route):
     rngs = []
     random_prime = paillier._random_prime
 
@@ -630,12 +627,12 @@ def test_split_keygen_equals_serial_keygen_draw_for_draw(seed, monkeypatch, help
 
     monkeypatch.setattr(paillier, "_random_prime", recorded)
     runs = []
-    for split_from in (1024, 1 << 62):
-        monkeypatch.setattr(paillier, "_SPLIT_FROM_BITS", split_from)
+    for libcrypto in (True, False):
+        used_libcrypto = route(libcrypto)
         keygen.cache_clear()
         runs.append((keygen(1024, seed), rngs[-1].getstate()))
+        assert used_libcrypto() == bool(libcrypto and LIBCRYPTO)
     assert runs[0] == runs[1]
-    assert set(helper_asks) == ({2} if TWO_CPUS else set())
 
 
 # Its next prime is 2140 past it, beyond the first window of 1024 odd candidates.
@@ -645,14 +642,13 @@ PAST_FIRST_WINDOW = int(
 )
 
 
-def test_sieved_next_prime_past_the_first_window_matches_reference(monkeypatch, helper_asks):
+def test_sieved_next_prime_past_the_first_window_matches_reference(route):
     assert PAST_FIRST_WINDOW.bit_length() == 512
     assert sympy.nextprime(PAST_FIRST_WINDOW) - PAST_FIRST_WINDOW == 2140 > 2 * 1024
-    for split in (False, True):
-        route_asks = _route(monkeypatch, split)
-        helper_asks.clear()
+    for libcrypto in (False, True):
+        used_libcrypto = route(libcrypto)
         _assert_next_prime_matches_reference(PAST_FIRST_WINDOW, random.Random(7), random.Random(7))
-        assert set(helper_asks) == route_asks, split
+        assert used_libcrypto() == bool(libcrypto and LIBCRYPTO), libcrypto
 
 
 def test_small_keygen_leaves_the_sieve_table_unbuilt():
@@ -702,15 +698,16 @@ def test_randomizer_equals_plain_pow_for_every_unit(p, q):
             assert encrypt(keys, 0, r) == pow(r, n, n_sq), r
 
 
+# The id that ends in "-serial" runs on the builtin pow alone, the others on
+# libcrypto where it loads.
 @pytest.mark.parametrize(
-    "bits, split",
+    "bits, libcrypto",
     [(64, True), (128, True), (256, True), (512, True), (512, False), (1024, True)],
     ids=["64", "128", "256", "512", "512-serial", "1024"],
 )
-def test_randomizer_equals_plain_pow_on_stream_draws(bits, split, monkeypatch, helper_asks):
-    if not split:
-        monkeypatch.setattr(paillier, "_SPLIT_FROM_BITS", 1 << 62)
-    keygen.cache_clear()  # so that keygen's probes are asked for in every order of tests
+def test_randomizer_equals_plain_pow_on_stream_draws(bits, libcrypto, route):
+    used_libcrypto = route(libcrypto)
+    keygen.cache_clear()  # so that keygen's probes take the route in every order of tests
     keys = keygen(bits, 13)
     n, n_sq = keys.n, keys.n_sq
     rng = random.Random(bits)
@@ -718,48 +715,106 @@ def test_randomizer_equals_plain_pow_on_stream_draws(bits, split, monkeypatch, h
     for _ in range(200):
         r, m = next(stream), rng.randrange(n)
         assert encrypt(keys, m, r) == (1 + m * n) * pow(r, n, n_sq) % n_sq
-    assert set(helper_asks) == ({0, 2} if split and bits >= 512 and TWO_CPUS else set())
+    assert used_libcrypto() == bool(libcrypto and LIBCRYPTO and bits > 64)
 
 
-# --- The helper process that runs the p-halves of large keys. ---
+# --- powmod's two routes: libcrypto's BN_mod_exp and the builtin pow. ---
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def test_serve_answers_each_request_line_and_not_one_cut_short():
+def _powmod_cases():
+    """(a, e, m) at modulus sizes from 1 to 4096 bits, every size up to 200,
+    with a = 0, a = 1, a >= m, e = 0 and e = 1 at each. The moduli are a
+    power of two, all ones, and a random one; the exponents are as wide as
+    the modulus up to 1024 bits, and 64 bits above, where pow is slow."""
+    rng = random.Random(4096)
+    sizes = [*range(1, 200), *range(200, 1100, 37), 1535, 1536, 2047, 2048, 3072, 4095, 4096]
+    for bits in sizes:
+        for m in {1 << (bits - 1), (1 << bits) - 1, rng.getrandbits(bits) | 1 << (bits - 1)}:
+            e = rng.getrandbits(bits + 8 if bits <= 1024 else 64)
+            yield from ((0, e, m), (1, e, m), (rng.randrange(m), 0, m), (rng.randrange(m), 1, m))
+            yield from ((m, e, m), (m + rng.randrange(m), e, m), (rng.randrange(m << 64), e, m))
+            yield rng.randrange(m), e, m
+
+
+@pytest.mark.parametrize("libcrypto", [True, False], ids=["libcrypto", "pow"])
+def test_powmod_equals_pow_at_every_size(libcrypto, route):
+    used_libcrypto = route(libcrypto)
+    for a, e, m in _powmod_cases():
+        assert powmod(a, e, m) == pow(a, e, m), (a, e, m)
+    assert used_libcrypto() == bool(libcrypto and LIBCRYPTO)
+
+
+def _libcrypto_loads():
+    for name in ("libcrypto.so.3", "libcrypto.so.1.1"):
+        try:
+            ctypes.CDLL(name)
+            return True
+        except OSError:
+            pass
+    return False
+
+
+def test_the_libcrypto_route_is_active_where_the_library_loads():
+    paillier._libcrypto.cache_clear()
+    assert powmod(3, 5, (1 << 127) - 1) == pow(3, 5, (1 << 127) - 1)
+    assert paillier._libcrypto.cache_info().misses == 0  # not even loaded below 128 bits
     keys = keygen(256, 5)
-    rng = random.Random(5)
-    requests, expected = io.BytesIO(), []
-    for p, q in ((keys.p, keys.q), (keys.q, keys.p)):
-        for _ in range(3):
-            r, c = rng.randrange(1, keys.n), rng.randrange(1, keys.n_sq)
-            halves.ask(requests, 0, r, p, q)
-            halves.ask(requests, 1, c, p, q)
-            expected += [pow(r, p * q, p * p), pow(c, p - 1, p * p)]
-    # keygen's probes, with one base and with twenty, of a prime and of
-    # PSI_12, a strong pseudoprime to the first 12 primes but not the 20.
-    for n in (keys.p, PSI_12):
-        for bases in ([2], list(sympy.primerange(72))):
-            assert len(bases) in (1, 20)
-            halves.ask(requests, 2, n, *bases)
-            expected.append(int(mr(n, bases)))
-    assert expected[-4:] == [1, 1, 1, 0]
-    for last in ((1, keys.n + 1, keys.p, keys.q), (2, keys.p, 2, 3)):
-        tail = io.BytesIO()
-        halves.ask(tail, *last)
-        cut_short = requests.getvalue() + tail.getvalue()[:-1]
-        replies = io.BytesIO()
-        halves.serve(io.BytesIO(cut_short), replies)
-        assert replies.getvalue().endswith(b"\n")
-        assert [int(line, 16) for line in replies.getvalue().splitlines()] == expected
+    assert decrypt_aggregate(keys, encrypt(keys, 7, 2)) == 7
+    assert paillier._libcrypto.cache_info().misses == 1
+    assert bool(paillier._libcrypto()) == _libcrypto_loads()
+
+
+@pytest.mark.skipif(not LIBCRYPTO, reason="no libcrypto loads")
+@pytest.mark.parametrize("failing", ["BN_CTX_new", "BN_bin2bn", "BN_new", "BN_mod_exp"])
+def test_a_failed_libcrypto_call_raises_and_frees_what_was_made(failing, monkeypatch):
+    made, freed = [], []
+
+    class Failing:
+        def __getattr__(self, name):
+            if name == failing:  # its NULL, or 0 for BN_mod_exp
+                return lambda *args: 0 if name == "BN_mod_exp" else None
+            call = getattr(LIBCRYPTO, name)
+            if name in ("BN_bin2bn", "BN_new"):
+                return lambda *args: made.append(call(*args)) or made[-1]
+            return call
+
+        def BN_free(self, bn):
+            freed.append(bn)
+            LIBCRYPTO.BN_free(bn)
+
+    monkeypatch.setattr(paillier, "_libcrypto", lambda: Failing())
+    with pytest.raises(MemoryError, match=f"libcrypto's {failing} failed"):
+        powmod(3, 5, (1 << 200) + 1)
+    assert freed == made and len(made) == {"BN_CTX_new": 0, "BN_bin2bn": 0, "BN_new": 3}.get(failing, 4)
+
+
+def test_four_threads_encrypting_at_once_get_the_serial_ciphertexts():
+    keys = keygen(1024, 3)
+    n = keys.n
+    jobs = [[(r % n, r) for r in range(2 + 1000 * t, 2 + 1000 * t + 24) if math.gcd(r, n) == 1]
+            for t in range(4)]
+    serial = [[encrypt(keys, m, r) for m, r in job] for job in jobs]
+    results = [None] * 4
+    start = threading.Barrier(4)
+
+    def work(t):
+        start.wait()
+        results[t] = [encrypt(keys, m, r) for m, r in jobs[t]]
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results == serial
 
 
 def python_argv(code, *args):
     """A fresh interpreter in dev mode, which shows every ResourceWarning on
-    stderr, that turns every DeprecationWarning into an error, so that a
-    deprecated call or an unclosed resource on the helper's path fails the
-    test."""
+    stderr, that turns every DeprecationWarning into an error."""
     return [sys.executable, "-X", "dev", "-W", "error::DeprecationWarning", "-c", code,
             *map(str, args)]
 
@@ -776,163 +831,55 @@ def run_python(code, *args):
                           env=python_env(), timeout=60)
 
 
-def assert_gone(pid):
-    with pytest.raises(ProcessLookupError):
-        os.kill(pid, 0)
-
-
-def test_no_helper_below_the_split_size_nor_on_one_cpu():
+def test_a_2048_bit_run_starts_no_child_process_and_imports_no_subprocess(tmp_path):
+    scenario = json.loads((SCENARIOS / "paillier_mesh4.json").read_text())
+    scenario["backend"]["key_bits"] = 2048
+    path = tmp_path / "paillier2048.json"
+    path.write_text(json.dumps(scenario))
+    # A child that ran and was reaped shows in RUSAGE_CHILDREN; one that runs
+    # or waits to be reaped, in waitpid.
     code = (
-        "import os, sys\n"
-        "from ftagg import paillier\n"
-        "def helper_after_use(bits):\n"
-        "    keys = paillier.keygen(bits, 3)\n"
-        "    assert paillier.decrypt_aggregate(keys, paillier.encrypt(keys, 7, 2)) == 7\n"
-        "    return paillier._helper\n"
-        "print(helper_after_use(128) is None, helper_after_use(256) is None)\n"
-        "print(helper_after_use(1024) is None)\n"
+        "import os, resource, sys\n"
+        "from ftagg import cli\n"
+        "status = cli.main(['run', sys.argv[1]])\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('no child')\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
         "print('subprocess' in sys.modules)\n"
-        "paillier._SPLIT_FROM_BITS = 512\n"
-        "cpus = os.sched_getaffinity(0)\n"
-        "os.sched_setaffinity(0, {min(cpus)})\n"
-        "print(helper_after_use(512) is None)\n"
-        "os.sched_setaffinity(0, cpus)\n"
-        "print(len(cpus) < 2 or helper_after_use(512) is not None)\n"
+        "sys.exit(status)\n"
     )
-    out = run_python(code)
+    out = run_python(code, path)
     assert (out.returncode, out.stderr) == (0, "")
-    assert out.stdout.split() == ["True", "True", "True", "False", "True", "True"]
+    *report, child, reaped, imported = out.stdout.splitlines()
+    assert json.loads("\n".join(report))["aggregate"] == 110
+    assert (child, reaped, imported) == ("no child", "0", "False")
 
 
 @pytest.mark.parametrize("executable", ["", None])
-def test_no_helper_without_an_interpreter_to_start(executable, monkeypatch, helper_asks):
-    # Popen would raise a TypeError for None, which the OSError fallback
-    # does not catch, and a PermissionError for "", which stops the split.
+def test_no_helper_without_an_interpreter_to_start(executable, monkeypatch):
+    # No route starts an interpreter, so an embedding one without
+    # sys.executable encrypts as any other.
     monkeypatch.setattr(sys, "executable", executable)
-    monkeypatch.setattr(paillier, "_helper", None)
     keys = keygen(512, 3)
     n, n_sq = keys.n, keys.n_sq
     for r in (2, 3, n - 1):
         assert encrypt(keys, 0, r) == pow(r, n, n_sq)
-    assert (paillier._helper, helper_asks) == (None, [])
 
 
-@needs_two_cpus
-def test_a_process_with_another_thread_splits_too():
-    code = (
-        "import threading\n"
-        "from ftagg import paillier\n"
-        "paillier._SPLIT_FROM_BITS = 512\n"
-        "stop = threading.Event()\n"
-        "thread = threading.Thread(target=stop.wait)\n"
-        "thread.start()\n"
-        "keys = paillier.keygen(512, 3)\n"
-        "n, n_sq = keys.n, keys.n_sq\n"
-        "for r in range(2, 40):\n"
-        "    assert paillier.encrypt(keys, 0, r) == pow(r, n, n_sq), r\n"
-        "print(threading.active_count(), bool(paillier._helper))\n"
-        "stop.set()\n"
-        "thread.join()\n"
-    )
-    out = run_python(code)
-    assert (out.returncode, out.stderr, out.stdout.split()) == (0, "", ["2", "True"])
-
-
-@needs_two_cpus
-def test_helper_is_reaped_by_its_parent_at_exit():
-    # The check is registered before ftagg, so it runs after ftagg's own
-    # exit handler, while the helper is still the caller's child.
-    code = (
-        "import atexit, os\n"
-        "def check():\n"
-        "    try:\n"
-        "        os.waitpid(pid, os.WNOHANG)\n"
-        "    except ChildProcessError:\n"
-        "        print('reaped')\n"
-        "atexit.register(check)\n"
-        "from ftagg import paillier\n"
-        "paillier._SPLIT_FROM_BITS = 512\n"
-        "keys = paillier.keygen(512, 3)\n"
-        "assert paillier.decrypt_aggregate(keys, paillier.encrypt(keys, 7, 2)) == 7\n"
-        "pid = paillier._helper.pid\n"
-        "print(pid)\n"
-    )
-    out = run_python(code)
-    assert (out.returncode, out.stderr) == (0, "")
-    pid, word = out.stdout.split()
-    assert word == "reaped"
-    assert_gone(int(pid))
-
-
-@needs_two_cpus
-def test_a_killed_helper_leaves_the_round_to_local_halves(tmp_path, capsys, monkeypatch):
-    # A lost helper must not surface as the OSError that `ftagg run` reports
-    # as exit 3, nor as a hang or a wrong report.
-    scenario = json.loads((SCENARIOS / "paillier_mesh4.json").read_text())
-    scenario["backend"]["key_bits"] = 512
-    path = tmp_path / "paillier512.json"
-    path.write_text(json.dumps(scenario))
-    monkeypatch.setattr(paillier, "_SPLIT_FROM_BITS", 1 << 62)
-    assert main(["run", str(path)]) == EXIT_OK
-    serial = capsys.readouterr().out
-    code = (
-        "import os, signal, sys\n"
-        "from ftagg import cli, paillier\n"
-        "paillier._SPLIT_FROM_BITS = 512\n"
-        "keys = paillier.keygen(512, 3)\n"
-        "paillier.encrypt(keys, 7, 2)\n"
-        "os.kill(paillier._helper.pid, signal.SIGKILL)\n"
-        "sys.exit(cli.main(['run', sys.argv[1]]))\n"
-    )
-    out = run_python(code, path)
-    assert (out.returncode, out.stderr) == (0, "")
-    assert out.stdout == serial
-    assert json.loads(serial)["aggregate"] == 110
-
-
-@needs_two_cpus
-def test_a_forked_child_never_reads_the_parents_replies():
-    # Parent and child encrypt at the same time; a reply read by the wrong
-    # process would give a wrong ciphertext on one side or both.
-    code = (
-        "import math, os, sys\n"
-        "from ftagg import paillier\n"
-        "paillier._SPLIT_FROM_BITS = 512\n"
-        "keys = paillier.keygen(512, 3)\n"
-        "n, n_sq = keys.n, keys.n_sq\n"
-        "def check(first):\n"
-        "    for r in range(first, first + 60):\n"
-        "        if math.gcd(r, n) == 1:\n"
-        "            assert paillier.encrypt(keys, r, r) == (1 + r * n) * pow(r, n, n_sq) % n_sq\n"
-        "paillier.encrypt(keys, 0, 2)\n"
-        "parents = paillier._helper.pid\n"
-        "child = os.fork()\n"
-        "if child == 0:\n"
-        "    assert paillier._helper is None\n"
-        "    check(1000)\n"
-        "    assert paillier._helper.pid != parents\n"
-        "    os.waitpid(paillier._helper.pid, os.WNOHANG)\n"
-        "    sys.exit(0)\n"
-        "check(2000)\n"
-        "assert paillier._helper.pid == parents\n"
-        "print(os.waitpid(child, 0)[1])\n"
-    )
-    out = run_python(code)
-    assert (out.returncode, out.stderr, out.stdout.split()) == (0, "", ["0"])
-
-
-@needs_two_cpus
 def test_sigint_to_the_process_group_leaves_no_helper_traceback():
     # A shell starts background jobs with SIGINT ignored; the run needs
-    # Python's own handler back, whoever started the tests.
+    # Python's own handler back, whoever started the tests. The interrupt
+    # lands in a libcrypto call or between two, and powmod frees its
+    # BIGNUMs on the way out.
     code = (
         "import signal\n"
         "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
         "from ftagg import paillier\n"
-        "paillier._SPLIT_FROM_BITS = 512\n"
         "keys = paillier.keygen(1024, 3)\n"
         "paillier.encrypt(keys, 0, 2)\n"
-        "print(paillier._helper.pid, flush=True)\n"
+        "print('started', flush=True)\n"
         "try:\n"
         "    while True:\n"
         "        paillier.encrypt(keys, 1, 2)\n"
@@ -944,11 +891,10 @@ def test_sigint_to_the_process_group_leaves_no_helper_traceback():
         env=python_env(), start_new_session=True,
     ) as proc:
         try:
-            helper = int(proc.stdout.readline())
+            assert proc.stdout.readline() == "started\n"
             time.sleep(0.2)
             os.killpg(proc.pid, signal.SIGINT)
             out, err = proc.communicate(timeout=60)
         finally:
             proc.kill()
     assert (proc.returncode, err, out.split()) == (0, "", ["interrupted"])
-    assert_gone(helper)

@@ -11,24 +11,46 @@ pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(pairs)
 
 
-def test_every_recorded_mesh_400_summary_recomputes_from_its_runs():
-    bench = json.loads((ROOT / "BENCH_mesh-400.json").read_text())
-    metrics = pairs.end_to_end_metrics()
+def _written_by_pairs(summary):
+    """Whether a recorded summary has the layout pairs.py writes: a win count
+    beside every metric. Older hand-made he-2048 and corpus-mixed records
+    count wins on fewer metrics, under other names."""
+    metrics = [k.removesuffix("_parent") for k in summary if k.endswith("_parent")]
+    return all(f"{m}_change_wins" in summary for m in metrics)
+
+
+def _checked_summaries(workload):
+    """Recomputes each summary pairs.py wrote in BENCH_<workload>.json from
+    its runs, and returns how many it checked."""
     checked = 0
-    for comparison in bench["comparisons"]:
+    for comparison in json.loads((ROOT / f"BENCH_{workload}.json").read_text())["comparisons"]:
         for key, recorded in comparison["summary"].items():
-            # A key is a seed, or "SEED, pairs A-B" for a later batch of it.
+            if not _written_by_pairs(recorded):
+                continue
+            # A key is a seed, or "SEED traced" for traced runs, and either
+            # one then ", pairs A-B" for a later batch of it.
             seed, _, batch = key.partition(", pairs ")
+            seed, traced = seed.removesuffix(" traced"), int(seed.endswith(" traced"))
             low, high = map(int, batch.split("-")) if batch else (0, recorded["pairs"] - 1)
             runs = [
                 run for run in comparison["runs"]
-                if run["seed"] == int(seed) and low <= run["pair"] <= high
+                if run["seed"] == int(seed) and run.get("trace", 0) == traced
+                and low <= run["pair"] <= high
             ]
-            # The oldest records summarize four of the metrics.
-            summary = pairs.summarize(runs, metrics)
-            assert {k: summary[k] for k in recorded} == recorded, (comparison["change_commit"], key)
+            # The oldest mesh-400 records summarize four of the metrics.
+            summary = pairs.summarize(runs, pairs.declared_metrics(traced))
+            assert {k: summary[k] for k in recorded} == recorded, (workload, key)
             checked += 1
-    assert checked >= 7
+    return checked
+
+
+def test_every_recorded_mesh_400_summary_recomputes_from_its_runs():
+    assert _checked_summaries("mesh-400") >= 7
+
+
+def test_every_summary_of_the_other_workloads_recomputes_from_its_runs():
+    checked = {w: _checked_summaries(w) for w in ("corpus-mixed", "games", "he-2048")}
+    assert sum(checked.values()) >= 8, checked
 
 
 def test_wins_follow_each_metric_direction():

@@ -1,6 +1,7 @@
 """Alternating parent/change pairs of one benchmark workload.
 
     python3 tools/pairs.py PARENT CHANGE --workload mesh-400 --seed 400 --pairs 10 --seconds 15
+    python3 tools/pairs.py PARENT CHANGE --workload he-2048 --seed 2048 --pairs 1 --trace 1
 
 Run from a git checkout; stdlib only. PARENT and CHANGE are any git
 revisions. Each side is extracted from its own `git archive` into a
@@ -12,6 +13,10 @@ end-to-end metric each side's quartiles and the number of pairs the change
 won. Pairs of a commit pair already recorded continue its numbering. The
 script then prints the summary and, per side, the speed modes its runs fell
 in: `op_p50_ms` split at its largest ratio between consecutive runs.
+
+With `--trace 1` every run is a traced one, and the summary is of the
+per-layer metrics; those runs are recorded with `"trace": 1` under the key
+"SEED traced", and number their pairs apart from the untraced ones.
 """
 
 from __future__ import annotations
@@ -33,10 +38,11 @@ METHOD = (
 )
 
 
-def end_to_end_metrics() -> list[tuple[str, str]]:
-    """(name, better) of each end-to-end metric, in BENCHMARK.json's order."""
+def declared_metrics(trace: int = 0) -> list[tuple[str, str]]:
+    """(name, better) of each end-to-end metric, or with trace of each
+    per-layer one, in BENCHMARK.json's order."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    return [(m["name"], m["better"]) for m in spec["per_layer" if trace else "end_to_end"]]
 
 
 def quartiles(values: list[float]) -> dict:
@@ -89,10 +95,10 @@ def extract(commit: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: str) -> str:
+def run_once(checkout: Path, workload: str, seed: int, seconds: str, trace: int) -> str:
     """The result line of one benchmark run in `checkout`."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", seconds]
+               "--seed", str(seed), "--seconds", seconds, "--trace", str(trace)]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode or not lines:
@@ -126,6 +132,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=15)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     seconds = f"{args.seconds:g}"
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
@@ -142,7 +149,8 @@ def main(argv: list[str] | None = None) -> None:
             "comparisons": [],
         }
     comparison = comparison_for(bench, commits["parent"], commits["change"])
-    first = len({run["pair"] for run in comparison["runs"] if run["seed"] == args.seed})
+    first = len({run["pair"] for run in comparison["runs"]
+                 if run["seed"] == args.seed and run.get("trace", 0) == args.trace})
 
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -154,12 +162,15 @@ def main(argv: list[str] | None = None) -> None:
         for pair in range(first, first + args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_once(checkouts[side], args.workload, args.seed, seconds)
-                runs.append({"seed": args.seed, "pair": pair, "side": side, "first": order[0], "result": result})
+                result = run_once(checkouts[side], args.workload, args.seed, seconds, args.trace)
+                run = {"seed": args.seed, "pair": pair, "side": side, "first": order[0], "result": result}
+                runs.append({**run, "trace": 1} if args.trace else run)
                 print(f"pair {pair} {side}: {result}", flush=True)
 
-    key = str(args.seed) if first == 0 else f"{args.seed}, pairs {first}-{first + args.pairs - 1}"
-    metrics = end_to_end_metrics()
+    key = f"{args.seed} traced" if args.trace else str(args.seed)
+    if first:
+        key += f", pairs {first}-{first + args.pairs - 1}"
+    metrics = declared_metrics(args.trace)
     summary = summarize(runs, metrics)
     comparison["summary"][key] = summary
     comparison["runs"] += runs
@@ -174,6 +185,8 @@ def main(argv: list[str] | None = None) -> None:
         )
     incorrect = [run for run in runs if json.loads(run["result"])["correct"] is not True]
     print(f"  runs not correct: {len(incorrect)}")
+    if args.trace:
+        return  # a traced run reads no op_p50_ms, so it shows no speed mode
     for side in commits:
         p50 = [json.loads(r["result"])["metrics"]["op_p50_ms"]["value"] for r in runs if r["side"] == side]
         split, low, high = speed_modes(p50)
