@@ -32,12 +32,18 @@ and the primes p, q. Decryption computes L(c^lambda mod n^2) * mu mod n the
 CRT way: mod p^2 and q^2 with exponents p - 1 and q - 1, joined mod n
 (Paillier, EUROCRYPT 1999, section 7).
 
-Encryption computes its randomizer r^n mod n^2 from p and q as well: as
-x^p mod p^2 depends only on x mod p, r^n mod p^2 = (r^(q mod (p-1)) mod p)^p
-mod p^2, likewise mod q^2, joined mod n^2. This is a simulation shortcut. A
-real meter holds only the public key; the shortcut is valid here only because
-it yields the same integer as pow(r, n, n^2), so every ciphertext, trace and
-view is the one the public-key formula gives.
+Encryption computes its randomizer r^n mod n^2 on one of two routes, chosen
+by the key size alone (_direct_randomizer). Small keys take one powmod(r, n,
+n^2), the public-key formula. Larger keys take the lifted CRT from p and q:
+as x^p mod p^2 depends only on x mod p, r^n mod p^2 = (r^(q mod (p-1)) mod
+p)^p mod p^2, likewise mod q^2, joined mod n^2 (_crt_randomizer). The CRT's
+four exponentiations of half-size numbers beat one of n^2 only where the
+fixed cost of each powmod call is small next to the arithmetic: from 384-bit
+keys where n^2 goes to libcrypto, and from 128-bit keys on the builtin pow.
+The CRT is a simulation shortcut. A real meter holds only the public key;
+the shortcut is valid here only because it yields the same integer as
+pow(r, n, n^2), so every ciphertext, trace and view is the same on both
+routes.
 
 Every exponentiation of keygen's probes, encryption and decryption runs
 through powmod. Moduli of _LIBCRYPTO_FROM_BITS = 128 bits and more go to
@@ -62,6 +68,13 @@ from .model import Scenario, check_key_bits
 # Moduli of this many bits and more are exponentiated by libcrypto where it
 # loads. Below, the builtin pow is faster than the calls into it (README).
 _LIBCRYPTO_FROM_BITS = 128
+
+# Keys below these many bits encrypt with one powmod(r, n, n^2), larger ones
+# with the lifted CRT's four exponentiations of half-size numbers: on the
+# builtin pow, and where libcrypto loads. A libcrypto call has a fixed cost
+# of some 12-20 us, which the CRT pays four times (README, "Big numbers").
+_DIRECT_BELOW_BITS = 128
+_DIRECT_BELOW_BITS_ON_LIBCRYPTO = 384
 
 
 @functools.cache
@@ -116,6 +129,15 @@ def powmod(a: int, e: int, m: int) -> int:
         for bn in bns:
             lib.BN_free(bn)
         lib.BN_CTX_free(ctx)
+
+
+def _direct_randomizer(n: int) -> bool:
+    """True iff encrypt computes r^n mod n^2 for the key n by one powmod,
+    False iff by the lifted CRT: whichever is faster at n's size on the
+    route powmod takes (README, "Big numbers")."""
+    bits = n.bit_length()
+    return bits < _DIRECT_BELOW_BITS or (
+        bits < _DIRECT_BELOW_BITS_ON_LIBCRYPTO and bool(_libcrypto()))
 
 
 def _checked(result, name: str):
@@ -370,22 +392,31 @@ def keygen(bits: int, seed: int) -> PaillierKeys:
 def encrypt(keys: PaillierKeys, m: int, r: int) -> int:
     """c = g^m * r^n mod n^2, with g = n + 1 so g^m = 1 + m*n.
 
-    r^n mod n^2 is joined by the CRT from r^n mod p^2 = (r^(q mod (p-1))
-    mod p)^p mod p^2 and its twin mod q^2. That uses the private p and q, a
-    simulation shortcut that a real meter cannot take; it is exact, so the
-    ciphertext is the one pow(r, n, n^2) gives.
+    r^n mod n^2 is one powmod(r, n, n^2) for small keys and the lifted CRT
+    of _crt_randomizer for larger ones, as _direct_randomizer decides. Both
+    give the same integer, so the ciphertext is the one pow(r, n, n^2)
+    gives.
     """
     n = keys.n
     if not 0 <= m < n:
         raise ValueError(f"plaintext {m} outside [0, {n})")
     if not 1 <= r < n or math.gcd(r, n) != 1:
         raise ValueError("randomness must be a unit of Z_n")
+    n_sq = keys.n_sq
+    r_n = powmod(r, n, n_sq) if _direct_randomizer(n) else _crt_randomizer(keys, r)
+    return (1 + m * n) * r_n % n_sq
+
+
+def _crt_randomizer(keys: PaillierKeys, r: int) -> int:
+    """r^n mod n^2, joined by the CRT from r^n mod p^2 = (r^(q mod (p-1))
+    mod p)^p mod p^2 and its twin mod q^2. That uses the private p and q, a
+    simulation shortcut that a real meter cannot take; it is exact for every
+    unit r of Z_n."""
     p, q = keys.p, keys.q
     p_sq, q_sq = p * p, q * q
     r_p = powmod(powmod(r, q % (p - 1), p), p, p_sq)
     r_q = powmod(powmod(r, p % (q - 1), q), q, q_sq)
-    r_n = r_q + q_sq * ((r_p - r_q) * keys.q_sq_inv % p_sq)
-    return (1 + m * n) * r_n % keys.n_sq
+    return r_q + q_sq * ((r_p - r_q) * keys.q_sq_inv % p_sq)
 
 
 def decrypt_aggregate(keys: PaillierKeys, c: int) -> int:

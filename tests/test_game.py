@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import pytest
 from conftest import full_edges
-from ftagg import cli, game, model, protocol
+from ftagg import cli, game, model, paillier, protocol
 from ftagg.game import (
     FAMILIES,
     MAX_GAME_WORK,
@@ -537,6 +537,35 @@ def test_empirical_runs_are_deterministic():
     a = empirical_unlinkability("masking-colluding-meters", 100, seed=11)
     b = empirical_unlinkability("masking-colluding-meters", 100, seed=11)
     assert a == b
+
+
+@pytest.mark.parametrize("family", ["he-concentrator", "he-breach"])
+def test_he_game_views_and_guesses_are_the_same_with_libcrypto_and_with_pow_alone(
+        family, monkeypatch):
+    # The 256-bit game keys encrypt with one powmod(r, n, n^2) where
+    # libcrypto loads and with the lifted CRT on pow alone.
+    builder, strategy = FAMILIES[family]
+    crt_calls = []
+    crt_randomizer = paillier._crt_randomizer
+
+    def recorded(keys, r):
+        crt_calls.append(r)
+        return crt_randomizer(keys, r)
+
+    monkeypatch.setattr(paillier, "_crt_randomizer", recorded)
+
+    def play():
+        crt_calls.clear()
+        rng = random.Random(90004)
+        trials = [run_trial(builder(rng, 5, idx), nonce=idx) for idx in range(6)]
+        assert all(trial.abort_reason is None for trial in trials)
+        return [(view_to_json(t.view), STRATEGIES[strategy](t.view), t.secret_bit) for t in trials]
+
+    with_libcrypto = play()
+    assert bool(crt_calls) == (not paillier._libcrypto())
+    monkeypatch.setattr(paillier, "_libcrypto", lambda: False)
+    assert play() == with_libcrypto
+    assert crt_calls
 
 
 def test_all_families_are_runnable():

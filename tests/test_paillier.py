@@ -414,13 +414,13 @@ def _lambda_mu_decrypt(keys, c):
     return ((pow(c, keys.lam, n_sq) - 1) // n) * keys.mu % n
 
 
-# The ids that end in "-serial" run on the builtin pow alone, the others on
+# The ids that end in "-pow" run on the builtin pow alone, the others on
 # libcrypto where it loads.
 @pytest.mark.parametrize(
     "bits, samples, libcrypto",
     [(64, 200, True), (128, 100, True), (256, 50, True), (512, 20, True), (512, 20, False),
      (2048, 1, True)],
-    ids=["64-200", "128-100", "256-50", "512-20", "512-20-serial", "2048-1"],
+    ids=["64-200", "128-100", "256-50", "512-20", "512-20-pow", "2048-1"],
 )
 def test_decrypt_matches_lambda_mu_formula(bits, samples, libcrypto, route):
     used_libcrypto = route(libcrypto)
@@ -436,8 +436,10 @@ def test_decrypt_matches_lambda_mu_formula(bits, samples, libcrypto, route):
     for m in edge:
         acc = acc * encrypt(keys, m, next(stream)) % keys.n_sq
     assert decrypt_aggregate(keys, acc) == _lambda_mu_decrypt(keys, acc) == sum(edge) % keys.n
-    # 64-bit keys have 32-bit primes, so every modulus stays below 128 bits.
-    assert used_libcrypto() == bool(libcrypto and LIBCRYPTO and bits > 64)
+    # A 64-bit key's primes stay on pow, and its n^2 goes to libcrypto in the
+    # direct randomizer where it has 128 bits, not 127.
+    n_sq_to_libcrypto = bits > 64 or keys.n_sq.bit_length() == 128
+    assert used_libcrypto() == bool(libcrypto and LIBCRYPTO and n_sq_to_libcrypto)
 
 
 def test_miller_rabin_composite_passing_first_round_matches_reference():
@@ -499,11 +501,11 @@ def _assert_next_prime_matches_reference(start, fast, ref):
 
 def _on_both_routes(names, cases, ids):
     """Parametrizes a test over cases, each once on the builtin pow alone,
-    with its own id, and once on libcrypto where it loads, with "-split"
-    after it: the exponentiations split off to libcrypto."""
+    with its own id, and once on libcrypto where it loads, with "-libcrypto"
+    after it."""
     return pytest.mark.parametrize(
         f"{names}, libcrypto", [(*c, lib) for lib in (False, True) for c in cases],
-        ids=[i + suffix for suffix in ("", "-split") for i in ids])
+        ids=[i + suffix for suffix in ("", "-libcrypto") for i in ids])
 
 
 @_on_both_routes("bits, seed", [(512, 0), (512, 1), (512, 2), (1024, 0)],
@@ -588,7 +590,7 @@ def probes(monkeypatch):
 
 
 @_on_both_routes("case", [(c,) for c in CASES], CASES)
-def test_a_strong_liar_anywhere_in_the_paired_search_keeps_the_reference_draws(
+def test_a_strong_liar_in_the_prime_search_keeps_the_reference_draws(
         case, libcrypto, route, probes):
     used_libcrypto = route(libcrypto)
     # The liar candidate n passes its first base a: it is the first candidate
@@ -615,9 +617,8 @@ def test_a_strong_liar_anywhere_in_the_paired_search_keeps_the_reference_draws(
     assert used_libcrypto() == bool(libcrypto and LIBCRYPTO)
 
 
-# "split" names the libcrypto route here, and "serial" the builtin pow's.
 @pytest.mark.parametrize("seed", range(4))
-def test_split_keygen_equals_serial_keygen_draw_for_draw(seed, monkeypatch, route):
+def test_keygen_on_libcrypto_equals_keygen_on_pow_draw_for_draw(seed, monkeypatch, route):
     rngs = []
     random_prime = paillier._random_prime
 
@@ -691,19 +692,24 @@ def _small_key_primes(limit=60):
 
 @pytest.mark.parametrize("p, q", _small_key_primes())
 def test_randomizer_equals_plain_pow_for_every_unit(p, q):
+    # Keys this small encrypt on the direct route, so the lifted CRT is
+    # called here on its own.
     keys = keys_from_primes(p, q, bits=(p * q).bit_length())
     n, n_sq = keys.n, keys.n_sq
     for r in range(1, n):
         if math.gcd(r, n) == 1:
-            assert encrypt(keys, 0, r) == pow(r, n, n_sq), r
+            assert paillier._crt_randomizer(keys, r) == encrypt(keys, 0, r) == pow(r, n, n_sq), r
 
 
-# The id that ends in "-serial" runs on the builtin pow alone, the others on
-# libcrypto where it loads.
+# The ids that end in "-pow" run on the builtin pow alone, the others on
+# libcrypto where it loads. Encryption takes one powmod(r, n, n^2) below
+# 384-bit keys on libcrypto and below 128-bit keys on pow, the lifted CRT
+# above, so the ids reach both sides of both thresholds.
 @pytest.mark.parametrize(
     "bits, libcrypto",
-    [(64, True), (128, True), (256, True), (512, True), (512, False), (1024, True)],
-    ids=["64", "128", "256", "512", "512-serial", "1024"],
+    [(64, True), (64, False), (128, True), (128, False), (256, True), (256, False),
+     (384, True), (512, True), (512, False), (1024, True)],
+    ids=["64", "64-pow", "128", "128-pow", "256", "256-pow", "384", "512", "512-pow", "1024"],
 )
 def test_randomizer_equals_plain_pow_on_stream_draws(bits, libcrypto, route):
     used_libcrypto = route(libcrypto)
@@ -715,7 +721,34 @@ def test_randomizer_equals_plain_pow_on_stream_draws(bits, libcrypto, route):
     for _ in range(200):
         r, m = next(stream), rng.randrange(n)
         assert encrypt(keys, m, r) == (1 + m * n) * pow(r, n, n_sq) % n_sq
-    assert used_libcrypto() == bool(libcrypto and LIBCRYPTO and bits > 64)
+    # As in test_decrypt_matches_lambda_mu_formula.
+    n_sq_to_libcrypto = bits > 64 or n_sq.bit_length() == 128
+    assert used_libcrypto() == bool(libcrypto and LIBCRYPTO and n_sq_to_libcrypto)
+
+
+@pytest.mark.parametrize("libcrypto", [True, False], ids=["libcrypto", "pow"])
+@pytest.mark.parametrize("bits", [64, 128, 256, 384, 512, 1024])
+def test_encryption_takes_one_exponentiation_on_small_keys_and_four_on_large_ones(
+        bits, libcrypto, route, monkeypatch):
+    route(libcrypto)
+    keys = keygen(bits, 13)
+    calls = []
+    counted = paillier.powmod
+
+    def recorded(a, e, m):
+        calls.append(m)
+        return counted(a, e, m)
+
+    monkeypatch.setattr(paillier, "powmod", recorded)
+    n, n_sq = keys.n, keys.n_sq
+    direct = bits < (384 if libcrypto and LIBCRYPTO else 128)
+    for r in (2, 3, n - 1):
+        calls.clear()
+        assert encrypt(keys, 5, r) == (1 + 5 * n) * pow(r, n, n_sq) % n_sq
+        if direct:
+            assert calls == [n_sq], r
+        else:
+            assert calls == [keys.p, keys.p ** 2, keys.q, keys.q ** 2], r
 
 
 # --- powmod's two routes: libcrypto's BN_mod_exp and the builtin pow. ---
@@ -864,7 +897,7 @@ def test_a_2048_bit_run_starts_no_child_process_and_imports_no_subprocess(tmp_pa
 
 
 @pytest.mark.parametrize("executable", ["", None])
-def test_no_helper_without_an_interpreter_to_start(executable, monkeypatch):
+def test_encryption_needs_no_interpreter_path(executable, monkeypatch):
     # No route starts an interpreter, so an embedding one without
     # sys.executable encrypts as any other.
     monkeypatch.setattr(sys, "executable", executable)
@@ -874,7 +907,7 @@ def test_no_helper_without_an_interpreter_to_start(executable, monkeypatch):
         assert encrypt(keys, 0, r) == pow(r, n, n_sq)
 
 
-def test_sigint_to_the_process_group_leaves_no_helper_traceback():
+def test_sigint_during_libcrypto_encryptions_raises_a_clean_keyboard_interrupt():
     # A shell starts background jobs with SIGINT ignored; the run needs
     # Python's own handler back, whoever started the tests. The interrupt
     # lands in a libcrypto call or between two, and powmod frees its
