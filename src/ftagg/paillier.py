@@ -70,9 +70,10 @@ from .model import Scenario, check_key_bits
 _LIBCRYPTO_FROM_BITS = 128
 
 # Keys below these many bits encrypt with one powmod(r, n, n^2), larger ones
-# with the lifted CRT's four exponentiations of half-size numbers: on the
-# builtin pow, and where libcrypto loads. A libcrypto call has a fixed cost
-# of some 12-20 us, which the CRT pays four times (README, "Big numbers").
+# with the lifted CRT's four exponentiations of half-size numbers: the first
+# on the builtin pow alone, the second where n^2 goes to libcrypto, whose
+# calls each cost about 12 us beyond their arithmetic, which the CRT pays
+# four times (README, "Big numbers").
 _DIRECT_BELOW_BITS = 128
 _DIRECT_BELOW_BITS_ON_LIBCRYPTO = 384
 
@@ -131,21 +132,21 @@ def powmod(a: int, e: int, m: int) -> int:
         lib.BN_CTX_free(ctx)
 
 
-def _direct_randomizer(n: int) -> bool:
-    """True iff encrypt computes r^n mod n^2 for the key n by one powmod,
-    False iff by the lifted CRT: whichever is faster at n's size on the
-    route powmod takes (README, "Big numbers")."""
-    bits = n.bit_length()
-    return bits < _DIRECT_BELOW_BITS or (
-        bits < _DIRECT_BELOW_BITS_ON_LIBCRYPTO and bool(_libcrypto()))
-
-
 def _checked(result, name: str):
     """result, unless libcrypto's call name returned NULL or 0 for failure,
     which for these calls means that an allocation failed."""
     if not result:
         raise MemoryError(f"libcrypto's {name} failed")
     return result
+
+
+def _direct_randomizer(n: int) -> bool:
+    """True iff encrypt computes r^n mod n^2 for the key n by one powmod
+    rather than by the lifted CRT: whichever is faster at n's size on the
+    route powmod takes (README, "Big numbers")."""
+    bits = n.bit_length()
+    return bits < _DIRECT_BELOW_BITS or (
+        bits < _DIRECT_BELOW_BITS_ON_LIBCRYPTO and bool(_libcrypto()))
 
 
 def _prime_flags(limit: int) -> bytearray:

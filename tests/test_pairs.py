@@ -53,6 +53,21 @@ def test_every_summary_of_the_other_workloads_recomputes_from_its_runs():
     assert sum(checked.values()) >= 8, checked
 
 
+def test_every_recorded_speed_mode_count_recomputes_from_its_runs():
+    checked = 0
+    for workload in ("corpus-mixed", "games", "he-2048", "mesh-400"):
+        for comparison in json.loads((ROOT / f"BENCH_{workload}.json").read_text())["comparisons"]:
+            for key, recorded in comparison.get("speed_modes", {}).items():
+                seed, _, batch = key.partition(", pairs ")
+                low, high = map(int, batch.split("-")) if batch else (0, comparison["summary"][key]["pairs"] - 1)
+                runs = [run for run in comparison["runs"] if run["seed"] == int(seed)
+                        and not run.get("trace") and low <= run["pair"] <= high]
+                assert pairs.side_modes(runs) == recorded, (workload, key)
+                assert sum(n for n, _, _ in recorded["parent"]["modes"]) == len(runs) // 2
+                checked += 1
+    assert checked >= 5
+
+
 def test_wins_follow_each_metric_direction():
     def run(pair, side, ops, rss):
         metrics = {"ops_per_s": {"value": ops}, "peak_rss_mb": {"value": rss}}

@@ -12,7 +12,8 @@ of the checkout: the two commits, every raw result line, and per seed and
 end-to-end metric each side's quartiles and the number of pairs the change
 won. Pairs of a commit pair already recorded continue its numbering. The
 script then prints the summary and, per side, the speed modes its runs fell
-in: `op_p50_ms` split at its largest ratio between consecutive runs.
+in: `op_p50_ms` split at its largest ratio between consecutive runs. Those
+modes are recorded too, under "speed_modes" beside the summary.
 
 With `--trace 1` every run is a traced one, and the summary is of the
 per-layer metrics; those runs are recorded with `"trace": 1` under the key
@@ -79,6 +80,17 @@ def speed_modes(values: list[float]) -> tuple[float, list[float], list[float]]:
         return float("inf"), v, []
     i = max(range(1, len(v)), key=lambda k: v[k] / v[k - 1])
     return (v[i - 1] + v[i]) / 2, v[:i], v[i:]
+
+
+def side_modes(runs: list[dict]) -> dict:
+    """Per side, its runs' speed modes by op_p50_ms: the split point and,
+    per mode, the number of runs and their lowest and highest op_p50_ms."""
+    modes = {}
+    for side in ("parent", "change"):
+        p50 = [json.loads(r["result"])["metrics"]["op_p50_ms"]["value"] for r in runs if r["side"] == side]
+        split, low, high = speed_modes(p50)
+        modes[side] = {"split_ms": split, "modes": [[len(v), v[0], v[-1]] for v in (low, high) if v]}
+    return modes
 
 
 def git(*args: str) -> str:
@@ -173,6 +185,8 @@ def main(argv: list[str] | None = None) -> None:
     metrics = declared_metrics(args.trace)
     summary = summarize(runs, metrics)
     comparison["summary"][key] = summary
+    if not args.trace:  # a traced run reads no op_p50_ms, so it shows no speed mode
+        modes = comparison.setdefault("speed_modes", {})[key] = side_modes(runs)
     comparison["runs"] += runs
     path.write_text(json.dumps(bench, indent=1) + "\n")
 
@@ -186,12 +200,10 @@ def main(argv: list[str] | None = None) -> None:
     incorrect = [run for run in runs if json.loads(run["result"])["correct"] is not True]
     print(f"  runs not correct: {len(incorrect)}")
     if args.trace:
-        return  # a traced run reads no op_p50_ms, so it shows no speed mode
-    for side in commits:
-        p50 = [json.loads(r["result"])["metrics"]["op_p50_ms"]["value"] for r in runs if r["side"] == side]
-        split, low, high = speed_modes(p50)
-        modes = [f"{len(v)} at {v[0]:.3g}-{v[-1]:.3g} ms" for v in (low, high) if v]
-        print(f"  {side} speed modes by op_p50_ms (split at {split:.3g} ms): {', '.join(modes)}")
+        return
+    for side, mode in modes.items():
+        text = [f"{count} at {lo:.3g}-{hi:.3g} ms" for count, lo, hi in mode["modes"]]
+        print(f"  {side} speed modes by op_p50_ms (split at {mode['split_ms']:.3g} ms): {', '.join(text)}")
 
 
 if __name__ == "__main__":
