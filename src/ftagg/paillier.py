@@ -16,15 +16,6 @@ one the full loop gives. Before any of this, a wheel over 3 * 5 * 7 * 11 * 13
 and one gcd with the product of the primes below 1000 reject the candidates
 with a small factor, with no draw, as the full loop's trial division does.
 
-Candidates of 512 bits and more (keys of 1024 bits and more) are also
-sieved, a window of 1024 odd candidates at a time, by the primes in
-(1000, 2^18]. A candidate marked with such a factor f still draws its first
-base a, and is rejected at once if a^(n-1) mod f != 1. This is exact: a
-strong liar a of n has a^(n-1) = 1 mod n, so mod every factor of n, and the
-full loop would reject n at that base too. Otherwise the full probe runs on
-the same a. The table of about 23,000 primes is built on first use, so
-smaller keys never pay for it.
-
 A ciphertext is a plain int, a unit of Z_(n^2): every holder of one also
 holds its key, so the backend folds a share into the running one by a
 product mod n^2. The private key is lambda = phi(n), mu = phi(n)^-1 mod n
@@ -61,7 +52,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .model import Scenario, check_key_bits
 
@@ -265,24 +256,19 @@ def _strong_probe(n: int, a: int) -> bool:
     return False
 
 
-def is_probable_prime(n: int, rng: random.Random, factor: int) -> bool:
-    """Miller-Rabin with MR_ROUNDS random bases drawn from rng; factor is a
-    prime factor of n in (1000, 2^18], or 0 if none is known.
+def is_probable_prime(n: int, rng: random.Random) -> bool:
+    """Miller-Rabin with MR_ROUNDS random bases drawn from rng.
 
-    An n with such a factor is rejected right after its first draw unless
-    that base is a Fermat liar mod factor. Once n passes its first round,
-    Baillie-PSW decides it below 2^64. A proven prime would pass every later
-    round, so those bases are only drawn, which leaves the result and rng's
-    state as the full loop leaves them; a composite goes on with the full loop.
+    Once n passes its first round, Baillie-PSW decides it below 2^64. A
+    proven prime would pass every later round, so those bases are only drawn,
+    which leaves the result and rng's state as the full loop leaves them; a
+    composite goes on with the full loop.
     """
     if n <= 1000:
         return n in _SMALL_PRIMES
     if not _COPRIME_TO_WHEEL[n % _WHEEL] or math.gcd(n, _SMALL_PRIMORIAL) != 1:
         return False
-    a = rng.randrange(2, n - 1)
-    if factor and pow(a, n - 1, factor) != 1:
-        return False
-    if not _strong_probe(n, a):
+    if not _strong_probe(n, rng.randrange(2, n - 1)):
         return False
     if n < 1 << 64 and _strong_probe(n, 2) and _strong_lucas(n):
         _draw_bases(n, MR_ROUNDS - 1, rng)
@@ -290,46 +276,11 @@ def is_probable_prime(n: int, rng: random.Random, factor: int) -> bool:
     return all(_strong_probe(n, rng.randrange(2, n - 1)) for _ in range(MR_ROUNDS - 1))
 
 
-# Candidates of this many bits and more are sieved, a window of
-# _SIEVE_WINDOW odd numbers at a time, by the primes in (1000, 2^18].
-_SIEVE_FROM_BITS = 512
-_SIEVE_WINDOW = 1024
-_SIEVE_LIMIT = 1 << 18
-
-
-@functools.cache
-def _sieve_primes() -> Sequence[int]:
-    """The primes in (1000, _SIEVE_LIMIT], built on first use and with no
-    list on the way, so that only keys of 1024 bits and more pay for them,
-    in time and in peak memory."""
-    from array import array  # loading it would add 0.6 ms to every import
-
-    flags = _prime_flags(_SIEVE_LIMIT)
-    flags[:1001] = bytes(1001)
-    return array("L", itertools.compress(range(_SIEVE_LIMIT + 1), flags))
-
-
-def _window_factors(first: int) -> list[int]:
-    """Entry i is a prime in (1000, _SIEVE_LIMIT] that divides first + 2i,
-    or 0 if none does; first is odd."""
-    factors = [0] * _SIEVE_WINDOW
-    for f in _sieve_primes():
-        # first + 2i = 0 (mod f) at i = -first * 2^-1 (mod f).
-        i = (f - first % f) * (f + 1 >> 1) % f
-        while i < _SIEVE_WINDOW:
-            factors[i] = f
-            i += f
-    return factors
-
-
 def _next_prime(start: int, rng: random.Random) -> int:
     candidate = start | 1
-    while True:
-        sieved = candidate.bit_length() >= _SIEVE_FROM_BITS
-        for factor in _window_factors(candidate) if sieved else itertools.repeat(0, _SIEVE_WINDOW):
-            if is_probable_prime(candidate, rng, factor):
-                return candidate
-            candidate += 2
+    while not is_probable_prime(candidate, rng):
+        candidate += 2
+    return candidate
 
 
 def _random_prime(bits: int, rng: random.Random) -> int:

@@ -192,11 +192,11 @@ def test_randomness_stream_deterministic_and_fresh_per_round():
 def test_miller_rabin_agrees_with_sympy():
     rng = random.Random(0)
     for n in range(2, 2000):
-        assert is_probable_prime(n, rng, 0) == sympy.isprime(n), n
+        assert is_probable_prime(n, rng) == sympy.isprime(n), n
     for carmichael in (561, 1105, 1729, 41041, 825265):
-        assert not is_probable_prime(carmichael, rng, 0)
+        assert not is_probable_prime(carmichael, rng)
     for pseudoprime in PSI + CHERNICK[:30]:
-        assert not is_probable_prime(pseudoprime, rng, 0), pseudoprime
+        assert not is_probable_prime(pseudoprime, rng), pseudoprime
 
 
 def test_backend_fold_and_finalize():
@@ -248,15 +248,16 @@ def test_keygen_bytes_pinned(bits, digest):
     assert _keygen_digest(bits) == digest
 
 
-@pytest.mark.parametrize(
-    "bits, seeds, digest",
-    [
-        (1024, range(8), "261846dd176720622c01d5a3130b986f9d903aa35815371fa08232b89dd39e16"),
-        (1536, range(2), "5c51c65167139fe6c222d5b510203cbba1915b3f759ea52212e0c5e709933bbc"),
-        # The he-2048 benchmark key.
-        (2048, [0x2048], "85e89b9568bcd67993d0d3e4f274917ceeae7e66c1ea9acedd6ca18a25fcfd8c"),
-    ],
-)
+# (bits, seeds, digest). The CI checks them on the builtin pow alone as well.
+LARGE_KEY_PINS = [
+    (1024, range(8), "261846dd176720622c01d5a3130b986f9d903aa35815371fa08232b89dd39e16"),
+    (1536, range(2), "5c51c65167139fe6c222d5b510203cbba1915b3f759ea52212e0c5e709933bbc"),
+    # The he-2048 benchmark key.
+    (2048, [0x2048], "85e89b9568bcd67993d0d3e4f274917ceeae7e66c1ea9acedd6ca18a25fcfd8c"),
+]
+
+
+@pytest.mark.parametrize("bits, seeds, digest", LARGE_KEY_PINS)
 def test_large_keygen_bytes_pinned(bits, seeds, digest):
     assert _keygen_digest(bits, seeds) == digest
 
@@ -382,7 +383,7 @@ def test_wheel_cases_reach_both_sides_of_the_wheel():
 def test_miller_rabin_matches_reference_loop_draw_for_draw():
     for case, n in enumerate(_primality_cases()):
         fast, ref = random.Random(case), random.Random(case)
-        assert is_probable_prime(n, fast, 0) == _reference_is_probable_prime(n, ref), n
+        assert is_probable_prime(n, fast) == _reference_is_probable_prime(n, ref), n
         assert fast.getstate() == ref.getstate(), n
 
 
@@ -406,7 +407,7 @@ def test_strong_lucas_rejects_squares_of_primes():
 
 def test_is_probable_prime_takes_no_rounds_option():
     with pytest.raises(TypeError):
-        is_probable_prime(1009 * 1013, random.Random(0), 0, rounds=0)
+        is_probable_prime(1009 * 1013, random.Random(0), rounds=0)
 
 
 def _lambda_mu_decrypt(keys, c):
@@ -450,7 +451,7 @@ def test_miller_rabin_composite_passing_first_round_matches_reference():
         for seed in range(300):
             liar_first += _reference_is_probable_prime(n, random.Random(seed), rounds=1)
             fast, ref = random.Random(seed), random.Random(seed)
-            assert is_probable_prime(n, fast, 0) == _reference_is_probable_prime(n, ref), (n, seed)
+            assert is_probable_prime(n, fast) == _reference_is_probable_prime(n, ref), (n, seed)
             assert fast.getstate() == ref.getstate(), (n, seed)
     assert liar_first > 0
 
@@ -479,12 +480,12 @@ def test_miller_rabin_strong_lucas_pseudoprime_passing_first_round_matches_refer
         assert is_strong_lucas_prp(n) and mr(n, [liar]) and not mr(n, [2])
         for seed in range(20):
             fast, ref = _FirstDrawFixed(liar, seed), _FirstDrawFixed(liar, seed)
-            assert is_probable_prime(n, fast, 0) is _reference_is_probable_prime(n, ref) is False
+            assert is_probable_prime(n, fast) is _reference_is_probable_prime(n, ref) is False
             assert fast.getstate() == ref.getstate(), (n, seed)
 
 
-# --- Pins that let the window sieve of large candidates prove it finds the
-# prime, and leaves the rng state, of the plain loop. ---
+# --- Pins that let the prime search prove it finds the prime, and leaves the
+# rng state, of the plain loop over the reference test. ---
 
 
 def _reference_next_prime(start, rng):
@@ -510,7 +511,7 @@ def _on_both_routes(names, cases, ids):
 
 @_on_both_routes("bits, seed", [(512, 0), (512, 1), (512, 2), (1024, 0)],
                  ["512-0", "512-1", "512-2", "1024-0"])
-def test_sieved_next_prime_matches_reference_loop_draw_for_draw(bits, seed, libcrypto, route):
+def test_next_prime_matches_reference_loop_draw_for_draw(bits, seed, libcrypto, route):
     used_libcrypto = route(libcrypto)
     start = random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
     _assert_next_prime_matches_reference(start, random.Random(seed), random.Random(seed))
@@ -533,12 +534,12 @@ def _liar_candidate():
 
 
 @_on_both_routes("strong_liar", [(True,), (False,)], ["strong-liar", "fermat-liar-mod-f"])
-def test_sieved_candidate_whose_first_base_lies_mod_its_factor_runs_the_full_probe(
+def test_candidate_whose_first_base_lies_mod_a_factor_above_1000_runs_the_full_probe(
         strong_liar, libcrypto, route):
     used_libcrypto = route(libcrypto)
-    # The window marks f at n. A first base that is 1 mod f passes the Fermat
-    # check mod f, so the full probe must decide; as a strong liar of n, it
-    # sends the probe on to the random rounds.
+    # n has no factor below 1000, so its first base is drawn. A base that is
+    # 1 mod f is a Fermat liar mod f, so only the full probe can reject n; as
+    # a strong liar of n, it sends the probe on to the random rounds.
     n, f, liar = _liar_candidate()
     a = liar if strong_liar else 1 + f * random.Random(n).randrange(2, n // f)
     assert pow(a, n - 1, f) == 1 and 1 < a < n - 1
@@ -564,10 +565,10 @@ class _FixedBases(random.Random):
         return self.bases[self.given - 1]
 
 
-def _last_unsieved_below(n):
-    """The largest odd m < n with no prime factor up to 2^18: the search
+def _last_probed_below(n):
+    """The largest odd m < n with no prime factor below 1000: the search
     probes it whatever its draws."""
-    primes = math.prod(sympy.primerange(1 << 18))
+    primes = math.prod(sympy.primerange(1000))
     return next(m for m in range(n - 2, 0, -2) if math.gcd(m, primes) == 1)
 
 
@@ -594,13 +595,13 @@ def test_a_strong_liar_in_the_prime_search_keeps_the_reference_draws(
         case, libcrypto, route, probes):
     used_libcrypto = route(libcrypto)
     # The liar candidate n passes its first base a: it is the first candidate
-    # probed, or the second, after the last unsieved one below it. In the
+    # probed, or the second, after the last probed one below it. In the
     # confirmation cases its next bases are a liar and then the non-liar 2,
     # or 2 at once.
     n, _, a = _liar_candidate()
     liars = [a, a * a % n]
     assert mr(n, liars) and not mr(n, [2]) and len(set(liars) | {1, n - 1}) == 4
-    start = _last_unsieved_below(n) if case == "second-candidate" else n
+    start = _last_probed_below(n) if case == "second-candidate" else n
     assert not sympy.isprime(start) and start > n - 50
     bases = {"confirmation-fails-at-its-third-base": [a, liars[1], 2],
              "confirmation-fails-at-its-second-base": [a, 2]}.get(case, [a])
@@ -636,39 +637,21 @@ def test_keygen_on_libcrypto_equals_keygen_on_pow_draw_for_draw(seed, monkeypatc
     assert runs[0] == runs[1]
 
 
-# Its next prime is 2140 past it, beyond the first window of 1024 odd candidates.
+# Its next prime is 2140 past it: the search steps over 1070 odd candidates,
+# more than the first window of 1024 that an earlier sieved search marked.
 PAST_FIRST_WINDOW = int(
     "f4f1c07c98951a1818efb3221745c94334b083cc79223b46b54bbaa5ce2847ab"
     "1d33533d756115166b655261e495224821a9e7c7997f7d32d2e56489347b832b", 16
 )
 
 
-def test_sieved_next_prime_past_the_first_window_matches_reference(route):
+def test_next_prime_2140_past_its_start_matches_reference(route):
     assert PAST_FIRST_WINDOW.bit_length() == 512
     assert sympy.nextprime(PAST_FIRST_WINDOW) - PAST_FIRST_WINDOW == 2140 > 2 * 1024
     for libcrypto in (False, True):
         used_libcrypto = route(libcrypto)
         _assert_next_prime_matches_reference(PAST_FIRST_WINDOW, random.Random(7), random.Random(7))
         assert used_libcrypto() == bool(libcrypto and LIBCRYPTO), libcrypto
-
-
-def test_small_keygen_leaves_the_sieve_table_unbuilt():
-    # Building the table costs milliseconds, which keys below 1024 bits
-    # would pay for nothing.
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = (
-        "import ftagg\n"
-        "from ftagg.paillier import _sieve_primes, keygen\n"
-        "keygen(256, 1)\n"
-        "print(_sieve_primes.cache_info().currsize)\n"
-        "keygen(1024, 1)\n"
-        "print(_sieve_primes.cache_info().currsize)\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=60, check=True).stdout
-    assert out.split() == ["0", "1"]
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256, 2048])

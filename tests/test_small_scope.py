@@ -44,6 +44,9 @@ from ftagg.walker import predict_aggregate, reachable_active
 SCOPE = [(1, False, 4), (2, False, 64), (3, False, 1536), (4, True, 4096)]
 # Per n in SCOPE: rounds both engines aggregate, rounds only the protocol does.
 GAIN = {1: (1, 0), 2: (14, 1), 3: (294, 46), 4: (864, 640)}
+# Per n in SCOPE: trace records and clock ticks of the protocol, summed over
+# every round. A round that ran on past its last useful step would add both.
+TOTALS = {1: (5, 8), 2: (118, 236), 3: (3738, 8244), 4: (26800, 61792)}
 WIDE_SCOPE = [(4, False, 65536), (5, True, 163840)]
 
 
@@ -86,8 +89,10 @@ def sweep(scenarios):
     """Check every round against the walker and the baseline. Returns the
     number of rounds, the longest trace, the longest clock and the
     baseline's longest trace; then the number of rounds both engines
-    aggregate and the number only the protocol aggregates."""
+    aggregate and the number only the protocol aggregates; then the
+    protocol's trace records and clock ticks summed over every round."""
     seen = longest = slowest = baseline_longest = both = protocol_only = 0
+    records = ticks = 0
     for s in scenarios:
         net = SimNetwork.for_scenario(s)
         outcome = run_round(s, make_backend(s), net)
@@ -104,9 +109,11 @@ def sweep(scenarios):
             protocol_only += 1
         longest = max(longest, len(outcome.trace))
         slowest = max(slowest, net.clock)
+        records += len(outcome.trace)
+        ticks += net.clock
         baseline_longest = max(baseline_longest, len(baseline.trace))
         seen += 1
-    return (seen, longest, slowest, baseline_longest), (both, protocol_only)
+    return (seen, longest, slowest, baseline_longest), (both, protocol_only), (records, ticks)
 
 
 def worst_case(n: int, count: int) -> tuple[int, int, int, int]:
@@ -115,7 +122,7 @@ def worst_case(n: int, count: int) -> tuple[int, int, int, int]:
 
 @pytest.mark.parametrize("n, all_online, count", SCOPE)
 def test_every_small_round_matches_the_walker(n, all_online, count):
-    assert sweep(rounds(n, all_online)) == (worst_case(n, count), GAIN[n])
+    assert sweep(rounds(n, all_online)) == (worst_case(n, count), GAIN[n], TOTALS[n])
 
 
 @pytest.mark.parametrize(
@@ -126,17 +133,18 @@ def test_every_small_round_matches_the_walker(n, all_online, count):
 @pytest.mark.parametrize("n, all_online, count", SCOPE)
 def test_sums_at_the_modulus_edge(n, all_online, count, backend, top):
     scenarios = rounds(n, all_online, backend, at_the_edge(n, top))
-    assert sweep(scenarios) == (worst_case(n, count), GAIN[n])
+    assert sweep(scenarios) == (worst_case(n, count), GAIN[n], TOTALS[n])
 
 
 if __name__ == "__main__":
     for n, all_online, count in WIDE_SCOPE:
         t0 = time.perf_counter()
-        found, (both, protocol_only) = sweep(rounds(n, all_online))
+        found, (both, protocol_only), (records, ticks) = sweep(rounds(n, all_online))
         print(
             f"n={n} {'all online' if all_online else 'every offline set'}: "
             f"{found[0]} rounds, longest trace {found[1]}, longest clock {found[2]}, "
             f"baseline's longest trace {found[3]}; aggregated by both engines {both}, "
-            f"by the protocol alone {protocol_only}, {time.perf_counter() - t0:.1f}s"
+            f"by the protocol alone {protocol_only}; {records} trace records, {ticks} ticks, "
+            f"{time.perf_counter() - t0:.1f}s"
         )
         assert found == worst_case(n, count), found
