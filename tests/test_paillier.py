@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import hashlib
 import json
 import math
@@ -652,6 +653,49 @@ def test_next_prime_2140_past_its_start_matches_reference(route):
         used_libcrypto = route(libcrypto)
         _assert_next_prime_matches_reference(PAST_FIRST_WINDOW, random.Random(7), random.Random(7))
         assert used_libcrypto() == bool(libcrypto and LIBCRYPTO), libcrypto
+
+
+def _former_next_prime(start, rng, seen):
+    """The search with a Fermat check mod a prime factor f in (1000, 2^18],
+    as an earlier window sieve ran it: a candidate with no factor below 1000
+    and such an f (the largest, which the window marked last) was rejected
+    right after its first draw a unless a^(n-1) = 1 mod f; seen counts the
+    candidates that had an f, and those whose a passed the check."""
+    small = math.prod(sympy.primerange(1000))
+    candidate = start | 1
+    while True:
+        if math.gcd(candidate, small) == 1:
+            a = rng.randrange(2, candidate - 1)
+            f = max((p for p in _primes_above_1000() if candidate % p == 0), default=0)
+            seen["factor"] += bool(f)
+            if not f or pow(a, candidate - 1, f) == 1:
+                seen["fermat-liar"] += bool(f)
+                if mr(candidate, [a]) and all(
+                        mr(candidate, [rng.randrange(2, candidate - 1)]) for _ in range(39)):
+                    return candidate
+        candidate += 2
+
+
+@functools.cache
+def _primes_above_1000():
+    return list(sympy.primerange(1001, (1 << 18) + 1))
+
+
+def test_next_prime_matches_the_former_fermat_check_mod_a_factor_above_1000():
+    # A strong liar of n is a Fermat liar mod each factor of n, so probing a
+    # candidate that such a check rejected rejects it at the same first base.
+    n, f, liar = _liar_candidate()
+    starts = [(random.Random(s).getrandbits(512) | 1 << 511, lambda s=s: random.Random(s))
+              for s in range(3)]
+    starts.append((PAST_FIRST_WINDOW, lambda: random.Random(7)))
+    for a in (liar, 1 + f * random.Random(n).randrange(2, n // f)):
+        starts += [(n, lambda a=a, s=s: _FirstDrawFixed(a, s)) for s in range(2)]
+    seen = {"factor": 0, "fermat-liar": 0}
+    for start, make_rng in starts:
+        fast, former = make_rng(), make_rng()
+        assert _next_prime(start, fast) == _former_next_prime(start, former, seen), start
+        assert fast.getstate() == former.getstate(), start
+    assert seen["factor"] > 100 and seen["fermat-liar"] >= 4, seen
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256, 2048])
